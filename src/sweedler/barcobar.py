@@ -319,6 +319,7 @@ def bar(A: DgAlgebra, trunc: Truncation,
                for a2, coeff in A.d.apply_label(a).items()}
         if val:
             phi_int[w] = vscale(field, field.of(-1), val)
+    reduced_set = set(reduced)
     for a in reduced:
         for b in reduced:
             w = word_label((s_label(a), s_label(b)))
@@ -326,7 +327,7 @@ def bar(A: DgAlgebra, trunc: Truncation,
             val = {}
             sign = field.sign(A.space.degree_of(a))
             for m, coeff in prod.items():
-                if m in set(reduced):
+                if m in reduced_set:
                     val[s_label(m)] = field.mul(sign, coeff)
             if val:
                 phi_ext[w] = val

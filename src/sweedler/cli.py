@@ -67,9 +67,18 @@ def _dims_table(report: Report, title: str, space) -> None:
     report.table(title, ["degree", "dim", "trust"], rows)
 
 
+def _square_zero_check(report: Report, name: str, dg) -> bool:
+    """Add the d² check to the report; True when d² = 0."""
+    square = check_square_zero(dg)
+    report.check_issues(name, [] if square.passed
+                        else [square.describe(dg.space)])
+    return square.passed
+
+
 def _homology_table(report: Report, dg) -> None:
+    """Homology table of a complex whose d² = 0 is already checked."""
     rows = [[n, e.dim, "trusted" if e.trusted else "unreliable"]
-            for n, e in sorted(homology(dg).items())]
+            for n, e in sorted(homology(dg, check=False).items())]
     report.table("homology", ["degree", "dim", "trust"], rows)
 
 
@@ -130,10 +139,8 @@ def cmd_homology(args) -> int:
     field, trunc = _field_trunc(args, pf)
     obj = pf.build(field, trunc)
     report = Report("homology", field.name, str(trunc))
-    report.check_issues("d² = 0",
-                        [] if check_square_zero(obj.dg).passed
-                        else [check_square_zero(obj.dg).describe(obj.space)])
-    _homology_table(report, obj.dg)
+    if _square_zero_check(report, "d² = 0", obj.dg):
+        _homology_table(report, obj.dg)
     return _emit(report, args)
 
 
@@ -161,16 +168,14 @@ def cmd_bar(args) -> int:
     convention = args.convention or MINUS
     b = bar(A, trunc, convention)
     report = Report("bar", field.name, str(trunc), convention)
-    report.check_issues("d² = 0 on the checkable window",
-                        [] if check_square_zero(b.coalgebra.dg).passed
-                        else [check_square_zero(b.coalgebra.dg)
-                              .describe(b.coalgebra.space)])
+    square_zero = _square_zero_check(report, "d² = 0 on the checkable window",
+                                     b.coalgebra.dg)
     anti = anticommutator_issues(b.d_int, b.d_ext, b.coalgebra.space)
     report.check("d^int/d^ext anticommute", not anti,
                  label_str(anti[0]) if anti else "")
     _strict_window_check(report, args, b.coalgebra.space)
     _dims_table(report, "bar dimensions", b.coalgebra.space)
-    if args.homology:
+    if args.homology and square_zero:
         _homology_table(report, b.coalgebra.dg)
     return _emit(report, args)
 
@@ -184,16 +189,14 @@ def cmd_cobar(args) -> int:
     convention = args.convention or PLUS
     c = cobar(C, trunc, convention)
     report = Report("cobar", field.name, str(trunc), convention)
-    report.check_issues("d² = 0 on the checkable window",
-                        [] if check_square_zero(c.algebra.dg).passed
-                        else [check_square_zero(c.algebra.dg)
-                              .describe(c.algebra.space)])
+    square_zero = _square_zero_check(report, "d² = 0 on the checkable window",
+                                     c.algebra.dg)
     anti = anticommutator_issues(c.d_int, c.d_ext, c.algebra.space)
     report.check("d^int/d^ext anticommute", not anti,
                  label_str(anti[0]) if anti else "")
     _strict_window_check(report, args, c.algebra.space)
     _dims_table(report, "cobar dimensions", c.algebra.space)
-    if args.homology:
+    if args.homology and square_zero:
         _homology_table(report, c.algebra.dg)
     return _emit(report, args)
 

@@ -132,6 +132,10 @@ class GradedSpace:
     def __contains__(self, label) -> bool:
         return label in self._degree_of
 
+    def _degree_lookup(self):
+        """A callable: label -> degree, None for a non-member."""
+        return self._degree_of.get
+
     def degree_of(self, label) -> int:
         try:
             return self._degree_of[label]
@@ -153,9 +157,10 @@ class GradedSpace:
     # -- vectors ---------------------------------------------------------------
     def project(self, formal: dict, strict: bool = False) -> dict:
         """Drop components outside this space (raise in strict mode)."""
+        degree = self._degree_lookup()
         out = {}
         for label, coeff in formal.items():
-            if label in self._degree_of:
+            if degree(label) is not None:
                 out[label] = coeff
             elif strict:
                 raise WindowOverflow(
@@ -279,10 +284,6 @@ def identity_map(X: GradedSpace) -> GradedMap:
     return f
 
 
-def zero_map(X: GradedSpace, Y: GradedSpace, degree: int) -> GradedMap:
-    return GradedMap(X, Y, degree)
-
-
 # -- Koszul sign machinery -----------------------------------------------------
 
 def koszul_sign_exponent(degrees: list[int], perm: list[int]) -> int:
@@ -305,29 +306,115 @@ def tensor_label(x, y) -> tuple:
     return ("t", x, y)
 
 
-def tensor_space(X: GradedSpace, Y: GradedSpace) -> GradedSpace:
+class TensorSpace(GradedSpace):
+    """X⊗Y, answered from its two factors; read-only.
+
+    (X⊗Y)_n = ⊕_{i+j=n} X_i⊗Y_j inside X's window.  Membership, degree and
+    weight of a label ("t", x, y) come from the factors.  A degree's basis is
+    listed on first request, in the order: X-degree ascending, then X's
+    basis, then Y's basis.  Dimensions and inexact degrees are fixed when
+    the space is built, so later marks on a factor do not reach it.
+    """
+
+    def __init__(self, X: GradedSpace, Y: GradedSpace):
+        # GradedSpace.__init__ is skipped on purpose: without the label
+        # dicts of an eager space, no inherited method can read them empty
+        require_same_field(X.field, Y.field)
+        self.field = X.field
+        self.window = X.window
+        self.left = X
+        self.right = Y
+        # bound once, since _degree answers every `t in TT` of a coproduct
+        self._left_degree = X._degree_lookup()
+        self._right_degree = Y._degree_lookup()
+        self._dmin, self._dmax = X.window.degree_min, X.window.degree_max
+        xdims, ydims = X.dims(), Y.dims()
+        dims: dict[int, int] = {}
+        for i, dx in xdims.items():
+            for j, dy in ydims.items():
+                if self.window.contains(i + j):
+                    dims[i + j] = dims.get(i + j, 0) + dx * dy
+        self._dims = dict(sorted(dims.items()))
+        self._total = sum(dims.values())
+        self._bases: dict[int, list] = {}
+        # a degree fed by an inexact input degree is itself inexact
+        self._inexact = {i + j for i in X.inexact_degrees() for j in ydims
+                         if self.window.contains(i + j)}
+        self._inexact |= {i + j for j in Y.inexact_degrees() for i in xdims
+                          if self.window.contains(i + j)}
+
+    def add(self, label, degree: int, weight: int | None = None,
+            strict: bool = False) -> bool:
+        raise GradedError("a tensor space is read-only")
+
+    def _degree(self, label) -> int | None:
+        """Degree of a member label; None for anything else."""
+        if type(label) is not tuple or len(label) != 3 or label[0] != "t":
+            return None
+        dx = self._left_degree(label[1])
+        dy = self._right_degree(label[2])
+        if dx is None or dy is None:
+            return None
+        n = dx + dy
+        return n if self._dmin <= n <= self._dmax else None
+
+    def _degree_lookup(self):
+        return self._degree
+
+    def _listed(self, degree: int) -> list:
+        out = self._bases.get(degree)
+        if out is None:
+            out = []
+            if degree in self._dims:
+                for i in self.left.degrees():
+                    ys = self.right.basis(degree - i)
+                    if ys:
+                        for x in self.left.basis(i):
+                            out.extend(tensor_label(x, y) for y in ys)
+            self._bases[degree] = out
+        return out
+
+    def degrees(self) -> list[int]:
+        return list(self._dims)
+
+    def basis(self, degree: int) -> list:
+        return list(self._listed(degree))
+
+    def labels(self) -> list:
+        out = []
+        for n in self._dims:
+            out.extend(self._listed(n))
+        return out
+
+    def __contains__(self, label) -> bool:
+        return self._degree(label) is not None
+
+    def degree_of(self, label) -> int:
+        n = self._degree(label)
+        if n is None:
+            raise GradedError(f"unknown basis label {label_str(label)}")
+        return n
+
+    def weight_of(self, label, default=None):
+        if self._degree(label) is None:
+            return default
+        wx = self.left.weight_of(label[1])
+        wy = self.right.weight_of(label[2])
+        return default if wx is None or wy is None else wx + wy
+
+    def dim(self, degree: int) -> int:
+        return self._dims.get(degree, 0)
+
+    def dims(self) -> dict[int, int]:
+        return dict(self._dims)
+
+    def total_dim(self) -> int:
+        return self._total
+
+
+def tensor_space(X: GradedSpace, Y: GradedSpace) -> TensorSpace:
     """(X⊗Y)_n = ⊕_{i+j=n} X_i⊗Y_j, inside the shared window."""
-    require_same_field(X.field, Y.field)
-    T = GradedSpace(X.field, X.window)
-    for n in X.degrees():
-        for x in X.basis(n):
-            for m in Y.degrees():
-                if not X.window.contains(n + m):
-                    continue
-                for y in Y.basis(m):
-                    wx, wy = X.weight_of(x), Y.weight_of(y)
-                    w = wx + wy if wx is not None and wy is not None else None
-                    T.add(tensor_label(x, y), n + m, weight=w)
-    # a degree fed by an inexact input degree is itself inexact
-    for i in X.inexact_degrees():
-        for j in Y.degrees():
-            if T.window.contains(i + j):
-                T.mark_inexact(i + j)
-    for j in Y.inexact_degrees():
-        for i in X.degrees():
-            if T.window.contains(i + j):
-                T.mark_inexact(i + j)
-    return T
+    return TensorSpace(X, Y)
 
 
 def koszul_swap(X: GradedSpace, Y: GradedSpace) -> GradedMap:
@@ -358,27 +445,6 @@ def hom_space(X: GradedSpace, Y: GradedSpace) -> GradedSpace:
                 for y in Y.basis(j):
                     H.add(hom_label(x, y), j - i)
     return H
-
-
-def hom_vector_to_map(H: GradedSpace, X: GradedSpace, Y: GradedSpace,
-                      vec: dict, degree: int) -> GradedMap:
-    """Interpret a homogeneous vector of hom_space(X, Y) as a GradedMap."""
-    f = GradedMap(X, Y, degree)
-    cols: dict = {}
-    for label, coeff in vec.items():
-        _, x, y = label
-        cols.setdefault(x, {})[y] = coeff
-    for x, img in cols.items():
-        f.set(x, img)
-    return f
-
-
-def map_to_hom_vector(f: GradedMap) -> dict:
-    out = {}
-    for x, img in f.columns.items():
-        for y, coeff in img.items():
-            out[hom_label(x, y)] = coeff
-    return out
 
 
 def lambda2(f: GradedMap, X: GradedSpace, Y: GradedSpace) -> GradedMap:
@@ -518,13 +584,3 @@ def transpose(f: GradedMap, Xdual: GradedSpace, Ydual: GradedSpace) -> GradedMap
     for ylab in Ydual.labels():
         out.set(ylab, Xdual.project(cols.get(ylab, {})))
     return out
-
-
-def dual_pairing(field: Field, phi: dict, vec: dict, X: GradedSpace):
-    """Evaluate a dual vector (over ("d", x) labels) on a vector of X."""
-    total = field.zero()
-    for dx, c in phi.items():
-        x = dx[1]
-        if x in vec:
-            total = field.add(total, field.mul(c, vec[x]))
-    return total

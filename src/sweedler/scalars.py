@@ -28,14 +28,31 @@ class ParseError(ScalarError):
     pass
 
 
+# Miller-Rabin with these bases is exact below PRIME_BOUND (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in PRIME_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -43,6 +60,8 @@ class Field:
     """A coefficient field: the rationals or a prime field F_p."""
 
     def __init__(self, p: int | None = None):
+        if p is not None and p >= PRIME_BOUND:
+            raise ScalarError(f"modulus {p} is too large to certify as prime")
         if p is not None and not _is_prime(p):
             raise ScalarError(f"modulus {p} is not prime")
         self.p = p

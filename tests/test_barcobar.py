@@ -59,6 +59,14 @@ def test_mc_invariants_to_weight_10():
             assert d == {word_label(("u",) * (n + 1)): QQ.of(-1)}
 
 
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_mc_constructs_at_odd_and_even_weight_caps(cap):
+    # at odd caps d(u^cap) = -u^(cap+1) leaves the window; the co-Leibniz
+    # check must skip u^cap instead of reporting a failure
+    mc = mc_algebra(QQ, Truncation(-10, 0, cap))
+    assert verify_mc(mc) == []
+
+
 def test_mc_homology_is_field_in_degree_zero():
     mc = mc_algebra(QQ, Truncation(-8, 0, 8))
     h = homology(mc.algebra.dg)

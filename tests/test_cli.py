@@ -166,6 +166,27 @@ d x 1/1 y
     assert code == 2     # construction error (inconsistent differential)
 
 
+def test_homology_of_a_non_complex_fails_cleanly(tmp_path, capsys):
+    # d²x = z ≠ 0: a FAIL line and exit 1, no homology table, no traceback
+    bad = tmp_path / "bad.swp"
+    bad.write_text("""sweedler-presentation v1
+field Q
+kind algebra
+trunc 0:4:4
+gen x 2
+gen y 1
+gen z 0
+d x 1/1 y
+d y 1/1 z
+""")
+    code, out = run_cli(["homology", "--file", str(bad)])
+    assert code == 1
+    assert "FAIL d² = 0  [d²≠0 at x: d²(x) = 1/1·z" in out
+    assert "table: homology" not in out
+    assert "result: FAIL" in out
+    assert capsys.readouterr().err == ""
+
+
 def test_reports_are_deterministic(tmp_path):
     out1 = tmp_path / "r1.txt"
     out2 = tmp_path / "r2.txt"

@@ -8,7 +8,7 @@ from sweedler.graded import (Truncation, GradedSpace, GradedMap, tensor_space,
                              lambda1, lambda2, uncurry1, uncurry2,
                              strength_tensor, suspend, graded_dual, transpose,
                              dual_label, identity_map, unit_space,
-                             koszul_sign_exponent, WindowOverflow)
+                             koszul_sign_exponent, WindowOverflow, GradedError)
 
 TR = Truncation(-6, 6, 6)
 
@@ -266,3 +266,129 @@ def test_koszul_sign_exponent():
     assert koszul_sign_exponent([1, 1], [1, 0]) % 2 == 1
     assert koszul_sign_exponent([1, 2], [1, 0]) % 2 == 0
     assert koszul_sign_exponent([1, 1, 1], [2, 1, 0]) % 2 == 1
+
+
+# -- TensorSpace against an eager reference enumeration ---------------------------
+
+
+def eager_tensor(X, Y):
+    """Every pair label of X⊗Y, listed the way the basis must be ordered."""
+    bases, degree, weight = {}, {}, {}
+    for i in X.degrees():
+        for x in X.basis(i):
+            for j in Y.degrees():
+                if not X.window.contains(i + j):
+                    continue
+                for y in Y.basis(j):
+                    lab = tensor_label(x, y)
+                    bases.setdefault(i + j, []).append(lab)
+                    degree[lab] = i + j
+                    wx, wy = X.weight_of(x), Y.weight_of(y)
+                    if wx is not None and wy is not None:
+                        weight[lab] = wx + wy
+    inexact = {i + j for i in X.inexact_degrees() for j in Y.degrees()
+               if X.window.contains(i + j)}
+    inexact |= {i + j for j in Y.inexact_degrees() for i in X.degrees()
+                if X.window.contains(i + j)}
+    return dict(sorted(bases.items())), degree, weight, inexact
+
+
+def random_space(rng, prefix, tr):
+    X = GradedSpace(QQ, tr)
+    for k in range(rng.randint(0, 7)):
+        weight = rng.choice([None, 0, 1, 2, 3])
+        X.add(f"{prefix}{k}", rng.randint(tr.degree_min, tr.degree_max),
+              weight=weight)
+    for _ in range(rng.randint(0, 2)):
+        X.mark_inexact(rng.randint(tr.degree_min, tr.degree_max))
+    return X
+
+
+def assert_matches_eager(T, X, Y):
+    bases, degree, weight, inexact = eager_tensor(X, Y)
+    tr = X.window
+    for n in range(tr.degree_min - 2, tr.degree_max + 3):
+        assert T.basis(n) == bases.get(n, [])
+        assert T.dim(n) == len(bases.get(n, []))
+    assert T.degrees() == list(bases)
+    assert T.dims() == {n: len(b) for n, b in bases.items()}
+    assert T.total_dim() == len(degree)
+    assert T.labels() == [lab for b in bases.values() for lab in b]
+    assert T.inexact_degrees() == inexact
+    for lab in degree:
+        assert lab in T
+        assert T.degree_of(lab) == degree[lab]
+        assert T.weight_of(lab, "none") == weight.get(lab, "none")
+    # every pair of factor labels, in the window or not
+    for x in X.labels():
+        for y in Y.labels():
+            lab = tensor_label(x, y)
+            assert (lab in T) == (lab in degree)
+
+
+def test_tensor_space_matches_eager_on_random_spaces():
+    rng = random.Random(11)
+    tr = Truncation(-3, 3, 4)
+    for _ in range(40):
+        X = random_space(rng, "x", tr)
+        Y = random_space(rng, "y", tr)
+        assert_matches_eager(tensor_space(X, Y), X, Y)
+
+
+def test_tensor_space_rejects_non_tensor_labels():
+    X = GradedSpace(QQ, TR)
+    X.add("x", 0)
+    Y = GradedSpace(QQ, TR)
+    Y.add("y", 0)
+    T = tensor_space(X, Y)
+    assert tensor_label("x", "y") in T
+    # "txy" would unpack as ("t", "x", "y")
+    for lab in ("txy", "x", ("t", "x"), ("h", "x", "y"), ("t", "y", "x"),
+                ("t", "x", "y", "z"), ("t", "x", "nope"), 3):
+        assert lab not in T
+        assert T.weight_of(lab, "none") == "none"
+    for lab in ("txy", ("h", "x", "y"), ("t", "y", "x"), ("t", "x", "nope")):
+        with pytest.raises(GradedError):
+            T.degree_of(lab)
+
+
+def test_tensor_space_project():
+    X = named({0: 1, 4: 1}, "x")
+    Y = named({0: 1, 4: 1}, "y")
+    T = tensor_space(X, Y)
+    inside = tensor_label("x0_0", "y4_0")
+    high = tensor_label("x4_0", "y4_0")      # degree 8, outside the window
+    vec = {inside: QQ.one(), high: QQ.one(), "txy": QQ.one()}
+    assert T.project(vec) == {inside: QQ.one()}
+    with pytest.raises(WindowOverflow):
+        T.project({inside: QQ.one(), high: QQ.one()}, strict=True)
+    assert T.project({inside: QQ.one()}, strict=True) == {inside: QQ.one()}
+
+
+def test_nested_tensor_space_resolves_through_factors():
+    rng = random.Random(4)
+    tr = Truncation(-3, 3, 4)
+    for _ in range(15):
+        X, Y, Z = (random_space(rng, p, tr) for p in "xyz")
+        XY = tensor_space(X, Y)
+        assert_matches_eager(tensor_space(XY, Z), XY, Z)
+        assert_matches_eager(tensor_space(Z, XY), Z, XY)
+
+
+def test_tensor_space_is_read_only():
+    X = named({0: 1}, "x")
+    T = tensor_space(X, X)
+    with pytest.raises(GradedError):
+        T.add(tensor_label("x0_0", "x0_0"), 0)
+
+
+def test_tensor_space_inexact_is_a_snapshot():
+    X = named({0: 1, 1: 1}, "x")
+    Y = named({0: 1}, "y")
+    X.mark_inexact(1)
+    T = tensor_space(X, Y)
+    assert T.inexact_degrees() == {1}
+    X.mark_inexact(0)
+    Y.mark_inexact(0)
+    assert T.inexact_degrees() == {1}
+    assert tensor_space(X, Y).inexact_degrees() == {0, 1}

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from sweedler.scalars import (Field, QQ, scalar_arith, DivisionByZero,
-                              MixedFields, ParseError, require_same_field)
+                              MixedFields, ParseError, ScalarError,
+                              require_same_field, _is_prime, PRIME_BOUND)
 
 
 def test_rational_arithmetic():
@@ -54,6 +55,33 @@ def test_parse_errors():
 def test_nonprime_modulus_rejected():
     with pytest.raises(Exception):
         Field(6)
+
+
+def test_large_prime_modulus_accepted():
+    assert Field(2**61 - 1).p == 2**61 - 1
+    assert Field.parse_name("Fp:2305843009213693951") == Field(2**61 - 1)
+
+
+@pytest.mark.parametrize("n", [2**61 + 1, 561, 2047, 3215031751])
+def test_composite_moduli_rejected(n):
+    # 561 is a Carmichael number; 2047 and 3215031751 are strong
+    # pseudoprimes to the bases 2 and 2, 3, 5, 7 respectively
+    with pytest.raises(ScalarError):
+        Field(n)
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(5000) if _is_prime(n)] == \
+        [n for n in range(5000) if trial(n)]
+
+
+def test_modulus_beyond_certified_range_refused():
+    # 2^89 - 1 is prime, but beyond the range where the test is exact
+    with pytest.raises(ScalarError):
+        Field(2**89 - 1)
+    assert PRIME_BOUND < 2**89 - 1
 
 
 @pytest.mark.parametrize("field", [QQ, Field(2), Field(7), Field(97)])
