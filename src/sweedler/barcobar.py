@@ -28,7 +28,8 @@ from .complexes import DgSpace
 from .algebras import (DgAlgebra, tensor_algebra, extend_derivation,
                        word_label, word_syms, UNIT_WORD, AlgebraError)
 from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_comult,
-                         coextend_coderivation, ReducedCoalgebra, red_label)
+                         coextend_coderivation, coextend_map,
+                         ReducedCoalgebra)
 from .linalg import vaddmul, vscale
 
 
@@ -479,52 +480,19 @@ def cochain_to_coalgebra_map(alpha: GradedMap, C: DgCoalgebra,
                              b: BarConstruction) -> GradedMap:
     """f: C → B A with cogenerator component φ = ∓s∘α (so extract gives α).
 
-    f(e) = 1 and f(x) = Σ_{n≥1} φ^{⊗n} Δ₋^{(n)}(x) on the reduced part.
-    Under the default minus convention φ = -sα; under the plus convention
-    the universal cochain is -β, so φ = +sα.
+    f is the coextension of φ: f(e) = 1 and f(x) = Σ_{n≥1} φ^{⊗n} Δ₋^{(n)}(x)
+    on the reduced part, for n up to the weight cap of B A.  Under the
+    default minus convention φ = -sα; under the plus convention the
+    universal cochain is -β, so φ = +sα.
     """
     field = C.field
     R = ReducedCoalgebra(C)
-    space = b.coalgebra.space
-    cap = space.window.weight_cap
-    one = field.one()
     phi_sign = field.of(-1) if b.convention == MINUS else field.one()
-    f = GradedMap(C.space, space, 0)
-    for x in C.space.labels():
-        if x == C.atom:
-            f.set(x, {UNIT_WORD: one})
-            continue
-        img: dict = {}
-        eps = C.counit.get(x, field.zero())
-        if not field.is_zero(eps):
-            img[UNIT_WORD] = eps
-        terms = {(red_label(x),): one}
-        n = 1
-        while terms and n <= cap:
-            for key, c in terms.items():
-                pieces = []
-                for lab in key:
-                    val = alpha(R.include({lab: one}))
-                    pieces.append([(s_label(a), field.mul(phi_sign, cv))
-                                   for a, cv in val.items()])
-                for combo in itertools.product(*pieces):
-                    syms = tuple(s for s, _ in combo)
-                    coeff = c
-                    for _, cc in combo:
-                        coeff = field.mul(coeff, cc)
-                    w = word_label(syms)
-                    if w in space:
-                        img = vaddmul(field, img, coeff, {w: one})
-            new: dict = {}
-            for key, c in terms.items():
-                for t, c2 in R.comult.apply_label(key[-1]).items():
-                    _, a2, b2 = t
-                    new = vaddmul(field, new, field.mul(c, c2),
-                                  {key[:-1] + (a2, b2): one})
-            terms = new
-            n += 1
-        f.set(x, img)
-    return f
+    phi = {r: {s_label(a): field.mul(phi_sign, c)
+               for a, c in alpha(R.include({r: field.one()})).items()}
+           for r in R.space.labels()}
+    return coextend_map(C, phi, b.coalgebra,
+                        max_terms=b.coalgebra.space.window.weight_cap)
 
 
 def extract_from_algebra_map(g: GradedMap, cob: CobarConstruction,

@@ -83,7 +83,13 @@ class DgCoalgebra:
     def verify(self, check_d_squared: bool = True) -> list[str]:
         issues: list[str] = []
         field = self.field
-        # coassociativity, compared in flattened triple coordinates
+        zero = field.zero()
+
+        def acc(out: dict, key, coeff) -> None:
+            out[key] = field.add(out.get(key, zero), coeff)
+
+        # coassociativity, compared in flattened triple coordinates; sums
+        # grow in place and drop their zeros before the comparison
         for x in self.space.labels():
             left: dict = {}
             right: dict = {}
@@ -91,22 +97,18 @@ class DgCoalgebra:
                 _, a, b = t
                 for t2, c2 in self.comult.apply_label(a).items():
                     _, a1, a2 = t2
-                    key = (a1, a2, b)
-                    left = vaddmul(field, left, field.mul(c, c2),
-                                   {key: field.one()})
+                    acc(left, (a1, a2, b), field.mul(c, c2))
                 for t2, c2 in self.comult.apply_label(b).items():
                     _, b1, b2 = t2
-                    key = (a, b1, b2)
-                    right = vaddmul(field, right, field.mul(c, c2),
-                                    {key: field.one()})
+                    acc(right, (a, b1, b2), field.mul(c, c2))
             # only compare components representable on both sides
             window = self.space.window
-            left = {k: v for k, v in left.items()
-                    if window.contains(self.space.degree_of(k[0])
-                                       + self.space.degree_of(k[1]))}
-            right = {k: v for k, v in right.items()
-                     if window.contains(self.space.degree_of(k[1])
-                                        + self.space.degree_of(k[2]))}
+            left = {k: v for k, v in left.items() if not field.is_zero(v)
+                    and window.contains(self.space.degree_of(k[0])
+                                        + self.space.degree_of(k[1]))}
+            right = {k: v for k, v in right.items() if not field.is_zero(v)
+                     and window.contains(self.space.degree_of(k[1])
+                                         + self.space.degree_of(k[2]))}
             if left != right:
                 issues.append(f"coassociativity fails at {label_str(x)}")
                 break
@@ -117,10 +119,10 @@ class DgCoalgebra:
                 rhs: dict = {}
                 for t, c in self.comult.apply_label(x).items():
                     _, a, b = t
-                    ea = self.counit.get(a, field.zero())
-                    eb = self.counit.get(b, field.zero())
-                    lhs = vaddmul(field, lhs, field.mul(c, ea), {b: field.one()})
-                    rhs = vaddmul(field, rhs, field.mul(c, eb), {a: field.one()})
+                    acc(lhs, b, field.mul(c, self.counit.get(a, zero)))
+                    acc(rhs, a, field.mul(c, self.counit.get(b, zero)))
+                lhs = {k: v for k, v in lhs.items() if not field.is_zero(v)}
+                rhs = {k: v for k, v in rhs.items() if not field.is_zero(v)}
                 if lhs != {x: field.one()} or rhs != {x: field.one()}:
                     issues.append(f"counit law fails at {label_str(x)}")
                     break
@@ -236,24 +238,6 @@ class ReducedCoalgebra:
             d.set(lab, space.project(
                 proj_vec(C.d(incl_vec({lab: field.one()})))))
         self.d = d
-
-    def iterate_comult(self, vec: dict, n: int) -> dict:
-        """Δ_-^{(n)} as a dict over flat tuples of reduced labels."""
-        field = self.C.field
-        terms: dict = {(lab,): c for lab, c in vec.items()}
-        for _ in range(n - 1):
-            new: dict = {}
-            for key, c in terms.items():
-                # expand the first slot (Δ^{(n+1)} = (Δ^{(n)}⊗id)Δ applied
-                # left-to-right gives the same set; expand last slot instead)
-                last = key[-1]
-                for t, c2 in self.comult.apply_label(last).items():
-                    _, a, b = t
-                    new_key = key[:-1] + (a, b)
-                    new = vaddmul(field, new, field.mul(c, c2),
-                                  {new_key: field.one()})
-            terms = new
-        return terms
 
 
 # -- radical and primitives --------------------------------------------------------
@@ -519,14 +503,12 @@ def coextend_map(C: DgCoalgebra, f: dict, target: DgCoalgebra,
         if x == C.atom:
             g.set(x, {UNIT_WORD: one})
             continue
-        vec = R.project(C.space.project({x: one})
-                        if x != C.atom else {})
         # include counit correction: x = ε(x)e + (reduced part)
         img: dict = {}
         eps = C.counit.get(x, field.zero())
         if not field.is_zero(eps):
             img[UNIT_WORD] = eps
-        terms = {(lab,): c for lab, c in vec.items()}
+        terms = {(red_label(x),): one}
         n = 1
         while terms and n <= bound:
             for key, c in terms.items():
@@ -629,17 +611,10 @@ def quasi_shuffle_product(T: DgCoalgebra, mult: dict | None) -> GradedMap:
         if val:
             f[red_label(lab)] = val
 
-    g = coextend_map(CC, _reduced_f(CC, f), T)
-    # flatten to a map on the tensor square space
-    return g
-
-
-def _reduced_f(CC: DgCoalgebra, f: dict) -> dict:
-    """Adjust a generator-valued function to reduced coordinates of CC."""
     # reduced label ("red", x) stands for x - ε(x)·atom; ε vanishes on the
     # labels where f is supported (they involve a word of length ≥ 1), so f
-    # needs no correction term.
-    return f
+    # needs no correction term
+    return coextend_map(CC, f, T)
 
 
 def shuffle_product(T: DgCoalgebra) -> GradedMap:

@@ -57,10 +57,17 @@ class Truncation:
         return Truncation(int(parts[0]), int(parts[1]), int(parts[2]))
 
 
+# label kind -> tuple length; other tuples render through repr
+_LABEL_ARITY = {"w": 2, "t": 3, "h": 3, "d": 2, "s": 3, "rh": 3}
+
+
 def label_str(label) -> str:
     """Readable rendering of a basis label."""
     if isinstance(label, str):
         return label
+    if not (isinstance(label, tuple) and label
+            and len(label) == _LABEL_ARITY.get(label[0])):
+        return repr(label)
     kind = label[0]
     if kind == "w":
         return "1" if not label[1] else "⊗".join(label_str(x) for x in label[1])

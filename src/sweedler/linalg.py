@@ -5,6 +5,15 @@ elimination uses deterministic pivoting: the pivot of a row is its first
 nonzero coordinate in the ambient basis order, and rows are processed in
 insertion order, so bases of kernels, quotients and row spaces are
 reproducible across runs.
+
+`RowSpace` is the one elimination routine.  Its rows are kept in reduced
+row echelon form: each row has a leading 1 at its pivot and zeros at every
+other pivot.  Subtracting a row therefore never brings a pivot coordinate
+back, and a vector is reduced by one sweep over its pivot coordinates in
+pivot order.  Kernels and membership combinations are tracked by extra
+tracking columns (_TRACK, s), one per source vector, ordered after every
+ambient label so they are never pivots; the tracked combination of a
+reduced vector is its tracking part.
 """
 
 from __future__ import annotations
@@ -13,21 +22,6 @@ from .scalars import Field
 
 
 # -- sparse vector helpers ----------------------------------------------------
-
-def vzero() -> dict:
-    return {}
-
-
-def vadd(field: Field, u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        s = field.add(out.get(k, field.zero()), c)
-        if field.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
 
 def vaddmul(field: Field, u: dict, coeff, v: dict) -> dict:
     """u + coeff * v."""
@@ -49,18 +43,6 @@ def vscale(field: Field, coeff, v: dict) -> dict:
     return {k: field.mul(coeff, c) for k, c in v.items()}
 
 
-def vneg(field: Field, v: dict) -> dict:
-    return {k: field.neg(c) for k, c in v.items()}
-
-
-def vsub(field: Field, u: dict, v: dict) -> dict:
-    return vaddmul(field, u, field.of(-1), v)
-
-
-def veq(u: dict, v: dict) -> bool:
-    return u == v
-
-
 class RowSpace:
     """Incrementally built reduced row echelon span of sparse vectors.
 
@@ -71,53 +53,44 @@ class RowSpace:
         self.field = field
         self.order = {label: i for i, label in enumerate(order)}
         self.rows: dict = {}          # pivot label -> reduced row (leading 1)
-        self.pivot_sequence: list = []  # pivots in insertion order
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def _pivot_of(self, v: dict):
-        best = None
-        best_pos = None
-        for k in v:
-            pos = self.order[k]
-            if best_pos is None or pos < best_pos:
-                best, best_pos = k, pos
-        return best
+        return min(v, key=self.order.__getitem__)
 
     def reduce(self, v: dict) -> dict:
         """Fully reduce v against the span; the residue has no pivot coords."""
-        field = self.field
+        field, rows = self.field, self.rows
         out = dict(v)
-        # repeated single-pass reduction; rows are inter-reduced so one pass
-        # per pivot suffices
-        changed = True
-        while changed:
-            changed = False
-            for k in sorted(out, key=self.order.__getitem__):
-                row = self.rows.get(k)
-                if row is not None:
-                    out = vaddmul(field, out, field.neg(out[k]), row)
-                    changed = True
-                    break
+        for p in sorted([k for k in v if k in rows], key=self.order.__getitem__):
+            coeff = field.neg(out[p])
+            for k, c in rows[p].items():
+                s = field.add(out.get(k, field.zero()), field.mul(coeff, c))
+                if field.is_zero(s):
+                    out.pop(k, None)
+                else:
+                    out[k] = s
         return out
 
-    def add(self, v: dict) -> dict | None:
-        """Reduce and insert v; returns the new reduced row or None."""
+    def insert(self, red: dict) -> dict:
+        """Insert a nonzero reduced vector: scale its pivot to 1 and
+        back-eliminate that pivot from the other rows.  Returns the row."""
         field = self.field
-        red = self.reduce(v)
-        if not red:
-            return None
         piv = self._pivot_of(red)
         red = vscale(field, field.inv(red[piv]), red)
-        # back-eliminate the new pivot from the existing rows
         for k, row in list(self.rows.items()):
             if piv in row:
                 self.rows[k] = vaddmul(field, row, field.neg(row[piv]), red)
         self.rows[piv] = red
-        self.pivot_sequence.append(piv)
         return red
+
+    def add(self, v: dict) -> dict | None:
+        """Reduce and insert v; returns the new reduced row or None."""
+        red = self.reduce(v)
+        return self.insert(red) if red else None
 
     def extend(self, vecs) -> None:
         for v in vecs:
@@ -136,6 +109,28 @@ def rank(field: Field, vectors, ambient_order: list) -> int:
     return rs.rank
 
 
+_TRACK = object()   # tag of the tracking columns (_TRACK, s)
+
+
+def _tracking_span(field: Field, vectors, tags,
+                   ambient_order: list) -> tuple[RowSpace, list]:
+    """Reduce each vector, tracked by its tag, into one RowSpace.
+
+    Returns the span and the tracked combinations (over tags) of the
+    vectors that reduced to zero in the ambient coordinates.
+    """
+    rs = RowSpace(field, [*ambient_order, *((_TRACK, t) for t in tags)])
+    n = len(ambient_order)
+    dependent = []
+    for t, v in zip(tags, vectors):
+        red = rs.reduce({**v, (_TRACK, t): field.one()})
+        if rs.order[rs._pivot_of(red)] < n:
+            rs.insert(red)
+        else:
+            dependent.append({k[1]: c for k, c in red.items()})
+    return rs, dependent
+
+
 def kernel_basis(field: Field, columns: dict, src_order: list,
                  tgt_order: list) -> list[dict]:
     """Kernel of the linear map sending src label s to columns.get(s, 0).
@@ -143,40 +138,8 @@ def kernel_basis(field: Field, columns: dict, src_order: list,
     Returns reduced kernel vectors (dicts over source labels), deterministic
     in the given orders.
     """
-    rs = RowSpace(field, tgt_order)
-    tracked: dict = {}   # pivot label -> combo over src labels
-    kernel: list[dict] = []
-    for s in src_order:
-        v = dict(columns.get(s, {}))
-        combo = {s: field.one()}
-        # reduce v, mirroring the operations on combo
-        changed = True
-        while changed:
-            changed = False
-            for k in sorted(v, key=rs.order.__getitem__):
-                row = rs.rows.get(k)
-                if row is not None:
-                    c = field.neg(v[k])
-                    v = vaddmul(field, v, c, row)
-                    combo = vaddmul(field, combo, c, tracked[k])
-                    changed = True
-                    break
-        if not v:
-            kernel.append(combo)
-            continue
-        piv = rs._pivot_of(v)
-        scale = field.inv(v[piv])
-        v = vscale(field, scale, v)
-        combo = vscale(field, scale, combo)
-        for k, row in list(rs.rows.items()):
-            if piv in row:
-                c = field.neg(row[piv])
-                rs.rows[k] = vaddmul(field, row, c, v)
-                tracked[k] = vaddmul(field, tracked[k], c, combo)
-        rs.rows[piv] = v
-        tracked[piv] = combo
-        rs.pivot_sequence.append(piv)
-    return kernel
+    return _tracking_span(field, (columns.get(s, {}) for s in src_order),
+                          src_order, tgt_order)[1]
 
 
 def rank_of_columns(field: Field, columns: dict, src_order: list,
@@ -190,48 +153,9 @@ def solve_membership(field: Field, target: dict, vectors: list[dict],
 
     Returns a dict {index: coeff} over positions in `vectors`.
     """
-    rs = RowSpace(field, ambient_order)
-    tracked: dict = {}
-    for i, v in enumerate(vectors):
-        w = dict(v)
-        combo = {i: field.one()}
-        changed = True
-        while changed:
-            changed = False
-            for k in sorted(w, key=rs.order.__getitem__):
-                row = rs.rows.get(k)
-                if row is not None:
-                    c = field.neg(w[k])
-                    w = vaddmul(field, w, c, row)
-                    combo = vaddmul(field, combo, c, tracked[k])
-                    changed = True
-                    break
-        if not w:
-            continue
-        piv = rs._pivot_of(w)
-        scale = field.inv(w[piv])
-        w = vscale(field, scale, w)
-        combo = vscale(field, scale, combo)
-        for k, row in list(rs.rows.items()):
-            if piv in row:
-                c = field.neg(row[piv])
-                rs.rows[k] = vaddmul(field, row, c, w)
-                tracked[k] = vaddmul(field, tracked[k], c, combo)
-        rs.rows[piv] = w
-        tracked[piv] = combo
-    out: dict = {}
-    res = dict(target)
-    changed = True
-    while changed:
-        changed = False
-        for k in sorted(res, key=rs.order.__getitem__):
-            row = rs.rows.get(k)
-            if row is not None:
-                c = res[k]
-                res = vaddmul(field, res, field.neg(c), row)
-                out = vaddmul(field, out, c, tracked[k])
-                changed = True
-                break
-    if res:
+    rs, _ = _tracking_span(field, vectors, range(len(vectors)), ambient_order)
+    red = rs.reduce(target)
+    n = len(ambient_order)
+    if any(rs.order[k] < n for k in red):
         return None
-    return out
+    return {k[1]: field.neg(c) for k, c in red.items()}

@@ -86,15 +86,6 @@ def convolution_algebra(C: DgCoalgebra, A: DgAlgebra,
     return DgAlgebra(H, pair, unit, aug, name=name or f"[{C.name},{A.name}]")
 
 
-def map_into_convolution(conv_space: GradedSpace, f: GradedMap) -> dict:
-    """Express a graded map C → A as a vector of the convolution carrier."""
-    out = {}
-    for c, img in f.columns.items():
-        for a, coeff in img.items():
-            out[hom_label(c, a)] = coeff
-    return conv_space.project(out)
-
-
 # -- measurings -------------------------------------------------------------------
 
 

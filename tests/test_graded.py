@@ -8,7 +8,8 @@ from sweedler.graded import (Truncation, GradedSpace, GradedMap, tensor_space,
                              lambda1, lambda2, uncurry1, uncurry2,
                              strength_tensor, suspend, graded_dual, transpose,
                              dual_label, identity_map, unit_space,
-                             koszul_sign_exponent, WindowOverflow, GradedError)
+                             koszul_sign_exponent, label_str, WindowOverflow,
+                             GradedError)
 
 TR = Truncation(-6, 6, 6)
 
@@ -350,6 +351,13 @@ def test_tensor_space_rejects_non_tensor_labels():
     for lab in ("txy", ("h", "x", "y"), ("t", "y", "x"), ("t", "x", "nope")):
         with pytest.raises(GradedError):
             T.degree_of(lab)
+    # malformed labels: wrong arity for their kind, empty, not a tuple
+    for lab in (("t", "x"), (), ("t", "x", "y", "z"), ("w",), ("s", 1),
+                ("d", "x", "y"), 3):
+        assert label_str(lab) == repr(lab)
+        for space in (X, T):
+            with pytest.raises(GradedError, match="unknown basis label"):
+                space.degree_of(lab)
 
 
 def test_tensor_space_project():

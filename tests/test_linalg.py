@@ -56,3 +56,138 @@ def test_rank_plus_kernel_dim_random():
                 for s, c in combo.items():
                     img = vaddmul(field, img, c, cols[s])
                 assert not img
+
+
+# -- reference elimination ------------------------------------------------------
+#
+# The tracked-reduction loop that kernel_basis, solve_membership and RowSpace
+# each ran before they shared one RowSpace sweep: sort the vector, eliminate
+# its first pivot coordinate, restart.  The library must give the same
+# kernel vectors, combinations, rows and residues, dict key order included.
+
+
+def _ref_reduce(field, order, rows, tracked, v, combo):
+    changed = True
+    while changed:
+        changed = False
+        for k in sorted(v, key=order.__getitem__):
+            row = rows.get(k)
+            if row is not None:
+                c = field.neg(v[k])
+                v = vaddmul(field, v, c, row)
+                if combo is not None:
+                    combo = vaddmul(field, combo, c, tracked[k])
+                changed = True
+                break
+    return v, combo
+
+
+def _ref_insert(field, order, rows, tracked, v, combo):
+    piv = min(v, key=order.__getitem__)
+    scale = field.inv(v[piv])
+    v = vscale(field, scale, v)
+    combo = vscale(field, scale, combo)
+    for k, row in list(rows.items()):
+        if piv in row:
+            c = field.neg(row[piv])
+            rows[k] = vaddmul(field, row, c, v)
+            tracked[k] = vaddmul(field, tracked[k], c, combo)
+    rows[piv] = v
+    tracked[piv] = combo
+    return v
+
+
+def _ref_span(field, vectors, tags, ambient_order):
+    order = {label: i for i, label in enumerate(ambient_order)}
+    rows, tracked, dependent = {}, {}, []
+    for t, v in zip(tags, vectors):
+        v, combo = _ref_reduce(field, order, rows, tracked, dict(v),
+                               {t: field.one()})
+        if v:
+            _ref_insert(field, order, rows, tracked, v, combo)
+        else:
+            dependent.append(combo)
+    return order, rows, tracked, dependent
+
+
+def _ref_solve(field, target, vectors, ambient_order):
+    order, rows, tracked, _ = _ref_span(field, vectors,
+                                        range(len(vectors)), ambient_order)
+    res, out = dict(target), {}
+    changed = True
+    while changed:
+        changed = False
+        for k in sorted(res, key=order.__getitem__):
+            row = rows.get(k)
+            if row is not None:
+                c = res[k]
+                res = vaddmul(field, res, field.neg(c), row)
+                out = vaddmul(field, out, c, tracked[k])
+                changed = True
+                break
+    return None if res else out
+
+
+def _items(v):
+    return None if v is None else list(v.items())
+
+
+def _random_vectors(rng, field, labels, count):
+    """count sparse vectors over labels, many of them dependent."""
+    base = [{lab: field.of(rng.randint(-4, 4))
+             for lab in rng.sample(labels, rng.randint(1, len(labels)))}
+            for _ in range(rng.randint(1, 4))]
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            v = {lab: field.of(rng.randint(-4, 4))
+                 for lab in rng.sample(labels, rng.randint(0, len(labels)))}
+        else:
+            v = {}
+            for b in rng.sample(base, rng.randint(1, len(base))):
+                v = vaddmul(field, v, field.of(rng.randint(-3, 3)), b)
+        out.append({k: c for k, c in v.items() if not field.is_zero(c)})
+    return out
+
+
+# target and source pools overlap: "a", "b" and ("t", "a", "b") name both
+TGT_POOL = ["a", "b", "c", "d", "e", "f", ("t", "a", "b"), ("w", ("a",))]
+SRC_POOL = ["a", "b", "x", "y", "z", ("t", "a", "b"), 0, 1]
+
+
+def test_elimination_matches_reference_loop():
+    rng = random.Random(2013)
+    cases = 0
+    for field in (QQ, Field(5), Field(2)):
+        for _ in range(60):
+            tgt = rng.sample(TGT_POOL, rng.randint(1, len(TGT_POOL)))
+            src = rng.sample(SRC_POOL, rng.randint(1, len(SRC_POOL)))
+
+            cols = dict(zip(src, _random_vectors(rng, field, tgt, len(src))))
+            if rng.random() < 0.2:
+                del cols[src[0]]        # a source with a zero column
+            ref = _ref_span(field, (cols.get(s, {}) for s in src), src, tgt)[3]
+            got = kernel_basis(field, cols, src, tgt)
+            assert [_items(v) for v in got] == [_items(v) for v in ref]
+            cases += 1
+
+            vecs = _random_vectors(rng, field, tgt, rng.randint(0, 7))
+            for target in (_random_vectors(rng, field, tgt, 1)[0],
+                           vecs[-1] if vecs else {}):
+                assert (_items(solve_membership(field, target, vecs, tgt))
+                        == _items(_ref_solve(field, target, vecs, tgt)))
+                cases += 1
+
+            rs = RowSpace(field, tgt)
+            order, rows, tracked = rs.order, {}, {}
+            for v in _random_vectors(rng, field, tgt, rng.randint(1, 8)):
+                red, _ = _ref_reduce(field, order, rows, tracked, dict(v),
+                                     None)
+                assert _items(rs.reduce(v)) == _items(red)
+                want = (_ref_insert(field, order, rows, tracked, red, {})
+                        if red else None)
+                assert _items(rs.add(v)) == _items(want)
+                assert ([(k, _items(r)) for k, r in rs.rows.items()]
+                        == [(k, _items(r)) for k, r in rows.items()])
+            cases += 1
+    assert cases >= 500
