@@ -19,7 +19,8 @@ from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
                      tensor_label, label_str)
 from .complexes import DgSpace, check_square_zero
-from .linalg import RowSpace, vaddmul, vscale, kernel_basis, solve_membership
+from .linalg import (RowSpace, vaddmul, vaddmul_into, vscale, kernel_basis,
+                     solve_membership)
 
 
 class AlgebraError(Exception):
@@ -71,7 +72,7 @@ class DgAlgebra:
         out: dict = {}
         for a, ca in u.items():
             for b, cb in v.items():
-                out = vaddmul(field, out, field.mul(ca, cb), self._pair(a, b))
+                vaddmul_into(field, out, field.mul(ca, cb), self._pair(a, b))
         return out
 
     def augmentation(self, vec: dict):
@@ -241,18 +242,22 @@ def extend_derivation(generators: list[tuple], phi: dict, space: GradedSpace,
     """
     degree_of = dict(generators)
     field = space.field
+    one, cap = field.one(), space.window.weight_cap
+    signs = (one, field.sign(1))
+    images = {g: [(word_syms(t), c) for t, c in v.items()]
+              for g, v in phi.items()}
     D = GradedMap(space, space, degree)
     for label in space.labels():
         syms = word_syms(label)
         img: dict = {}
         prefix_deg = 0
         for i, sym in enumerate(syms):
-            sign = field.sign(degree * prefix_deg)
-            for tgt, coeff in phi.get(sym, {}).items():
-                spliced = word_label(syms[:i] + word_syms(tgt) + syms[i + 1:])
-                if len(word_syms(spliced)) <= space.window.weight_cap:
-                    img = vaddmul(field, img, field.mul(sign, coeff),
-                                  {spliced: field.one()})
+            for tsyms, coeff in images.get(sym, ()):
+                spliced = syms[:i] + tsyms + syms[i + 1:]
+                if len(spliced) <= cap:
+                    vaddmul_into(field, img, field.mul(
+                        signs[degree * prefix_deg % 2], coeff),
+                        {word_label(spliced): one})
             prefix_deg += degree_of[sym]
         D.set(label, space.project(img))
     return D
@@ -319,9 +324,12 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
 
     Per degree, the ideal slice is spanned by u·r·v over free words u,v and
     relations r; the normal-form basis is the set of non-pivot words under
-    elimination that prefers killing long words.  The induced product and
-    differential are re-normalized; a differential that does not preserve
-    the ideal inside the window raises InconsistentDifferential.
+    elimination that prefers killing long words.  The free words are sorted
+    by length first, so the u that leave room for r, and the v that leave
+    room for u·r, are prefixes of that list; u·r·v is built only when its
+    degree lies in the window.  The induced product and differential are
+    re-normalized; a differential that does not preserve the ideal inside
+    the window raises InconsistentDifferential.
     """
     field = P.field
     free = free_word_space(field, P.generators, P.trunc)
@@ -361,28 +369,20 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
                 free.mark_inexact(n)
         # else: the relation lives entirely outside the window
 
+    words = [(word_syms(w), free.degree_of(w)) for w in all_words]
+    # words[:upto[L]] are the words of length ≤ L
+    upto = [sum(len(syms) <= n for syms, _ in words) for n in range(cap + 1)]
     for rel, rel_deg in usable_relations:
-        lens = {len(word_syms(w)) for w in rel}
-        max_len = max(lens)
-        for u in all_words:
-            lu = len(word_syms(u))
-            if lu + max_len > cap:
-                continue
-            for v in all_words:
-                lv = len(word_syms(v))
-                if lu + max_len + lv > cap:
-                    continue
-                element: dict = {}
-                for w, coeff in rel.items():
-                    spliced = word_label(
-                        word_syms(u) + word_syms(w) + word_syms(v))
-                    element = vaddmul(field, element, coeff,
-                                      {spliced: field.one()})
-                element = free.project(element)
-                deg = free.degree_of(u) + rel_deg + free.degree_of(v)
-                if not free.window.contains(deg):
-                    continue
-                reducers[deg].add(element)
+        room = cap - max(len(word_syms(w)) for w in rel)
+        # the terms of r as field elements, zero terms dropped
+        terms = [(word_syms(w), c)
+                 for w, c in vaddmul(field, {}, field.one(), rel).items()]
+        for us, du in words[:upto[room]]:
+            for vs, dv in words[:upto[room - len(us)]]:
+                # a degree in the window has words, hence a reducer
+                rs = reducers.get(du + rel_deg + dv)
+                if rs is not None:
+                    rs.add({word_label(us + ws + vs): c for ws, c in terms})
 
     def reduce(vec: dict) -> dict:
         out: dict = {}
@@ -390,7 +390,7 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
         for w, c in vec.items():
             by_deg.setdefault(free.degree_of(w), {})[w] = c
         for deg, part in by_deg.items():
-            out = vaddmul(field, out, field.one(), reducers[deg].reduce(part))
+            vaddmul_into(field, out, field.one(), reducers[deg].reduce(part))
         return out
 
     # quotient carrier: non-pivot words
@@ -425,11 +425,10 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
     for vec in P.d_gen.values():
         for w in vec:
             raises = max(raises, len(word_syms(w)) - 1)
-    for rel in P.relations:
-        lens = {len(word_syms(w)) for w in rel}
-        if max(lens) + raises > cap:
+    for rel, _ in usable_relations:
+        if max(len(word_syms(w)) for w in rel) + raises > cap:
             continue   # not checkable in this window
-        image = reduce(D_free(free.project(rel, strict=True)))
+        image = reduce(D_free(rel))
         if image:
             raise InconsistentDifferential(
                 f"d does not preserve the ideal: d(relation) ≡ "

@@ -634,6 +634,11 @@ def finite_dual(A: DgAlgebra, name: str = "") -> DgCoalgebra:
         raise NotGradedFinite(
             "dual of a truncation-affected algebra would not be the "
             "truncation of the dual")
+    outside = [n for n in space.degrees() if not space.window.contains(-n)]
+    if outside:
+        raise NotGradedFinite(
+            f"dual leaves the window {space.window}: degrees "
+            f"{', '.join(map(str, outside))} dualize outside it")
     field = A.field
     D = graded_dual(space)
     DD = tensor_space(D, D)

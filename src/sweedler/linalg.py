@@ -10,7 +10,11 @@ reproducible across runs.
 row echelon form: each row has a leading 1 at its pivot and zeros at every
 other pivot.  Subtracting a row therefore never brings a pivot coordinate
 back, and a vector is reduced by one sweep over its pivot coordinates in
-pivot order.  Kernels and membership combinations are tracked by extra
+pivot order.  A column index maps each non-pivot label to the pivots of
+the rows that hold it, so inserting a row back-eliminates its pivot from
+exactly the rows that hold that label, editing them in place.  The row
+returned by `add`/`insert` is the live row, not a copy: later insertions
+may edit it.  Kernels and membership combinations are tracked by extra
 tracking columns (_TRACK, s), one per source vector, ordered after every
 ambient label so they are never pivots; the tracked combination of a
 reduced vector is its tracking part.
@@ -23,18 +27,23 @@ from .scalars import Field
 
 # -- sparse vector helpers ----------------------------------------------------
 
-def vaddmul(field: Field, u: dict, coeff, v: dict) -> dict:
-    """u + coeff * v."""
-    if field.is_zero(coeff):
-        return dict(u)
-    out = dict(u)
+def vaddmul_into(field: Field, out: dict, coeff, v: dict) -> dict:
+    """out += coeff * v in place, dropping zero sums; returns out."""
+    zero = field.zero()
     for k, c in v.items():
-        s = field.add(out.get(k, field.zero()), field.mul(coeff, c))
+        s = field.add(out.get(k, zero), field.mul(coeff, c))
         if field.is_zero(s):
             out.pop(k, None)
         else:
             out[k] = s
     return out
+
+
+def vaddmul(field: Field, u: dict, coeff, v: dict) -> dict:
+    """u + coeff * v."""
+    if field.is_zero(coeff):
+        return dict(u)
+    return vaddmul_into(field, dict(u), coeff, v)
 
 
 def vscale(field: Field, coeff, v: dict) -> dict:
@@ -53,6 +62,7 @@ class RowSpace:
         self.field = field
         self.order = {label: i for i, label in enumerate(order)}
         self.rows: dict = {}          # pivot label -> reduced row (leading 1)
+        self.cols: dict = {}          # non-pivot label -> pivots holding it
 
     @property
     def rank(self) -> int:
@@ -66,25 +76,28 @@ class RowSpace:
         field, rows = self.field, self.rows
         out = dict(v)
         for p in sorted([k for k in v if k in rows], key=self.order.__getitem__):
-            coeff = field.neg(out[p])
-            for k, c in rows[p].items():
-                s = field.add(out.get(k, field.zero()), field.mul(coeff, c))
-                if field.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+            vaddmul_into(field, out, field.neg(out[p]), rows[p])
         return out
 
     def insert(self, red: dict) -> dict:
         """Insert a nonzero reduced vector: scale its pivot to 1 and
-        back-eliminate that pivot from the other rows.  Returns the row."""
-        field = self.field
+        back-eliminate that pivot, in place, from the rows that hold it.
+        Returns the (live) row."""
+        field, rows, cols = self.field, self.rows, self.cols
         piv = self._pivot_of(red)
         red = vscale(field, field.inv(red[piv]), red)
-        for k, row in list(self.rows.items()):
-            if piv in row:
-                self.rows[k] = vaddmul(field, row, field.neg(row[piv]), red)
-        self.rows[piv] = red
+        for q in cols.pop(piv, ()):
+            row = rows[q]
+            vaddmul_into(field, row, field.neg(row[piv]), red)
+            for k in red:
+                if k in row:
+                    cols.setdefault(k, set()).add(q)
+                elif k in cols:
+                    cols[k].discard(q)
+        for k in red:
+            if k != piv:
+                cols.setdefault(k, set()).add(piv)
+        rows[piv] = red
         return red
 
     def add(self, v: dict) -> dict | None:

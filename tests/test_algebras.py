@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from sweedler.scalars import QQ
+from sweedler import algebras
+from sweedler.scalars import QQ, Field
 from sweedler.graded import Truncation, GradedMap, tensor_label
 from sweedler.complexes import check_square_zero
+from sweedler.linalg import RowSpace, vaddmul, vscale
 from sweedler.algebras import (DgAlgebra, tensor_algebra, extend_derivation,
                                free_word_space, PresentedAlgebra,
                                normal_forms, algebra_tensor, opposite,
@@ -139,6 +141,18 @@ def test_inconsistent_differential_detected():
     P = PresentedAlgebra(QQ, gens, rels, d_gen, Truncation(0, 4, 4))
     with pytest.raises(InconsistentDifferential):
         normal_forms(P)
+
+
+def test_relation_outside_the_window_is_ignored():
+    # x·x lives in degree 6, outside 0:4; it neither constrains the window
+    # nor breaks the differential check
+    x, y = word_label(("x",)), word_label(("y",))
+    P = PresentedAlgebra(QQ, [("x", 3), ("y", 2)],
+                         [{word_label(("x", "x")): QQ.one()}],
+                         {"x": {y: QQ.one()}}, Truncation(0, 4, 4))
+    A = normal_forms(P)
+    assert A.space.dims() == {0: 1, 2: 1, 3: 1, 4: 1}
+    assert A.d.apply_label(x) == {y: QQ.one()}
 
 
 def test_truncated_polynomial_algebra():
@@ -337,3 +351,196 @@ def test_leibniz_and_d_squared_on_constructed_algebras():
     A = dual_numbers()
     assert check_square_zero(A.dg).passed
     assert A.verify() == []
+
+
+# -- reference u·r·v loop ---------------------------------------------------------
+#
+# normal_forms as it was before it enumerated prefixes of the length-sorted
+# words: every pair (u, v) of free words is tested against the word cap, each
+# element grows by one vaddmul copy per term, each insertion scans every row,
+# and the derivation is extended by vaddmul copies.  The library must give
+# the same reducer rows, quotient basis, product table and differential,
+# dict key order included.
+
+
+class _ScanRowSpace(RowSpace):
+    """RowSpace whose insert scans every row and copies each one it edits."""
+
+    def insert(self, red):
+        field = self.field
+        piv = self._pivot_of(red)
+        red = vscale(field, field.inv(red[piv]), red)
+        for k, row in list(self.rows.items()):
+            if piv in row:
+                self.rows[k] = vaddmul(field, row, field.neg(row[piv]), red)
+        self.rows[piv] = red
+        return red
+
+
+def _ref_extend_derivation(generators, phi, space, degree):
+    degree_of = dict(generators)
+    field = space.field
+    D = GradedMap(space, space, degree)
+    for label in space.labels():
+        syms = word_syms(label)
+        img: dict = {}
+        prefix_deg = 0
+        for i, sym in enumerate(syms):
+            sign = field.sign(degree * prefix_deg)
+            for tgt, coeff in phi.get(sym, {}).items():
+                spliced = word_label(syms[:i] + word_syms(tgt) + syms[i + 1:])
+                if len(word_syms(spliced)) <= space.window.weight_cap:
+                    img = vaddmul(field, img, field.mul(sign, coeff),
+                                  {spliced: field.one()})
+            prefix_deg += degree_of[sym]
+        D.set(label, space.project(img))
+    return D
+
+
+def _ref_normal_forms(P):
+    """(reducers, basis per degree, product table, D) of the old loop."""
+    field = P.field
+    free = free_word_space(field, P.generators, P.trunc)
+    gen_index = {g: i for i, (g, _) in enumerate(P.generators)}
+
+    def sort_key(label):
+        syms = word_syms(label)
+        return (len(syms), tuple(gen_index[s] for s in syms))
+
+    cap = P.trunc.weight_cap
+    reducers = {n: _ScanRowSpace(field, sorted(free.basis(n), key=sort_key,
+                                               reverse=True))
+                for n in free.degrees()}
+    all_words = sorted(free.labels(), key=sort_key)
+    for rel in P.relations:
+        if not rel or any(w not in free for w in rel):
+            continue
+        rel_deg = free.degree_of(next(iter(rel)))
+        max_len = max(len(word_syms(w)) for w in rel)
+        for u in all_words:
+            lu = len(word_syms(u))
+            if lu + max_len > cap:
+                continue
+            for v in all_words:
+                lv = len(word_syms(v))
+                if lu + max_len + lv > cap:
+                    continue
+                element: dict = {}
+                for w, coeff in rel.items():
+                    spliced = word_label(
+                        word_syms(u) + word_syms(w) + word_syms(v))
+                    element = vaddmul(field, element, coeff,
+                                      {spliced: field.one()})
+                element = free.project(element)
+                deg = free.degree_of(u) + rel_deg + free.degree_of(v)
+                if not free.window.contains(deg):
+                    continue
+                reducers[deg].add(element)
+
+    def normal(vec):
+        out: dict = {}
+        by_deg: dict = {}
+        for w, c in vec.items():
+            by_deg.setdefault(free.degree_of(w), {})[w] = c
+        for deg, part in by_deg.items():
+            out = vaddmul(field, out, field.one(), reducers[deg].reduce(part))
+        return [(w, c) for w, c in out.items() if w in quotient]
+
+    basis = {n: [w for w in sorted(free.basis(n), key=sort_key)
+                 if w not in reducers[n].rows] for n in free.degrees()}
+    quotient = [w for n in sorted(basis) for w in basis[n]]
+    D_free = _ref_extend_derivation(P.generators, P.d_gen, free, -1)
+    D = {w: normal(D_free.apply_label(w)) for w in quotient}
+    product = {}
+    for a in quotient:
+        for b in quotient:
+            lab = word_label(word_syms(a) + word_syms(b))
+            product[a, b] = normal({lab: field.one()}) if lab in free else []
+    return reducers, basis, product, D
+
+
+def _random_presentation(rng, field):
+    """Mixed-sign and degree-0 generators; relations whose terms differ in
+    length, some only partly inside the window, some entirely outside."""
+    gens = [(f"g{i}", rng.choice((-2, -1, 0, 0, 1, 2)))
+            for i in range(rng.randint(2, 3))]
+    degree_of = dict(gens)
+    trunc = Truncation(-rng.randint(1, 3), rng.randint(1, 3),
+                       rng.randint(3, 4))
+
+    def words_of(names, degree, max_len):
+        return [word_label(combo) for length in range(max_len + 1)
+                for combo in itertools.product(names, repeat=length)
+                if sum(degree_of[g] for g in combo) == degree]
+
+    def combination(words):
+        vec = {}
+        for w in rng.sample(words, min(len(words), rng.randint(1, 3))):
+            c = field.of(rng.choice((-2, -1, 1, 2, 3)))
+            if not field.is_zero(c):
+                vec[w] = c
+        return vec
+
+    names = list(degree_of)
+    d_gen = {}
+    if rng.random() < 0.6:
+        # d on one generator x; the relations avoid x, so d preserves them
+        x = rng.choice(names)
+        targets = words_of(names, degree_of[x] - 1, 3)
+        if targets:
+            d_gen[x] = combination(targets)
+        names = [g for g in names if g != x]
+    relations = []
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(trunc.degree_min - 1, trunc.degree_max + 1)
+        words = words_of(names, degree, trunc.weight_cap + 1)
+        rel = combination(words) if words else {}
+        if rel:
+            relations.append(rel)
+    return PresentedAlgebra(field, gens, relations, d_gen, trunc)
+
+
+def test_normal_forms_matches_reference_loop(monkeypatch):
+    made = []
+
+    class Recording(RowSpace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(algebras, "RowSpace", Recording)
+    rng = random.Random(1999)
+    seen = {"partial": 0, "outside": 0, "mixed lengths": 0, "nonzero d": 0,
+            "rows": 0}
+    for field in (QQ, Field(5), Field(2)):
+        for _ in range(25):
+            P = _random_presentation(rng, field)
+            made.clear()
+            A = normal_forms(P)
+            reducers, basis, product, D = _ref_normal_forms(P)
+
+            assert len(made) == len(reducers)
+            for rs, n in zip(made, sorted(reducers)):
+                ref = reducers[n]
+                assert rs.pivots() == ref.pivots()
+                assert ([(k, list(r.items())) for k, r in rs.rows.items()]
+                        == [(k, list(r.items())) for k, r in ref.rows.items()])
+                seen["rows"] += ref.rank
+            assert {n: A.space.basis(n) for n in A.space.degrees()} == \
+                {n: ws for n, ws in basis.items() if ws}
+            labels = A.space.labels()
+            assert {(a, b): list(A._pair(a, b).items())
+                    for a in labels for b in labels} == product
+            assert {w: list(A.d.apply_label(w).items())
+                    for w in labels} == D
+
+            degree_of = dict(P.generators)
+            for rel in P.relations:
+                lens = {len(word_syms(w)) for w in rel}
+                in_window = P.trunc.contains(
+                    sum(degree_of[g] for g in word_syms(next(iter(rel)))))
+                seen["mixed lengths"] += len(lens) > 1
+                seen["partial"] += in_window and max(lens) > P.trunc.weight_cap
+                seen["outside"] += not in_window
+            seen["nonzero d"] += any(D.values())
+    assert min(seen.values()) >= 3, seen

@@ -76,6 +76,18 @@ def test_sweedler_dual_command():
     assert "Δ" in out
 
 
+def test_sweedler_dual_outside_the_window_fails_cleanly(capsys):
+    # mc lives in degrees -10..0 of -10:0:10; its dual would need 1..10
+    code, out = run_cli(["sweedler-dual", "--algebra", "preset:mc",
+                         "--field", "Fp:5"])
+    assert code == 2
+    assert out == ""
+    # one error line, no traceback
+    assert capsys.readouterr().err == (
+        "error: dual leaves the window -10:0:10: degrees -10, -9, -8, -7, "
+        "-6, -5, -4, -3, -2, -1 dualize outside it\n")
+
+
 def test_signs_compare_command():
     code, out = run_cli(["signs", "compare", "--preset", "dual-numbers",
                          "--trunc", "-1:6:6"])

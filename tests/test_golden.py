@@ -25,7 +25,8 @@ GOLDEN = TESTS / "golden"
 DATA = TESTS / "data"
 
 # (name, arguments after `sweedler`): the README CLI section, then the
-# plus-convention adjunction, homology over 𝔽3 and a dual over 𝔽5
+# plus-convention adjunction, homology over 𝔽3, a dual over 𝔽5 and a
+# Sweedler product whose presented algebra has many u·r·v elements
 COMMANDS = [
     ("mc-homology", "mc --homology"),
     ("bar-dual-numbers", "bar --preset dual-numbers --trunc -1:6:6 --homology"),
@@ -50,6 +51,9 @@ COMMANDS = [
                           "--field Fp:3 --trunc -1:6:4"),
     ("sweedler-dual-fp5", "sweedler-dual --algebra preset:dual-numbers "
                           "--field Fp:5"),
+    ("sweedler-product-mc", "sweedler-product --coalgebra "
+                            "preset:diagonal-coalgebra:2 --algebra "
+                            "preset:mc --trunc -3:3:4 --pointed"),
 ]
 
 

@@ -191,3 +191,32 @@ def test_elimination_matches_reference_loop():
                         == [(k, _items(r)) for k, r in rows.items()])
             cases += 1
     assert cases >= 500
+
+
+def _fresh_index(rows):
+    """Non-pivot label -> pivots of the rows that hold it, from scratch."""
+    index = {}
+    for q, row in rows.items():
+        for k in row:
+            if k not in rows:
+                index.setdefault(k, set()).add(q)
+    return index
+
+
+def test_rowspace_column_index_invariant():
+    rng = random.Random(1968)
+    adds = 0
+    for field in (QQ, Field(5), Field(2)):
+        for _ in range(60):
+            tgt = rng.sample(TGT_POOL, rng.randint(1, len(TGT_POOL)))
+            rs = RowSpace(field, tgt)
+            for v in _random_vectors(rng, field, tgt, rng.randint(1, 8)):
+                rs.add(v)
+                adds += 1
+                # emptied index entries may linger; they hold no row
+                assert ({k: q for k, q in rs.cols.items() if q}
+                        == _fresh_index(rs.rows))
+                for p, row in rs.rows.items():
+                    assert field.is_one(row[p])
+                    assert all(k == p or k not in rs.rows for k in row)
+    assert adds >= 500
