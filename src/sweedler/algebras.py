@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
                      tensor_label, label_str)
-from .complexes import DgSpace, check_square_zero
+from .complexes import DgSpace, check_square_zero, dg_tensor
 from .linalg import (RowSpace, vaddmul, vaddmul_into, vscale, kernel_basis,
                      solve_membership)
 
@@ -483,7 +483,6 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
 
 def algebra_tensor(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
     """(a⊗b)(a'⊗b') = (-1)^{|b||a'|} (aa')⊗(bb')."""
-    from .complexes import dg_tensor
     dg = dg_tensor(A.dg, B.dg)
     T = dg.space
     field = T.field

@@ -23,13 +23,13 @@ from dataclasses import dataclass, field as dc_field
 
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_label,
-                     susp_label, label_str)
+                     tensor_sum_apply, susp_label, label_str)
 from .complexes import DgSpace
 from .algebras import (DgAlgebra, tensor_algebra, extend_derivation,
                        word_label, word_syms, UNIT_WORD, AlgebraError)
 from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_comult,
                          coextend_coderivation, coextend_map,
-                         ReducedCoalgebra)
+                         ReducedCoalgebra, shuffle_product)
 from .linalg import vaddmul, vscale
 
 
@@ -464,14 +464,21 @@ def cochain_to_algebra_map(alpha: GradedMap, cob: CobarConstruction,
     through -α instead.
     """
     field = A.field
-    space = cob.algebra.space
     sign = field.one() if cob.convention == PLUS else field.of(-1)
+    images = {g: vscale(field, sign, alpha.apply_label(g[2]))
+              for g, _ in cob.generators}
+    return _extend_multiplicatively(cob.algebra.space, A, images)
+
+
+def _extend_multiplicatively(space: GradedSpace, A: DgAlgebra,
+                             images: dict) -> GradedMap:
+    """g: T(X) → A with g(x1⊗…⊗xk) = g(x1)⋯g(xk); images maps generator
+    symbols to vectors of A, a missing symbol meaning zero."""
     g = GradedMap(space, A.space, 0)
     for w in space.labels():
         val = dict(A.unit)
         for sym in word_syms(w):
-            x = sym[2]
-            val = A.product(val, vscale(field, sign, alpha.apply_label(x)))
+            val = A.product(val, images.get(sym, {}))
         g.set(w, A.space.project(val))
     return g
 
@@ -675,12 +682,7 @@ def enumerate_pointed_algebra_maps(cob: CobarConstruction, A: DgAlgebra,
         for (g, b), cv in zip(slots, combo):
             if cv:
                 images.setdefault(g, {})[b] = field.of(cv)
-        g_map = GradedMap(source.space, A.space, 0)
-        for w in source.space.labels():
-            val = dict(A.unit)
-            for sym in word_syms(w):
-                val = A.product(val, images.get(sym, {}))
-            g_map.set(w, A.space.project(val))
+        g_map = _extend_multiplicatively(source.space, A, images)
         # chain condition on generators determines it everywhere
         ok = True
         for g, _ in gens:
@@ -790,23 +792,19 @@ def hopf_on_bar(b: BarConstruction) -> tuple[GradedMap, list[str]]:
             if A._pair(x, y) != vscale(field, sign, A._pair(y, x)):
                 raise NotCommutative(
                     f"product not commutative at ({label_str(x)},{label_str(y)})")
-    from .coalgebras import shuffle_product
     mu = shuffle_product(b.coalgebra)
     issues = []
     # μ is a chain map for the full bar differential
     T = mu.source
     d = b.coalgebra.d
-    from .graded import strength_tensor, identity_map
-    dT = strength_tensor(d, identity_map(b.coalgebra.space)).add(
-        strength_tensor(identity_map(b.coalgebra.space), d))
+    one = T.field.one()
     for lab in T.labels():
         lhs = d(mu.apply_label(lab))
-        rhs = mu(dT.apply_label(lab))
+        rhs = mu(tensor_sum_apply(d, d, {lab: one}, T))
         if lhs != rhs:
             issues.append(f"shuffle product not a chain map at {label_str(lab)}")
             break
     # unit law and associativity on the window
-    one = T.field.one()
     for w in b.coalgebra.space.labels():
         t = tensor_label(UNIT_WORD, w)
         if t in T and mu.apply_label(t) != {w: one}:

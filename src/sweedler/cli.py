@@ -159,53 +159,43 @@ def cmd_mc(args) -> int:
     return _emit(report, args)
 
 
-def cmd_bar(args) -> int:
+def _bar_cobar_report(args, name: str, kind: type, noun: str, construct,
+                      convention: str) -> int:
+    """d², d^int/d^ext, dimensions and homology of bar or cobar."""
     pf = _resolve(args)
     field, trunc = _field_trunc(args, pf)
-    A = pf.build(field, trunc)
-    if not isinstance(A, DgAlgebra):
-        raise UsageError("bar needs an algebra presentation")
-    convention = args.convention or MINUS
-    b = bar(A, trunc, convention)
-    report = Report("bar", field.name, str(trunc), convention)
+    obj = pf.build(field, trunc)
+    if not isinstance(obj, kind):
+        raise UsageError(f"{name} needs {noun} presentation")
+    convention = args.convention or convention
+    c = construct(obj, trunc, convention)
+    dg = (c.coalgebra if kind is DgAlgebra else c.algebra).dg
+    report = Report(name, field.name, str(trunc), convention)
     square_zero = _square_zero_check(report, "d² = 0 on the checkable window",
-                                     b.coalgebra.dg)
-    anti = anticommutator_issues(b.d_int, b.d_ext, b.coalgebra.space)
+                                     dg)
+    anti = anticommutator_issues(c.d_int, c.d_ext, dg.space)
     report.check("d^int/d^ext anticommute", not anti,
                  label_str(anti[0]) if anti else "")
-    _strict_window_check(report, args, b.coalgebra.space)
-    _dims_table(report, "bar dimensions", b.coalgebra.space)
+    _strict_window_check(report, args, dg.space)
+    _dims_table(report, f"{name} dimensions", dg.space)
     if args.homology and square_zero:
-        _homology_table(report, b.coalgebra.dg)
+        _homology_table(report, dg)
     return _emit(report, args)
+
+
+def cmd_bar(args) -> int:
+    return _bar_cobar_report(args, "bar", DgAlgebra, "an algebra", bar, MINUS)
 
 
 def cmd_cobar(args) -> int:
-    pf = _resolve(args)
-    field, trunc = _field_trunc(args, pf)
-    C = pf.build(field, trunc)
-    if not isinstance(C, DgCoalgebra):
-        raise UsageError("cobar needs a coalgebra presentation")
-    convention = args.convention or PLUS
-    c = cobar(C, trunc, convention)
-    report = Report("cobar", field.name, str(trunc), convention)
-    square_zero = _square_zero_check(report, "d² = 0 on the checkable window",
-                                     c.algebra.dg)
-    anti = anticommutator_issues(c.d_int, c.d_ext, c.algebra.space)
-    report.check("d^int/d^ext anticommute", not anti,
-                 label_str(anti[0]) if anti else "")
-    _strict_window_check(report, args, c.algebra.space)
-    _dims_table(report, "cobar dimensions", c.algebra.space)
-    if args.homology and square_zero:
-        _homology_table(report, c.algebra.dg)
-    return _emit(report, args)
+    return _bar_cobar_report(args, "cobar", DgCoalgebra, "a coalgebra",
+                             cobar, PLUS)
 
 
 def cmd_convolve(args) -> int:
     pf_c = _resolve(args, "coalgebra")
     pf_a = _resolve(args, "algebra")
-    field = Field.parse_name(args.field) if args.field else pf_c.field
-    trunc = Truncation.parse(args.trunc) if args.trunc else pf_c.trunc
+    field, trunc = _field_trunc(args, pf_c)
     C = pf_c.build(field, trunc)
     A = pf_a.build(field, trunc)
     conv = convolution_algebra(C, A)
@@ -218,8 +208,7 @@ def cmd_convolve(args) -> int:
 def cmd_sweedler_product(args) -> int:
     pf_c = _resolve(args, "coalgebra")
     pf_a = _resolve(args, "algebra")
-    field = Field.parse_name(args.field) if args.field else pf_c.field
-    trunc = Truncation.parse(args.trunc) if args.trunc else pf_c.trunc
+    field, trunc = _field_trunc(args, pf_c)
     C = pf_c.build(field, trunc)
     A = pf_a.build(field, trunc)
     sp = sweedler_product(C, A, trunc, pointed=args.pointed)
@@ -265,8 +254,7 @@ def cmd_twist(args) -> int:
     if args.action == "enumerate":
         pf_c = _resolve(args, "coalgebra")
         pf_a = _resolve(args, "algebra")
-        field = Field.parse_name(args.field) if args.field else pf_c.field
-        trunc = Truncation.parse(args.trunc) if args.trunc else pf_c.trunc
+        field, trunc = _field_trunc(args, pf_c)
         if field.p is None:
             raise UsageError("twist enumerate needs --field Fp:<p>")
         C = pf_c.build(field, trunc)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
-                     tensor_label, strength_tensor, identity_map,
+                     tensor_label, tensor_sum_apply, target_index,
                      koszul_sign_exponent, label_str, graded_dual, dual_label)
-from .complexes import DgSpace, check_square_zero
-from .linalg import RowSpace, vaddmul, kernel_basis
+from .complexes import DgSpace, check_square_zero, dg_tensor
+from .linalg import RowSpace, vaddmul, vaddmul_into, kernel_basis
 from .algebras import (DgAlgebra, word_label, word_syms, UNIT_WORD,
                        free_word_space, extend_derivation)
 
@@ -127,15 +127,14 @@ class DgCoalgebra:
                     issues.append(f"counit law fails at {label_str(x)}")
                     break
         # co-Leibniz, skipping x whose differential leaves the weight window
-        dT = strength_tensor(self.d, identity_map(self.space)).add(
-            strength_tensor(identity_map(self.space), self.d))
         raises, cap = self.dg.d_raises, self.space.window.weight_cap
         for x in self.space.labels():
             w = self.space.weight_of(x)
             if raises and w is not None and w + raises > cap:
                 continue
             lhs = self.comult(self.d.apply_label(x))
-            rhs = dT(self.comult.apply_label(x))
+            rhs = tensor_sum_apply(self.d, self.d,
+                                   self.comult.apply_label(x), self.TT)
             if lhs != rhs:
                 issues.append(f"co-Leibniz fails at {label_str(x)}")
                 break
@@ -158,16 +157,12 @@ class DgCoalgebra:
 
     def is_cocommutative(self):
         """None if cocommutative; else a witness basis label."""
-        field = self.field
+        field, degree = self.field, self.space.degree_of
         for x in self.space.labels():
             delta = self.comult.apply_label(x)
-            swapped: dict = {}
-            for t, c in delta.items():
-                _, a, b = t
-                sign = field.sign(self.space.degree_of(a)
-                                  * self.space.degree_of(b))
-                swapped = vaddmul(field, swapped, field.mul(sign, c),
-                                  {tensor_label(b, a): field.one()})
+            swapped = {tensor_label(b, a):
+                       field.mul(field.sign(degree(a) * degree(b)), c)
+                       for (_, a, b), c in delta.items()}
             if swapped != delta:
                 return x
         return None
@@ -204,20 +199,15 @@ class ReducedCoalgebra:
 
         def incl_vec(r: dict) -> dict:
             out: dict = {}
-            for lab, c in r.items():
-                x = lab[1]
-                out = vaddmul(field, out, c, {x: field.one()})
+            for (_, x), c in r.items():
                 eps = C.counit.get(x, field.zero())
-                out = vaddmul(field, out, field.neg(field.mul(c, eps)),
-                              {e: field.one()})
+                vaddmul_into(field, out, c, {x: field.one(),
+                                             e: field.neg(eps)})
             return out
 
         def proj_vec(v: dict) -> dict:
-            out: dict = {}
-            for x, c in v.items():
-                if x != e:
-                    out = vaddmul(field, out, c, {red_label(x): field.one()})
-            return out
+            return {red_label(x): c for x, c in v.items()
+                    if x != e and not field.is_zero(c)}
 
         self.include = incl_vec
         self.project = proj_vec
@@ -336,21 +326,36 @@ def primitives(C: DgCoalgebra) -> list:
 # -- tensor and coshuffle coalgebras --------------------------------------------------
 
 
-def _deconcat_map(space: GradedSpace) -> GradedMap:
+def _word_comult(space: GradedSpace, splits) -> GradedMap:
+    """Δ(w) = Σ c·u⊗v over (u, v, c) in splits(syms of w), summed in place.
+
+    A term outside the window marks the degree of w inexact.
+    """
     field = space.field
     TT = tensor_space(space, space)
     comult = GradedMap(space, TT, 0)
     for lab in space.labels():
-        syms = word_syms(lab)
         img: dict = {}
-        for i in range(len(syms) + 1):
-            t = tensor_label(word_label(syms[:i]), word_label(syms[i:]))
-            if t in TT:
-                img[t] = field.one()
-            else:
+        for u, v, c in splits(word_syms(lab)):
+            t = tensor_label(word_label(u), word_label(v))
+            if t not in TT:
                 space.mark_inexact(space.degree_of(lab))
+            elif t in img:
+                s = field.add(img[t], c)
+                if field.is_zero(s):
+                    del img[t]
+                else:
+                    img[t] = s
+            else:
+                img[t] = c
         comult.set(lab, img)
     return comult
+
+
+def _deconcat_map(space: GradedSpace) -> GradedMap:
+    one = space.field.one()
+    return _word_comult(space, lambda syms: (
+        (syms[:i], syms[i:], one) for i in range(len(syms) + 1)))
 
 
 def tensor_coalgebra(field: Field, generators: list[tuple], trunc: Truncation,
@@ -383,28 +388,18 @@ def odd_binomial(n: int, k: int) -> int:
 def coshuffle_comult(space: GradedSpace, degree_of: dict) -> GradedMap:
     """Signed unshuffle coproduct on a word space."""
     field = space.field
-    TT = tensor_space(space, space)
-    comult = GradedMap(space, TT, 0)
-    for lab in space.labels():
-        syms = word_syms(lab)
+
+    def unshuffles(syms):
         k = len(syms)
         degrees = [degree_of[s] for s in syms]
-        img: dict = {}
         for size in range(k + 1):
             for subset in itertools.combinations(range(k), size):
                 rest = [i for i in range(k) if i not in subset]
-                perm = list(subset) + rest
-                exp = koszul_sign_exponent(degrees, perm)
-                left = word_label(tuple(syms[i] for i in subset))
-                right = word_label(tuple(syms[i] for i in rest))
-                t = tensor_label(left, right)
-                if t in TT:
-                    img = vaddmul(field, img, field.sign(exp),
-                                  {t: field.one()})
-                else:
-                    space.mark_inexact(space.degree_of(lab))
-        comult.set(lab, img)
-    return comult
+                exp = koszul_sign_exponent(degrees, list(subset) + rest)
+                yield (tuple(syms[i] for i in subset),
+                       tuple(syms[i] for i in rest), field.sign(exp))
+
+    return _word_comult(space, unshuffles)
 
 
 def coshuffle_coalgebra(field: Field, generators: list[tuple],
@@ -445,8 +440,6 @@ def coextend_coderivation(space: GradedSpace, generators: list[tuple],
             start = i if not pointed else i + 1
             sign = field.sign(degree * prefix)
             for j in range(start, k + 1):
-                if j < i:
-                    continue
                 chunk = word_label(syms[i:j])
                 val = phi.get(chunk)
                 if val:
@@ -544,7 +537,6 @@ def coextend_map(C: DgCoalgebra, f: dict, target: DgCoalgebra,
 def tensor_product_coalgebra(C: DgCoalgebra, D: DgCoalgebra,
                              name: str = "") -> DgCoalgebra:
     """C⊗D with Δ(c⊗d) = (-1)^{|c2||d1|} (c1⊗d1)⊗(c2⊗d2)."""
-    from .complexes import dg_tensor
     dg = dg_tensor(C.dg, D.dg)
     T = dg.space
     field = T.field
@@ -624,6 +616,21 @@ def shuffle_product(T: DgCoalgebra) -> GradedMap:
 # -- finite duals ----------------------------------------------------------------
 
 
+def _dual_differential(d: GradedMap, D: GradedSpace) -> GradedMap:
+    """d(a*) = -(-1)^{|a|} Σ_b (coefficient of a in db) b* on the dual D."""
+    field, space = d.field, d.source
+    dD = GradedMap(D, D, -1)
+    for b in space.labels():
+        for a, coeff in d.apply_label(b).items():
+            # d(a*) picks up -(-1)^{|a*|} from d(φ) = -(-1)^{|φ|} φ∘d
+            sign = field.sign(1 + space.degree_of(a))
+            prev = dD.apply_label(dual_label(a))
+            prev = vaddmul(field, prev, field.mul(sign, coeff),
+                           {dual_label(b): field.one()})
+            dD.set(dual_label(a), D.project(prev))
+    return dD
+
+
 def finite_dual(A: DgAlgebra, name: str = "") -> DgCoalgebra:
     """A* as a dg-coalgebra, for graded-finite A bounded in the window.
 
@@ -646,32 +653,19 @@ def finite_dual(A: DgAlgebra, name: str = "") -> DgCoalgebra:
     cols: dict = {lab: {} for lab in D.labels()}
     for b in space.labels():
         for c in space.labels():
-            prod = A._pair(b, c)
-            if not prod:
-                continue
-            exp = space.degree_of(b) * space.degree_of(c)
-            sign = field.sign(exp)
-            for a, coeff in prod.items():
-                t = tensor_label(dual_label(b), dual_label(c))
+            t = tensor_label(dual_label(b), dual_label(c))
+            sign = field.sign(space.degree_of(b) * space.degree_of(c))
+            for a, coeff in A._pair(b, c).items():
                 if t in DD:
-                    cols[dual_label(a)] = vaddmul(
-                        field, cols[dual_label(a)],
-                        field.mul(sign, coeff), {t: field.one()})
+                    vaddmul_into(field, cols[dual_label(a)],
+                                 field.mul(sign, coeff), {t: field.one()})
     for lab, img in cols.items():
         comult.set(lab, img)
     counit = {}
     if A.unit is not None:
         for a, coeff in A.unit.items():
             counit[dual_label(a)] = coeff
-    dD = GradedMap(D, D, -1)
-    for b in space.labels():
-        for a, coeff in A.d.apply_label(b).items():
-            # d(a*) picks up -(-1)^{|a*|} from d(φ) = -(-1)^{|φ|} φ∘d
-            sign = field.sign(1 + space.degree_of(a))
-            prev = dD.apply_label(dual_label(a))
-            prev = vaddmul(field, prev, field.mul(sign, coeff),
-                           {dual_label(b): field.one()})
-            dD.set(dual_label(a), D.project(prev))
+    dD = _dual_differential(A.d, D)
     atom = None
     if A.aug is not None:
         # the augmentation, as a functional, is grouplike in A*
@@ -689,29 +683,21 @@ def dual_algebra(C: DgCoalgebra, name: str = "") -> DgAlgebra:
         raise NotGradedFinite("dual of a truncation-affected coalgebra")
     field = C.field
     D = graded_dual(space)
+    into = target_index(C.comult)    # b⊗c -> [(x, coefficient in Δx)]
 
     def pair(bd, cd):
         b, c = bd[1], cd[1]
         sign = field.sign(space.degree_of(b) * space.degree_of(c))
         out: dict = {}
-        for x in space.labels():
-            coeff = C.comult.apply_label(x).get(tensor_label(b, c))
-            if coeff is not None:
-                out = vaddmul(field, out, field.mul(sign, coeff),
-                              {dual_label(x): field.one()})
+        for x, coeff in into.get(tensor_label(b, c), ()):
+            out = vaddmul(field, out, field.mul(sign, coeff),
+                          {dual_label(x): field.one()})
         return D.project(out)
 
     unit = None
     if C.counit is not None:
         unit = {dual_label(x): v for x, v in C.counit.items()}
-    dD = GradedMap(D, D, -1)
-    for b in space.labels():
-        for a, coeff in C.d.apply_label(b).items():
-            sign = field.sign(1 + space.degree_of(a))
-            prev = dD.apply_label(dual_label(a))
-            prev = vaddmul(field, prev, field.mul(sign, coeff),
-                           {dual_label(b): field.one()})
-            dD.set(dual_label(a), D.project(prev))
+    dD = _dual_differential(C.d, D)
     aug = None
     if C.atom is not None:
         aug = {dual_label(C.atom): field.one()}

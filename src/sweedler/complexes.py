@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .graded import (GradedSpace, GradedMap, Truncation, hom_space,
-                     hom_label, strength_tensor, identity_map, label_str)
+                     hom_label, tensor_space, tensor_sum_apply, target_index,
+                     label_str, suspend, susp_label)
 from .linalg import rank_of_columns, kernel_basis, vaddmul
 
 
@@ -140,17 +141,20 @@ def cycles(X: DgSpace, degree: int) -> list[dict]:
 
 
 def dg_tensor(X: DgSpace, Y: DgSpace) -> DgSpace:
-    """d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy, via the monoidal strength."""
-    dX = strength_tensor(X.d, identity_map(Y.space))
-    dY = strength_tensor(identity_map(X.space), Y.d)
-    return DgSpace(dX.source, dX.add(dY),
-                   d_raises=max(X.d_raises, Y.d_raises))
+    """d(x⊗y) = dx⊗y + (-1)^{|x|} x⊗dy, built from the factors' d."""
+    XY = tensor_space(X.space, Y.space)
+    one = XY.field.one()
+    d = GradedMap(XY, XY, -1)
+    for label in XY.labels():
+        d.set(label, tensor_sum_apply(X.d, Y.d, {label: one}, XY))
+    return DgSpace(XY, d, d_raises=max(X.d_raises, Y.d_raises))
 
 
 def dg_hom(X: DgSpace, Y: DgSpace) -> DgSpace:
     """d(f) = d_Y f - (-1)^{|f|} f d_X on the hom space."""
     H = hom_space(X.space, Y.space)
     field = H.field
+    into = target_index(X.d)    # x -> [(z, coefficient of x in dz)]
     d = GradedMap(H, H, -1)
     for label in H.labels():
         _, x, y = label
@@ -158,18 +162,15 @@ def dg_hom(X: DgSpace, Y: DgSpace) -> DgSpace:
         for y2, coeff in Y.d.apply_label(y).items():
             img[hom_label(x, y2)] = coeff
         sign = field.sign(H.degree_of(label) + 1)  # -(-1)^{|f|}
-        for z in X.space.labels():
-            c = X.d.apply_label(z).get(x)
-            if c is not None:
-                img = vaddmul(field, img, field.mul(sign, c),
-                              {hom_label(z, y): field.one()})
+        for z, c in into.get(x, ()):
+            img = vaddmul(field, img, field.mul(sign, c),
+                          {hom_label(z, y): field.one()})
         d.set(label, H.project(img))
     return DgSpace(H, d)
 
 
 def shift_complex(X: DgSpace, n: int) -> DgSpace:
     """Dimension-level shift: same basis relabelled by degree + n."""
-    from .graded import suspend, susp_label
     S = suspend(X.space, n)
     d = GradedMap(S, S, -1)
     field = S.field

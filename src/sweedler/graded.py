@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import Field, require_same_field
-from .linalg import vaddmul
+from .linalg import vaddmul, vaddmul_into, vscale
 
 
 class GradedError(Exception):
@@ -51,10 +51,12 @@ class Truncation:
 
     @staticmethod
     def parse(text: str) -> "Truncation":
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise GradedError(f"bad truncation {text!r}, want dmin:dmax:L")
-        return Truncation(int(parts[0]), int(parts[1]), int(parts[2]))
+        try:
+            dmin, dmax, cap = map(int, text.split(":"))
+        except ValueError:
+            raise GradedError(
+                f"bad truncation {text!r}, want dmin:dmax:L") from None
+        return Truncation(dmin, dmax, cap)
 
 
 # label kind -> tuple length; other tuples render through repr
@@ -260,7 +262,7 @@ class GradedMap:
         if self.degree != other.degree:
             raise GradedError("cannot add maps of different degrees")
         out = GradedMap(self.source, self.target, self.degree)
-        for label in set(self.columns) | set(other.columns):
+        for label in dict.fromkeys([*self.columns, *other.columns]):
             out.set(label, vaddmul(self.field, self.apply_label(label),
                                    self.field.one(), other.apply_label(label)))
         return out
@@ -282,6 +284,15 @@ class GradedMap:
             return False
         labels = set(self.columns) | set(other.columns)
         return all(self.apply_label(k) == other.apply_label(k) for k in labels)
+
+
+def target_index(f: GradedMap) -> dict:
+    """target label -> [(source label, coeff)] of f, in source basis order."""
+    out: dict = {}
+    for x in f.source.labels():
+        for y, c in f.columns.get(x, {}).items():
+            out.setdefault(y, []).append((x, c))
+    return out
 
 
 def identity_map(X: GradedSpace) -> GradedMap:
@@ -460,10 +471,8 @@ def lambda2(f: GradedMap, X: GradedSpace, Y: GradedSpace) -> GradedMap:
     H = hom_space(Y, Z)
     g = GradedMap(X, H, f.degree)
     for x in X.labels():
-        img: dict = {}
-        for y in Y.labels():
-            for z, coeff in f.apply_label(tensor_label(x, y)).items():
-                img[hom_label(y, z)] = coeff
+        img = {hom_label(y, z): coeff for y in Y.labels()
+               for z, coeff in f.apply_label(tensor_label(x, y)).items()}
         g.set(x, H.project(img))
     return g
 
@@ -475,12 +484,10 @@ def lambda1(f: GradedMap, X: GradedSpace, Y: GradedSpace) -> GradedMap:
     field = f.field
     g = GradedMap(Y, H, f.degree)
     for y in Y.labels():
-        img: dict = {}
-        sign_base = Y.degree_of(y)
-        for x in X.labels():
-            sign = field.sign(X.degree_of(x) * sign_base)
-            for z, coeff in f.apply_label(tensor_label(x, y)).items():
-                img[hom_label(x, z)] = field.mul(sign, coeff)
+        n = Y.degree_of(y)
+        img = {hom_label(x, z): field.mul(field.sign(X.degree_of(x) * n), c)
+               for x in X.labels()
+               for z, c in f.apply_label(tensor_label(x, y)).items()}
         g.set(y, H.project(img))
     return g
 
@@ -491,14 +498,12 @@ def uncurry2(g: GradedMap, X: GradedSpace, Y: GradedSpace,
     XY = tensor_space(X, Y)
     f = GradedMap(XY, Z, g.degree)
     for x in X.labels():
-        gx = g.apply_label(x)
+        at: dict = {}    # y -> g(x)(y)
+        for (_, y, z), coeff in g.apply_label(x).items():
+            at.setdefault(y, {})[z] = coeff
         for y in Y.labels():
-            img = {}
-            for h, coeff in gx.items():
-                if h[1] == y:
-                    img[h[2]] = coeff
             if tensor_label(x, y) in XY:
-                f.set(tensor_label(x, y), img)
+                f.set(tensor_label(x, y), at.get(y, {}))
     return f
 
 
@@ -509,15 +514,13 @@ def uncurry1(g: GradedMap, X: GradedSpace, Y: GradedSpace,
     field = g.field
     f = GradedMap(XY, Z, g.degree)
     for y in Y.labels():
-        gy = g.apply_label(y)
+        at: dict = {}    # x -> g(y)(x)
+        for (_, x, z), coeff in g.apply_label(y).items():
+            at.setdefault(x, {})[z] = coeff
         for x in X.labels():
             sign = field.sign(X.degree_of(x) * Y.degree_of(y))
-            img = {}
-            for h, coeff in gy.items():
-                if h[1] == x:
-                    img[h[2]] = field.mul(sign, coeff)
             if tensor_label(x, y) in XY:
-                f.set(tensor_label(x, y), img)
+                f.set(tensor_label(x, y), vscale(field, sign, at.get(x, {})))
     return f
 
 
@@ -538,6 +541,20 @@ def strength_tensor(f: GradedMap, g: GradedMap) -> GradedMap:
             for yt, cg in gy.items():
                 img[tensor_label(xt, yt)] = field.mul(sign, field.mul(cf, cg))
         out.set(label, TT.project(img))
+    return out
+
+
+def tensor_sum_apply(f: GradedMap, g: GradedMap, vec: dict,
+                     TT: GradedSpace) -> dict:
+    """(f⊗1 + 1⊗g)(vec) from f(x) and g(y), projected into TT:
+    x⊗y ↦ f(x)⊗y + (-1)^{|g||x|} x⊗g(y)."""
+    field, out = f.field, {}
+    for (_, x, y), c in vec.items():
+        vaddmul_into(field, out, c, TT.project(
+            {tensor_label(a, y): v for a, v in f.columns.get(x, {}).items()}))
+        sign = field.sign(g.degree * f.source.degree_of(x))
+        vaddmul_into(field, out, field.mul(sign, c), TT.project(
+            {tensor_label(x, b): v for b, v in g.columns.get(y, {}).items()}))
     return out
 
 

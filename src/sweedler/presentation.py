@@ -31,7 +31,8 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 from .scalars import Field, ParseError, QQ
-from .graded import GradedSpace, GradedMap, Truncation, tensor_label
+from .graded import (GradedSpace, GradedMap, Truncation, tensor_label,
+                     tensor_space)
 from .complexes import DgSpace
 from .algebras import (DgAlgebra, PresentedAlgebra, normal_forms,
                        word_label)
@@ -111,8 +112,6 @@ class PresentationFile:
         space = GradedSpace(field, trunc)
         for name, degree in self.generators:
             space.add(name, degree)
-        TT = None
-        from .graded import tensor_space
         TT = tensor_space(space, space)
         comult = GradedMap(space, TT, 0)
         for name, _ in self.generators:

@@ -67,10 +67,23 @@ def _free_algebra(spec: str) -> PresentationFile:
     for item in spec.split(","):
         if "=" not in item:
             raise ParseError(f"free-algebra wants name=degree, got {item!r}")
-        name, degree = item.split("=")
-        pf.generators.append((name.strip(), int(degree)))
+        name, degree = item.split("=", 1)
+        name = name.strip()
+        pf.generators.append(
+            (name, _integer(f"free-algebra degree of {name!r}", degree)))
     pf.aug = {name: "0/1" for name, _ in pf.generators}
     return pf
+
+
+def _integer(what: str, text: str, least: int | None = None) -> int:
+    """text as an int, or a ParseError naming the parameter."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ParseError(f"{what} must be an integer, got {text!r}") from None
+    if least is not None and value < least:
+        raise ParseError(f"{what} must be ≥ {least}, got {value}")
+    return value
 
 
 def load_preset(name: str) -> PresentationFile:
@@ -80,11 +93,11 @@ def load_preset(name: str) -> PresentationFile:
     if base == "dual-numbers":
         return _dual_numbers()
     if base == "diagonal-coalgebra":
-        return _diagonal(int(param or 2))
+        return _diagonal(_integer(f"{base} n", param or "2", least=1))
     if base == "primitive-coalgebra":
-        return _primitive(int(param or 1))
+        return _primitive(_integer(f"{base} degree", param or "1"))
     if base == "matrix-coalgebra":
-        return _matrix(int(param or 2))
+        return _matrix(_integer(f"{base} n", param or "2", least=1))
     if base == "free-algebra":
         if not param:
             raise ParseError("free-algebra needs generators, e.g. "

@@ -1,6 +1,8 @@
 import io
 import contextlib
 
+import pytest
+
 from sweedler.cli import main
 
 
@@ -218,3 +220,27 @@ def test_strict_window_flag():
                            "--strict-window"])
     assert code2 == 1
     assert "affected degrees" in out2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bar", "--preset", "dual-numbers", "--trunc", "a:b:c"],
+     "error: bad truncation 'a:b:c', want dmin:dmax:L"),
+    (["bar", "--preset", "dual-numbers", "--trunc", "1:2"],
+     "error: bad truncation '1:2', want dmin:dmax:L"),
+    (["dims", "--preset", "free-algebra:x=y"],
+     "error: free-algebra degree of 'x' must be an integer, got 'y'"),
+    (["cobar", "--preset", "primitive-coalgebra:x"],
+     "error: primitive-coalgebra degree must be an integer, got 'x'"),
+    (["dims", "--preset", "diagonal-coalgebra:x"],
+     "error: diagonal-coalgebra n must be an integer, got 'x'"),
+    (["dims", "--preset", "diagonal-coalgebra:0"],
+     "error: diagonal-coalgebra n must be ≥ 1, got 0"),
+    (["dims", "--preset", "matrix-coalgebra:0"],
+     "error: matrix-coalgebra n must be ≥ 1, got 0"),
+])
+def test_bad_numbers_fail_cleanly(argv, message, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    # one error line, no traceback
+    assert capsys.readouterr().err == message + "\n"

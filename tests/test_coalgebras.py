@@ -1,3 +1,4 @@
+import pathlib
 import random
 from math import comb
 
@@ -18,6 +19,7 @@ from sweedler.coalgebras import (tensor_coalgebra,
                                  NotGradedFinite, red_label)
 from sweedler.sweedler_ops import primitive_coalgebra, double_dual_compare
 from sweedler.presets import load_preset
+from sweedler.presentation import parse_file
 from sweedler.linalg import vaddmul
 
 TR = Truncation(-6, 6, 6)
@@ -521,3 +523,13 @@ def test_coextend_map_rejects_non_conilpotent():
     f = {red_label("e2"): {}}
     with pytest.raises(NotConilpotent):
         coextend_map(C, {red_label("e2"): {"x": QQ.one()}}, T)
+
+
+def test_verify_names_the_element_that_breaks_co_leibniz():
+    # x primitive of degree 1 with dx = e: (d⊗1+1⊗d)Δx = 2e⊗e, Δ(dx) = e⊗e
+    path = pathlib.Path(__file__).parent / "data" / "not_coleibniz.swp"
+    C = parse_file(str(path)).build()
+    assert C.verify() == ["co-Leibniz fails at x"]
+    # the same coalgebra with dx = 0 passes
+    C.d.set("x", {})
+    assert C.verify() == []

@@ -25,8 +25,9 @@ GOLDEN = TESTS / "golden"
 DATA = TESTS / "data"
 
 # (name, arguments after `sweedler`): the README CLI section, then the
-# plus-convention adjunction, homology over 𝔽3, a dual over 𝔽5 and a
-# Sweedler product whose presented algebra has many u·r·v elements
+# plus-convention adjunction, homology over 𝔽3, a dual over 𝔽5, a
+# Sweedler product whose presented algebra has many u·r·v elements and a
+# coalgebra that fails co-Leibniz
 COMMANDS = [
     ("mc-homology", "mc --homology"),
     ("bar-dual-numbers", "bar --preset dual-numbers --trunc -1:6:6 --homology"),
@@ -54,6 +55,7 @@ COMMANDS = [
     ("sweedler-product-mc", "sweedler-product --coalgebra "
                             "preset:diagonal-coalgebra:2 --algebra "
                             "preset:mc --trunc -3:3:4 --pointed"),
+    ("verify-not-coleibniz", "verify --file not_coleibniz.swp"),
 ]
 
 
@@ -81,6 +83,21 @@ def test_golden_files_match_commands():
     names = {name for name, _ in COMMANDS}
     assert set(_manifest()) == names
     assert {p.stem for p in GOLDEN.glob("*.txt")} == names
+
+
+def readme_cli_commands() -> list:
+    """The commands of README's CLI code block, continuations joined."""
+    text = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    commands = block.replace("\\\n", " ").strip().splitlines()
+    return [line.split() for line in commands]
+
+
+def test_readme_cli_block_is_the_first_commands():
+    readme = readme_cli_commands()
+    assert len(readme) == 13
+    assert readme == [["sweedler", *command.split()]
+                      for _, command in COMMANDS[:13]]
 
 
 def regenerate() -> None:

@@ -400,3 +400,12 @@ def test_tensor_space_inexact_is_a_snapshot():
     Y.mark_inexact(0)
     assert T.inexact_degrees() == {1}
     assert tensor_space(X, Y).inexact_degrees() == {0, 1}
+
+
+def test_map_sum_keeps_column_order():
+    # f's columns first, then g's new ones: no dependence on the hash seed
+    X = space_with({0: 8})
+    labels = X.labels()
+    f = GradedMap(X, X, 0, {x: {x: QQ.one()} for x in labels[5:1:-1]})
+    g = GradedMap(X, X, 0, {x: {x: QQ.one()} for x in labels[::2]})
+    assert list(f.add(g).columns) == [labels[i] for i in (5, 4, 3, 2, 0, 6)]
