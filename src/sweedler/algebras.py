@@ -52,7 +52,6 @@ class DgAlgebra:
         self.unit = unit
         self.aug = aug            # basis label -> scalar, linear functional
         self.name = name
-        self.overflow_degrees: set[int] = set()
 
     # -- basics ---------------------------------------------------------------
     @property
@@ -240,13 +239,15 @@ def extend_derivation(generators: list[tuple], phi: dict, space: GradedSpace,
     D(x1⊗…⊗xk) = Σ_i (-1)^{n(|x1|+…+|x_{i-1}|)} x1⊗…⊗phi(x_i)⊗…⊗xk,
     spliced as words; components outside the window are dropped.
     """
+    D = GradedMap(space, space, degree)
+    if not any(phi.values()):
+        return D
     degree_of = dict(generators)
     field = space.field
     one, cap = field.one(), space.window.weight_cap
     signs = (one, field.sign(1))
     images = {g: [(word_syms(t), c) for t, c in v.items()]
               for g, v in phi.items()}
-    D = GradedMap(space, space, degree)
     for label in space.labels():
         syms = word_syms(label)
         img: dict = {}
@@ -282,18 +283,13 @@ def tensor_algebra(field: Field, generators: list[tuple], trunc: Truncation,
     one = field.one()
 
     def pair(a, b):
-        syms = word_syms(a) + word_syms(b)
-        lab = word_label(syms)
-        if len(syms) > trunc.weight_cap or lab not in space:
-            alg.overflow_degrees.add(
-                space.degree_of(a) + space.degree_of(b))
-            return {}
-        return {lab: one}
+        # the space holds no word longer than the cap
+        lab = word_label(word_syms(a) + word_syms(b))
+        return {lab: one} if lab in space else {}
 
     aug = {UNIT_WORD: one} if augmented else None
-    alg = DgAlgebra(DgSpace(space, D, d_raises=raises), pair,
-                    unit={UNIT_WORD: one}, aug=aug, name=name or "T(X)")
-    return alg
+    return DgAlgebra(DgSpace(space, D, d_raises=raises), pair,
+                     unit={UNIT_WORD: one}, aug=aug, name=name or "T(X)")
 
 
 # -- presented algebras -------------------------------------------------------------
@@ -441,15 +437,9 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
     one = field.one()
 
     def pair(a, b):
-        syms = word_syms(a) + word_syms(b)
-        if len(syms) > cap:
-            alg.overflow_degrees.add(space.degree_of(a) + space.degree_of(b))
-            return {}
-        lab = word_label(syms)
-        if lab not in free:
-            alg.overflow_degrees.add(space.degree_of(a) + space.degree_of(b))
-            return {}
-        return space.project(reduce({lab: one}))
+        # the free space holds no word longer than the cap
+        lab = word_label(word_syms(a) + word_syms(b))
+        return space.project(reduce({lab: one})) if lab in free else {}
 
     aug = None
     if P.aug_gen is not None:
@@ -472,10 +462,9 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
             if not field.is_zero(total):
                 raise AlgebraError("augmentation does not kill a relation")
 
-    alg = DgAlgebra(DgSpace(space, D, d_raises=raises), pair,
-                    unit={UNIT_WORD: one}, aug=aug,
-                    name=P.name or "presented")
-    return alg
+    return DgAlgebra(DgSpace(space, D, d_raises=raises), pair,
+                     unit={UNIT_WORD: one}, aug=aug,
+                     name=P.name or "presented")
 
 
 # -- constructions on algebras ----------------------------------------------------

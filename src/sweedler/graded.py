@@ -242,7 +242,7 @@ class GradedMap:
     def __call__(self, vec: dict) -> dict:
         out: dict = {}
         for label, coeff in vec.items():
-            out = vaddmul(self.field, out, coeff, self.columns.get(label, {}))
+            vaddmul_into(self.field, out, coeff, self.columns.get(label, {}))
         return out
 
     def apply_label(self, label) -> dict:

@@ -1,10 +1,10 @@
 """Exact field arithmetic over Q and F_p.
 
-Every coefficient in the library is either a `fractions.Fraction` (over Q)
-or an int in [0, p) (over F_p).  A `Field` object tags which one is in play
-and supplies the arithmetic; spaces and maps carry their field and refuse to
-mix.  Signs are field elements too, so Koszul bookkeeping composes with
-coefficients without special cases.
+Every coefficient in the library is an int or a `fractions.Fraction` (over
+Q: the field returns an int for an integral value it builds, so a Fraction
+appears only after a division) or an int in [0, p) (over F_p).  A `Field`
+supplies the arithmetic; spaces and maps carry their field and refuse to
+mix.  Signs are field elements, so Koszul bookkeeping needs no special case.
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _rational(q: Fraction | int) -> Fraction | int:
+    """q as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Field:
     """A coefficient field: the rationals or a prime field F_p."""
 
@@ -82,15 +87,15 @@ class Field:
 
     # -- element constructors ----------------------------------------------
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def of(self, n) -> Fraction | int:
         """Coerce an int or Fraction into this field."""
         if self.p is None:
-            return Fraction(n)
+            return _rational(Fraction(n))
         if isinstance(n, Fraction):
             return self.div(n.numerator % self.p, n.denominator % self.p)
         return n % self.p
@@ -116,11 +121,12 @@ class Field:
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
         if self.p is None:
-            return 1 / Fraction(a)
+            return _rational(1 / Fraction(a))
         return pow(a, self.p - 2, self.p)
 
     def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        q = self.mul(a, self.inv(b))
+        return q if self.p else _rational(q)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -144,7 +150,7 @@ class Field:
                 if self.p is None:
                     if int(den) == 0:
                         raise ParseError(f"zero denominator in {text!r}")
-                    return Fraction(int(num), int(den))
+                    return _rational(Fraction(int(num), int(den)))
                 return self.div(self.of(int(num)), self.of(int(den)))
             return self.of(int(text))
         except ParseError:

@@ -42,8 +42,10 @@ def test_tensor_algebra_on_one_negative_generator():
 
 def test_extend_derivation_zero_and_mc_parity():
     space = free_word_space(QQ, [("u", -1)], Truncation(-8, 0, 8))
-    D0 = extend_derivation([("u", -1)], {}, space, -1)
-    assert D0.is_zero()
+    for zero in ({}, {"u": {}}):
+        D0 = extend_derivation([("u", -1)], zero, space, -1)
+        assert D0.is_zero() and D0.columns == {}
+        assert (D0.source, D0.target, D0.degree) == (space, space, -1)
     phi = {"u": {word_label(("u", "u")): QQ.of(-1)}}
     D = extend_derivation([("u", -1)], phi, space, -1)
     # D(u^2) = 0, D(u^3) = -u^4

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -563,3 +565,32 @@ def test_adjunction_under_conjugate_convention_pair():
     cb = cobar(C, tr, MINUS)
     res = adjunction_transforms(alpha, C, A, b, cb)
     assert res.issues == []
+
+
+def test_built_algebras_are_freed_without_the_cyclic_gc():
+    # a product closure that refers back to its algebra would keep T(X),
+    # every quotient and Ω C alive until the cyclic collector runs
+    tr = Truncation(-6, 6, 6)
+
+    def tensor():
+        return tensor_algebra(QQ, [("x", 1), ("y", 3)], tr,
+                              d_gen={"y": {word_label(("x", "x")): QQ.one()}})
+
+    def quotient():
+        return load_preset("dual-numbers").build(QQ, tr)
+
+    def omega():
+        C = load_preset("diagonal-coalgebra:2").build(QQ, tr)
+        return cobar(C, tr).algebra
+
+    gc.collect()
+    gc.disable()
+    try:
+        for build in (tensor, quotient, omega):
+            alg = build()
+            alg.product({UNIT_WORD: QQ.one()}, {UNIT_WORD: QQ.one()})
+            space = weakref.ref(alg.space)
+            del alg
+            assert space() is None, build.__name__
+    finally:
+        gc.enable()

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sweedler.scalars import (Field, QQ, scalar_arith, DivisionByZero,
                               MixedFields, ParseError, ScalarError,
@@ -97,3 +99,59 @@ def test_field_axioms_random(field):
             assert field.is_one(field.mul(a, field.inv(a)))
         # normalization is idempotent
         assert field.of(field.of(a)) == field.of(a)
+
+
+def test_integral_rationals_are_ints():
+    integral = [QQ.one(), QQ.zero(), QQ.of(3), QQ.of(Fraction(4, 2)),
+                QQ.parse("6/3"), QQ.parse("-5"), QQ.inv(-1), QQ.div(4, 2),
+                QQ.div(Fraction(3, 2), Fraction(3, 4)), QQ.sign(1)]
+    assert [type(a) for a in integral] == [int] * len(integral)
+    assert integral == [1, 0, 3, 2, 2, -5, -1, 2, 2, -1]
+    fractional = [QQ.of(Fraction(1, 2)), QQ.parse("-6/4"), QQ.inv(3),
+                  QQ.div(1, 2), QQ.div(Fraction(3, 2), 2)]
+    assert [type(a) for a in fractional] == [Fraction] * len(fractional)
+    assert fractional == [Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3),
+                          Fraction(1, 2), Fraction(3, 4)]
+
+
+# a rational in one of its three exact forms: an int (when integral), a
+# Fraction, or an integral Fraction left behind by arithmetic
+rationals = st.fractions(max_denominator=12).map(
+    lambda q: q.numerator if q.denominator == 1 else q) | st.integers(
+    -20, 20).flatmap(lambda n: st.sampled_from([n, Fraction(n)]))
+
+
+def _text(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+@given(rationals, rationals)
+def test_mixed_rationals_match_fraction_arithmetic(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    expect = {"add": fa + fb, "sub": fa - fb, "mul": fa * fb, "neg": -fa}
+    got = {"add": QQ.add(a, b), "sub": QQ.sub(a, b), "mul": QQ.mul(a, b),
+           "neg": QQ.neg(a)}
+    if fb:
+        expect.update(inv=1 / fb, div=fa / fb)
+        got.update(inv=QQ.inv(b), div=QQ.div(a, b))
+    assert got == expect
+    assert {k: QQ.format(v) for k, v in got.items()} == \
+        {k: _text(v) for k, v in expect.items()}
+    assert QQ.format(a) == _text(fa)
+    assert QQ.is_zero(a) == (fa == 0) and QQ.is_one(a) == (fa == 1)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 97]), st.integers(-500, 500),
+       st.integers(-500, 500), st.fractions(max_denominator=50))
+def test_prime_field_arithmetic_unchanged(p, a, b, q):
+    F = Field(p)
+    x, y = F.of(a), F.of(b)
+    assert (F.zero(), F.one(), x, y) == (0, 1, a % p, b % p)
+    assert F.add(x, y) == (a + b) % p and F.sub(x, y) == (a - b) % p
+    assert F.mul(x, y) == a * b % p and F.neg(x) == -a % p
+    assert F.format(x) == str(a % p)
+    if y:
+        assert F.inv(y) == pow(y, p - 2, p)
+        assert F.div(x, y) == x * pow(y, p - 2, p) % p
+    if q.denominator % p:
+        assert F.of(q) == q.numerator * pow(q.denominator, p - 2, p) % p
