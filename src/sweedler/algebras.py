@@ -217,17 +217,26 @@ def _mark_overflow_degrees(space: GradedSpace, gen_degrees: list[int],
 
 def free_word_space(field: Field, generators: list[tuple], trunc: Truncation,
                     unital: bool = True) -> GradedSpace:
-    """All tensor words of length ≤ weight_cap over graded generators."""
+    """All tensor words of length ≤ weight_cap over graded generators.
+
+    Words are listed by length, and within a length in the lexicographic
+    order of the generator list; the words of length L and their degrees
+    come from those of length L-1.
+    """
     space = GradedSpace(field, trunc)
     degree_of = dict(generators)
-    names = [g for g, _ in generators]
+    letters = [(g, degree_of[g]) for g, _ in generators]
     if unital:
         space.add(UNIT_WORD, 0, weight=0)
+    level = [((), 0)]
     for length in range(1, trunc.weight_cap + 1):
-        for combo in itertools.product(names, repeat=length):
-            degree = sum(degree_of[g] for g in combo)
+        words = ((syms + (g,), degree + dg)
+                 for syms, degree in level for g, dg in letters)
+        if length < trunc.weight_cap:   # words of length cap are not kept
+            words = level = list(words)
+        for syms, degree in words:
             if trunc.contains(degree):
-                space.add(word_label(combo), degree, weight=length)
+                space.add(word_label(syms), degree, weight=length)
     _mark_overflow_degrees(space, [d for _, d in generators], trunc.weight_cap)
     return space
 
@@ -237,30 +246,42 @@ def extend_derivation(generators: list[tuple], phi: dict, space: GradedSpace,
     """Unique derivation of T(X) with D(x) = phi[x] on generators.
 
     D(x1⊗…⊗xk) = Σ_i (-1)^{n(|x1|+…+|x_{i-1}|)} x1⊗…⊗phi(x_i)⊗…⊗xk,
-    spliced as words; components outside the window are dropped.
+    spliced as words; components outside the window are dropped.  Each
+    column is summed in place, in the order of the positions i.
     """
     D = GradedMap(space, space, degree)
     if not any(phi.values()):
         return D
-    degree_of = dict(generators)
     field = space.field
-    one, cap = field.one(), space.window.weight_cap
-    signs = (one, field.sign(1))
-    images = {g: [(word_syms(t), c) for t, c in v.items()]
+    add, is_zero, zero = field.add, field.is_zero, field.zero()
+    one, minus = field.one(), field.sign(1)
+    # the Koszul sign flips past each generator x with n·|x| odd
+    flips = {g: degree * d % 2 for g, d in generators}
+    # each term with c and -c; the product with one reduces c mod p
+    images = {g: [(word_syms(t), field.mul(one, c), field.mul(minus, c))
+                  for t, c in v.items()]
               for g, v in phi.items()}
+    inside = space._degree_lookup()
     for label in space.labels():
         syms = word_syms(label)
         img: dict = {}
-        prefix_deg = 0
+        odd = 0
         for i, sym in enumerate(syms):
-            for tsyms, coeff in images.get(sym, ()):
-                spliced = syms[:i] + tsyms + syms[i + 1:]
-                if len(spliced) <= cap:
-                    vaddmul_into(field, img, field.mul(
-                        signs[degree * prefix_deg % 2], coeff),
-                        {word_label(spliced): one})
-            prefix_deg += degree_of[sym]
-        D.set(label, space.project(img))
+            terms = images.get(sym)
+            if terms:
+                head, tail = syms[:i], syms[i + 1:]
+                for tsyms, even_c, odd_c in terms:
+                    new = word_label(head + tsyms + tail)
+                    if inside(new) is None:
+                        continue
+                    s = add(img.get(new, zero), odd_c if odd else even_c)
+                    if is_zero(s):
+                        img.pop(new, None)
+                    else:
+                        img[new] = s
+            odd ^= flips[sym]
+        if img:
+            D.set(label, img)
     return D
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_label,
@@ -30,7 +31,7 @@ from .algebras import (DgAlgebra, tensor_algebra, extend_derivation,
 from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_comult,
                          coextend_coderivation, coextend_map,
                          ReducedCoalgebra, shuffle_product)
-from .linalg import vaddmul, vscale
+from .linalg import vaddmul, vaddmul_into, vscale
 
 
 class ConventionMismatch(Exception):
@@ -291,19 +292,61 @@ def s_inv_label(c) -> tuple:
     return susp_label(-1, c)
 
 
+def _length_first(d: GradedMap) -> None:
+    """Reorder each column of d in place: terms that keep the word length
+    of their source first, the rest after them, each part in its order."""
+    for label, col in d.columns.items():
+        n = len(word_syms(label))
+        same = {k: c for k, c in col.items() if len(word_syms(k)) == n}
+        if len(same) < len(col):
+            d.columns[label] = same | col
+
+
+def _length_part(d: GradedMap, keep: bool, coeff) -> GradedMap:
+    """coeff times the terms of each column of d that keep (or, with
+    keep=False, change) the word length of their source."""
+    field = d.field
+    out = GradedMap(d.source, d.target, d.degree)
+    for label, col in d.columns.items():
+        n = len(word_syms(label))
+        out.set(label, {k: field.mul(coeff, c) for k, c in col.items()
+                        if (len(word_syms(k)) == n) == keep})
+    return out
+
+
 @dataclass
 class BarConstruction:
     coalgebra: DgCoalgebra
     algebra: DgAlgebra              # the input A
     convention: str
-    d_int: GradedMap
-    d_ext: GradedMap
     generators: list
+
+    @cached_property
+    def d_int(self) -> GradedMap:
+        """The terms of d that keep the word length."""
+        return _length_part(self.coalgebra.d, True, self.coalgebra.field.one())
+
+    @cached_property
+    def d_ext(self) -> GradedMap:
+        """sign·(d - d_int), so that d = d_int + sign·d_ext."""
+        field = self.coalgebra.field
+        sign = field.of(-1) if self.convention == MINUS else field.one()
+        return _length_part(self.coalgebra.d, False, sign)
 
 
 def bar(A: DgAlgebra, trunc: Truncation,
         convention: str = MINUS) -> BarConstruction:
-    """B A = (T^c(s A₋), d^int - d^ext) (minus is the default convention)."""
+    """B A = (T^c(s A₋), d^int - d^ext) (minus is the default convention).
+
+    d is one coderivation, coextended in one pass from
+    φ = φ^int + sign·φ^ext (sign = -1 for minus, +1 for plus), with
+    φ^int(sa) = -s(da) on words of length 1 and φ^ext(sa⊗sb) = (-1)^{|a|}
+    s(ab) on words of length 2.
+    d^int keeps the word length and d^ext lowers it by one, so the two never
+    share a term: d^int is read off d as the terms of each column that keep
+    the length, and d^ext as sign times the rest, on first use.  Within a
+    column of d the length-keeping terms come first.
+    """
     if A.aug is None:
         raise AlgebraError("bar needs an augmented algebra")
     field = A.field
@@ -311,34 +354,30 @@ def bar(A: DgAlgebra, trunc: Truncation,
     generators = [(s_label(a), A.space.degree_of(a) + 1) for a in reduced]
     base = tensor_coalgebra(field, generators, trunc, name="BA")
     space = base.space
+    sign = field.of(-1) if convention == MINUS else field.one()
 
-    phi_int: dict = {}
-    phi_ext: dict = {}
+    phi: dict = {}
     for a in reduced:
         w = word_label((s_label(a),))
         val = {s_label(a2): coeff
                for a2, coeff in A.d.apply_label(a).items()}
         if val:
-            phi_int[w] = vscale(field, field.of(-1), val)
+            phi[w] = vscale(field, field.of(-1), val)
     reduced_set = set(reduced)
     for a in reduced:
+        a_sign = field.mul(sign, field.sign(A.space.degree_of(a)))
         for b in reduced:
             w = word_label((s_label(a), s_label(b)))
-            prod = A._pair(a, b)
-            val = {}
-            sign = field.sign(A.space.degree_of(a))
-            for m, coeff in prod.items():
-                if m in reduced_set:
-                    val[s_label(m)] = field.mul(sign, coeff)
+            val = {s_label(m): field.mul(a_sign, coeff)
+                   for m, coeff in A._pair(a, b).items() if m in reduced_set}
             if val:
-                phi_ext[w] = val
-    d_int = coextend_coderivation(space, generators, phi_int, -1)
-    d_ext = coextend_coderivation(space, generators, phi_ext, -1)
-    sign = field.of(-1) if convention == MINUS else field.one()
-    d = d_int.add(d_ext.scale(sign))
+                phi[w] = val
+    d = coextend_coderivation(space, generators, phi, -1)
+    if len({len(word_syms(w)) for w in phi}) > 1:
+        _length_first(d)                              # both parts present
     coalg = DgCoalgebra(DgSpace(space, d), base.comult, base.counit,
                         atom=UNIT_WORD, name=f"B({A.name})")
-    return BarConstruction(coalg, A, convention, d_int, d_ext, generators)
+    return BarConstruction(coalg, A, convention, generators)
 
 
 @dataclass
@@ -346,53 +385,69 @@ class CobarConstruction:
     algebra: DgAlgebra
     coalgebra: DgCoalgebra          # the input C
     convention: str
-    d_int: GradedMap
-    d_ext: GradedMap
     generators: list
     reduced: ReducedCoalgebra
+
+    @cached_property
+    def d_int(self) -> GradedMap:
+        """The terms of d that keep the word length."""
+        return _length_part(self.algebra.d, True, self.algebra.field.one())
+
+    @cached_property
+    def d_ext(self) -> GradedMap:
+        """sign·(d - d_int), so that d = d_int + sign·d_ext."""
+        field = self.algebra.field
+        sign = field.one() if self.convention == PLUS else field.of(-1)
+        return _length_part(self.algebra.d, False, sign)
 
 
 def cobar(C: DgCoalgebra, trunc: Truncation,
           convention: str = PLUS) -> CobarConstruction:
-    """Ω C = (T(s⁻¹ C₋), d^int + d^ext) (plus is the default convention)."""
+    """Ω C = (T(s⁻¹ C₋), d^int + d^ext) (plus is the default convention).
+
+    d is one derivation, extended in one pass from φ = φ^int + sign·φ^ext
+    on generators (sign = +1 for plus, -1 for minus), with
+    φ^int(s⁻¹c) = -s⁻¹(dc) and φ^ext(s⁻¹c) = -(-1)^{|c¹|}
+    s⁻¹c¹⊗s⁻¹c².
+    d^int keeps the word length and d^ext raises it by one, so the two never
+    share a term: d^int is read off d as the terms of each column that keep
+    the length, and d^ext as sign times the rest, on first use.  Within a
+    column of d the length-keeping terms come first.
+    """
     R = ReducedCoalgebra(C)
     field = C.field
+    one = field.one()
+    sign = one if convention == PLUS else field.of(-1)
     gens = []
     for lab in R.space.labels():
         x = lab[1]
         gens.append((s_inv_label(x), C.space.degree_of(x) - 1))
 
-    phi_int: dict = {}
-    phi_ext: dict = {}
+    phi: dict = {}
     for lab in R.space.labels():
         x = lab[1]
-        val_int: dict = {}
+        val: dict = {}
         for lab2, coeff in R.d.apply_label(lab).items():
-            val_int[word_label((s_inv_label(lab2[1]),))] = field.neg(coeff)
-        if val_int:
-            phi_int[s_inv_label(x)] = val_int
-        val_ext: dict = {}
+            val[word_label((s_inv_label(lab2[1]),))] = field.neg(coeff)
         for t, coeff in R.comult.apply_label(lab).items():
             _, r1, r2 = t
             c1, c2 = r1[1], r2[1]
-            sign = field.sign(1 + C.space.degree_of(c1))
+            c_sign = field.mul(sign, field.sign(1 + C.space.degree_of(c1)))
             w = word_label((s_inv_label(c1), s_inv_label(c2)))
-            val_ext = vaddmul(field, val_ext, field.mul(sign, coeff),
-                              {w: field.one()})
-        if val_ext:
-            phi_ext[s_inv_label(x)] = val_ext
+            vaddmul_into(field, val, field.mul(c_sign, coeff), {w: one})
+        if val:
+            phi[s_inv_label(x)] = val
 
     base = tensor_algebra(field, gens, trunc, augmented=True,
                           name=f"Ω({C.name})")
     space = base.space
-    d_int = extend_derivation(gens, phi_int, space, -1)
-    d_ext = extend_derivation(gens, phi_ext, space, -1)
-    sign = field.one() if convention == PLUS else field.of(-1)
-    d = d_int.add(d_ext.scale(sign))
+    d = extend_derivation(gens, phi, space, -1)
+    if len({len(word_syms(w)) for v in phi.values() for w in v}) > 1:
+        _length_first(d)                              # both parts present
     dg = DgSpace(space, d, d_raises=1)
     alg = DgAlgebra(dg, base._pair, base.unit, base.aug,
                     name=f"Ω({C.name})")
-    return CobarConstruction(alg, C, convention, d_int, d_ext, gens, R)
+    return CobarConstruction(alg, C, convention, gens, R)
 
 
 def anticommutator_issues(d1: GradedMap, d2: GradedMap,

@@ -425,33 +425,48 @@ def coextend_coderivation(space: GradedSpace, generators: list[tuple],
     phi maps word labels to vectors over generator symbols.  The coextension
     is D(x1⊗…⊗xk) = Σ_{i≤j} (-1)^{degree·(|x1|+…+|xi|)}
     x1…xi ⊗ φ(x_{i+1}…x_j) ⊗ x_{j+1}…xk; with `pointed`, φ is only consulted
-    on words of length ≥ 1 (i < j).
+    on words of length ≥ 1 (i < j).  Each column is summed in place, in the
+    order of (i, j), and only over the chunk lengths φ has images for.
     """
-    degree_of = dict(generators)
     field = space.field
     D = GradedMap(space, space, degree)
-    cap = space.window.weight_cap
+    add, is_zero, zero = field.add, field.is_zero, field.zero()
+    one, minus = field.one(), field.sign(1)
+    # the Koszul sign flips past each generator x with degree·|x| odd
+    flips = {g: degree * d % 2 for g, d in generators}
+    # each term with c and -c; the product with one reduces c mod p
+    images = {w: [(sym, field.mul(one, c), field.mul(minus, c))
+                  for sym, c in v.items()]
+              for w, v in phi.items() if v}
+    lengths = sorted({len(word_syms(w)) for w in images
+                      if word_syms(w) or not pointed})
+    inside = space._degree_lookup()
     for lab in space.labels():
         syms = word_syms(lab)
         k = len(syms)
         img: dict = {}
-        prefix = 0
+        odd = 0
         for i in range(k + 1):
-            start = i if not pointed else i + 1
-            sign = field.sign(degree * prefix)
-            for j in range(start, k + 1):
-                chunk = word_label(syms[i:j])
-                val = phi.get(chunk)
-                if val:
-                    for sym, coeff in val.items():
-                        new = word_label(syms[:i] + (sym,) + syms[j:])
-                        if len(word_syms(new)) <= cap:
-                            img = vaddmul(field, img,
-                                          field.mul(sign, coeff),
-                                          {new: field.one()})
+            for n in lengths:
+                if i + n > k:
+                    break
+                terms = images.get(word_label(syms[i:i + n]))
+                if not terms:
+                    continue
+                head, tail = syms[:i], syms[i + n:]
+                for sym, even_c, odd_c in terms:
+                    new = word_label(head + (sym,) + tail)
+                    if inside(new) is None:
+                        continue
+                    s = add(img.get(new, zero), odd_c if odd else even_c)
+                    if is_zero(s):
+                        img.pop(new, None)
+                    else:
+                        img[new] = s
             if i < k:
-                prefix += degree_of[syms[i]]
-        D.set(lab, space.project(img))
+                odd ^= flips[syms[i]]
+        if img:
+            D.set(lab, img)
     return D
 
 

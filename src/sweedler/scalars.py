@@ -95,14 +95,16 @@ class Field:
     def of(self, n) -> Fraction | int:
         """Coerce an int or Fraction into this field."""
         if self.p is None:
-            return _rational(Fraction(n))
+            return n if type(n) is int else _rational(Fraction(n))
         if isinstance(n, Fraction):
             return self.div(n.numerator % self.p, n.denominator % self.p)
         return n % self.p
 
     def sign(self, exponent: int):
         """(-1)**exponent as a field element."""
-        return self.of(-1) if exponent % 2 else self.one()
+        if exponent % 2 == 0:
+            return 1
+        return -1 if self.p is None else self.p - 1
 
     # -- arithmetic ----------------------------------------------------------
     def add(self, a, b):
@@ -121,6 +123,8 @@ class Field:
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
         if self.p is None:
+            if type(a) is int and (a == 1 or a == -1):
+                return a
             return _rational(1 / Fraction(a))
         return pow(a, self.p - 2, self.p)
 

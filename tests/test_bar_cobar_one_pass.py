@@ -1,0 +1,459 @@
+"""One-pass bar and cobar differentials against the loops they replaced.
+
+Each reference below is the earlier implementation, kept as it was: the
+derivation and coderivation extensions that collect each image through
+`vaddmul` and project it afterwards, `free_word_space` over
+`itertools.product`, and `bar`/`cobar` that build d^int and d^ext in two
+passes and add them.  The new maps must equal the references value for
+value, with the same key order within every column.  The d² check, which
+now decides once per degree which labels it can check, keeps the per-label
+loop's counts and witnesses.
+
+The references count the terms they drop outside the window.  Over the
+trials, terms fall below the lowest degree and past the top (of the degree
+range, or of the word-length cap).  bar's d lowers the degree and never
+lengthens a word, so only its low end drops terms; the generic
+coextension, run with degree +1, covers its top end.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from sweedler.scalars import QQ, Field
+from sweedler.graded import (Truncation, GradedSpace, GradedMap, tensor_label,
+                             tensor_space)
+from sweedler.complexes import DgSpace, SquareZeroReport, check_square_zero
+from sweedler.algebras import (word_label, word_syms, free_word_space,
+                               extend_derivation, tensor_algebra,
+                               normal_forms, PresentedAlgebra, UNIT_WORD,
+                               _mark_overflow_degrees)
+from sweedler.coalgebras import (DgCoalgebra, coextend_coderivation,
+                                 tensor_coalgebra, coshuffle_coalgebra,
+                                 ReducedCoalgebra)
+from sweedler.barcobar import (bar, cobar, s_label, s_inv_label, MINUS,
+                               PLUS)
+from sweedler.presets import load_preset
+from sweedler.linalg import vaddmul, vscale
+
+FIELDS = (QQ, Field(5), Field(2))
+
+
+def columns(f: GradedMap) -> list:
+    return [(k, list(v.items())) for k, v in f.columns.items()]
+
+
+def columns_by_label(f: GradedMap, space) -> list:
+    return [(k, list(f.columns.get(k, {}).items())) for k in space.labels()]
+
+
+def count_drops(space, degree_of, formal: dict, drops: dict) -> None:
+    """Tally the in-cap words of a formal image that leave the degree range."""
+    for k in formal:
+        if k not in space:
+            degree = sum(degree_of[s] for s in word_syms(k))
+            drops["low" if degree < space.window.degree_min else "high"] += 1
+
+
+# -- the earlier loops ------------------------------------------------------
+
+
+def ref_free_word_space(field, generators, trunc, unital=True):
+    space = GradedSpace(field, trunc)
+    degree_of = dict(generators)
+    names = [g for g, _ in generators]
+    if unital:
+        space.add(UNIT_WORD, 0, weight=0)
+    for length in range(1, trunc.weight_cap + 1):
+        for combo in itertools.product(names, repeat=length):
+            degree = sum(degree_of[g] for g in combo)
+            if trunc.contains(degree):
+                space.add(word_label(combo), degree, weight=length)
+    _mark_overflow_degrees(space, [d for _, d in generators],
+                           trunc.weight_cap)
+    return space
+
+
+def ref_extend_derivation(generators, phi, space, degree, drops=None):
+    D = GradedMap(space, space, degree)
+    if not any(phi.values()):
+        return D
+    degree_of = dict(generators)
+    field = space.field
+    one, cap = field.one(), space.window.weight_cap
+    signs = (one, field.sign(1))
+    images = {g: [(word_syms(t), c) for t, c in v.items()]
+              for g, v in phi.items()}
+    for label in space.labels():
+        syms = word_syms(label)
+        img: dict = {}
+        prefix_deg = 0
+        for i, sym in enumerate(syms):
+            for tsyms, coeff in images.get(sym, ()):
+                spliced = syms[:i] + tsyms + syms[i + 1:]
+                if len(spliced) <= cap:
+                    img = vaddmul(field, img, field.mul(
+                        signs[degree * prefix_deg % 2], coeff),
+                        {word_label(spliced): one})
+                elif drops is not None:
+                    drops["high"] += 1
+            prefix_deg += degree_of[sym]
+        if drops is not None:
+            count_drops(space, degree_of, img, drops)
+        D.set(label, space.project(img))
+    return D
+
+
+def ref_coextend_coderivation(space, generators, phi, degree, pointed=True,
+                              drops=None):
+    degree_of = dict(generators)
+    field = space.field
+    D = GradedMap(space, space, degree)
+    cap = space.window.weight_cap
+    for lab in space.labels():
+        syms = word_syms(lab)
+        k = len(syms)
+        img: dict = {}
+        prefix = 0
+        for i in range(k + 1):
+            start = i if not pointed else i + 1
+            sign = field.sign(degree * prefix)
+            for j in range(start, k + 1):
+                chunk = word_label(syms[i:j])
+                val = phi.get(chunk)
+                if val:
+                    for sym, coeff in val.items():
+                        new = word_label(syms[:i] + (sym,) + syms[j:])
+                        if len(word_syms(new)) <= cap:
+                            img = vaddmul(field, img,
+                                          field.mul(sign, coeff),
+                                          {new: field.one()})
+                        elif drops is not None:
+                            drops["high"] += 1
+            if i < k:
+                prefix += degree_of[syms[i]]
+        if drops is not None:
+            count_drops(space, degree_of, img, drops)
+        D.set(lab, space.project(img))
+    return D
+
+
+def ref_bar(A, space, generators, convention, drops):
+    """(d, d_int, d_ext) of the two-pass bar on the space of B A."""
+    field = A.field
+    reduced = A.reduced_basis()
+    phi_int: dict = {}
+    phi_ext: dict = {}
+    for a in reduced:
+        w = word_label((s_label(a),))
+        val = {s_label(a2): coeff
+               for a2, coeff in A.d.apply_label(a).items()}
+        if val:
+            phi_int[w] = vscale(field, field.of(-1), val)
+    reduced_set = set(reduced)
+    for a in reduced:
+        for b in reduced:
+            w = word_label((s_label(a), s_label(b)))
+            prod = A._pair(a, b)
+            val = {}
+            sign = field.sign(A.space.degree_of(a))
+            for m, coeff in prod.items():
+                if m in reduced_set:
+                    val[s_label(m)] = field.mul(sign, coeff)
+            if val:
+                phi_ext[w] = val
+    d_int = ref_coextend_coderivation(space, generators, phi_int, -1,
+                                      drops=drops)
+    d_ext = ref_coextend_coderivation(space, generators, phi_ext, -1,
+                                      drops=drops)
+    sign = field.of(-1) if convention == MINUS else field.one()
+    return d_int.add(d_ext.scale(sign)), d_int, d_ext
+
+
+def ref_cobar(C, space, convention, drops):
+    """(d, d_int, d_ext) of the two-pass cobar on the space of Ω C."""
+    R = ReducedCoalgebra(C)
+    field = C.field
+    gens = []
+    for lab in R.space.labels():
+        x = lab[1]
+        gens.append((s_inv_label(x), C.space.degree_of(x) - 1))
+    phi_int: dict = {}
+    phi_ext: dict = {}
+    for lab in R.space.labels():
+        x = lab[1]
+        val_int: dict = {}
+        for lab2, coeff in R.d.apply_label(lab).items():
+            val_int[word_label((s_inv_label(lab2[1]),))] = field.neg(coeff)
+        if val_int:
+            phi_int[s_inv_label(x)] = val_int
+        val_ext: dict = {}
+        for t, coeff in R.comult.apply_label(lab).items():
+            _, r1, r2 = t
+            c1, c2 = r1[1], r2[1]
+            sign = field.sign(1 + C.space.degree_of(c1))
+            w = word_label((s_inv_label(c1), s_inv_label(c2)))
+            val_ext = vaddmul(field, val_ext, field.mul(sign, coeff),
+                              {w: field.one()})
+        if val_ext:
+            phi_ext[s_inv_label(x)] = val_ext
+    d_int = ref_extend_derivation(gens, phi_int, space, -1, drops)
+    d_ext = ref_extend_derivation(gens, phi_ext, space, -1, drops)
+    sign = field.one() if convention == PLUS else field.of(-1)
+    return d_int.add(d_ext.scale(sign)), d_int, d_ext
+
+
+def ref_check_square_zero(X):
+    def d2_checkable(label):
+        degree = X.space.degree_of(label)
+        if degree - 2 < X.window.degree_min:
+            return False
+        if X.d_raises:
+            w = X.space.weight_of(label)
+            if w is not None and w + 2 * X.d_raises > X.window.weight_cap:
+                return False
+        return True
+
+    report = SquareZeroReport()
+    for label in X.space.labels():
+        if not d2_checkable(label):
+            report.skipped += 1
+            continue
+        report.checked += 1
+        residue = X.d(X.d.apply_label(label))
+        if residue:
+            report.witnesses.append((label, residue))
+    return report
+
+
+def square_zero_fails(X) -> bool:
+    """Check that the d² report matches the per-label loop; True when d²
+    has witnesses."""
+    new, ref = check_square_zero(X), ref_check_square_zero(X)
+    assert (new.checked, new.skipped) == (ref.checked, ref.skipped)
+    assert [(k, list(v.items())) for k, v in new.witnesses] == \
+        [(k, list(v.items())) for k, v in ref.witnesses]
+    return bool(ref.witnesses)
+
+
+# -- random inputs ------------------------------------------------------------
+
+
+def random_generators(rng, prefix, degrees=(-2, -1, 0, 1, 2)):
+    return [(f"{prefix}{i}", rng.choice(degrees))
+            for i in range(rng.randint(1, 3))]
+
+
+def random_word_vector(rng, field, space, degree, max_len):
+    """A random vector over the words of `space` in one degree."""
+    words = [w for w in space.basis(degree)
+             if 0 < len(word_syms(w)) <= max_len]
+    vec: dict = {}
+    for w in rng.sample(words, min(len(words), rng.randint(0, 3))):
+        c = field.of(rng.choice([-2, -1, 1, 2, 3]))
+        if not field.is_zero(c):
+            vec[w] = c
+    return vec
+
+
+def random_free_dg_algebra(rng, field, tr):
+    """T(X) with a random degree -1 map on generators (d² need not vanish):
+    every product of two words is nonzero, so bar gets both parts."""
+    gens = random_generators(rng, "x", (0, 1, 2))
+    wide = Truncation(-2 * tr.weight_cap - 2, 2 * tr.weight_cap + 2,
+                      tr.weight_cap)
+    words = free_word_space(field, gens, wide)
+    d_gen = {g: random_word_vector(rng, field, words, deg - 1, 2)
+             for g, deg in gens}
+    return tensor_algebra(field, gens, tr, d_gen=d_gen, augmented=True)
+
+
+def random_monomial_algebra(rng, field, tr):
+    """T(X)/I for random quadratic monomials, with d = 0 or a partner d."""
+    gens = random_generators(rng, "y", (0, 1, 2))
+    d_gen = {}
+    if rng.random() < 0.5:
+        g, deg = gens[0]
+        gens.append(("z", deg - 1))
+        d_gen[g] = {word_label(("z",)): field.one()}
+    names = [g for g, _ in gens]
+    rels = [{word_label((a, b)): field.one()} for a in names for b in names
+            if rng.random() < 0.4 or "z" in (a, b)]
+    return normal_forms(PresentedAlgebra(
+        field, gens, rels, d_gen, tr,
+        aug_gen={g: field.zero() for g in names}))
+
+
+def random_partnered_generators(rng, field):
+    """1-3 generators, each with a partner one degree lower that its d
+    hits with probability 0.6: (generators, [(c, partner, coeff)])."""
+    gens, pairs = [], []
+    for i in range(rng.randint(1, 3)):
+        deg = rng.randint(-1, 2)
+        gens.append((f"c{i}", deg))
+        if rng.random() < 0.6:
+            gens.append((f"z{i}", deg - 1))
+            pairs.append((f"c{i}", f"z{i}", field.of(rng.choice([1, -1, 2]))))
+    return gens, pairs
+
+
+def random_dg_coalgebra(rng, field, tr):
+    """T^c(X) or T^csh(X) with d from generators to partners, or a pointed
+    coalgebra whose non-atom elements are all primitive."""
+    kind = rng.choice(["tensor", "coshuffle", "primitive"])
+    gens, pairs = random_partnered_generators(rng, field)
+    if kind == "primitive":
+        space = GradedSpace(field, tr)
+        space.add("e", 0)
+        for nm, deg in gens:
+            space.add(nm, deg)
+        TT = tensor_space(space, space)
+        comult = GradedMap(space, TT, 0)
+        comult.set("e", {tensor_label("e", "e"): field.one()})
+        for nm, _ in gens:
+            comult.set(nm, {tensor_label(nm, "e"): field.one(),
+                            tensor_label("e", nm): field.one()})
+        d = GradedMap(space, space, -1)
+        for a, b, c in pairs:
+            d.set(a, {b: c})
+        return DgCoalgebra(DgSpace(space, d), comult, {"e": field.one()},
+                           atom="e")
+    d_gen = {a: {word_label((b,)): c} for a, b, c in pairs}
+    make = tensor_coalgebra if kind == "tensor" else coshuffle_coalgebra
+    return make(field, gens, tr, d_gen=d_gen)
+
+
+# -- the tests ----------------------------------------------------------------
+
+
+def test_free_word_space_matches_product_reference():
+    rng = random.Random(5)
+    for trial in range(80):
+        field = FIELDS[trial % 3]
+        gens = random_generators(rng, "g")
+        tr = Truncation(-rng.randint(0, 4), rng.randint(0, 5),
+                        rng.randint(1, 4))
+        unital = rng.random() < 0.8
+        new = free_word_space(field, gens, tr, unital)
+        ref = ref_free_word_space(field, gens, tr, unital)
+        assert new.labels() == ref.labels()
+        assert [new.degree_of(w) for w in new.labels()] == \
+            [ref.degree_of(w) for w in ref.labels()]
+        assert [new.weight_of(w) for w in new.labels()] == \
+            [ref.weight_of(w) for w in ref.labels()]
+        assert new.inexact_degrees() == ref.inexact_degrees()
+
+
+def test_extend_derivation_matches_reference_loop():
+    rng = random.Random(11)
+    drops = {"low": 0, "high": 0}
+    for trial in range(60):
+        field = FIELDS[trial % 3]
+        gens = random_generators(rng, "g")
+        tr = Truncation(-rng.randint(1, 4), rng.randint(1, 4),
+                        rng.randint(2, 4))
+        space = free_word_space(field, gens, tr)
+        degree = rng.choice([-2, -1, 1, 2])
+        wide = Truncation(-12, 12, 3)
+        words = free_word_space(field, gens, wide)
+        phi = {g: random_word_vector(rng, field, words, deg + degree, 3)
+               for g, deg in gens}
+        new = extend_derivation(gens, phi, space, degree)
+        ref = ref_extend_derivation(gens, phi, space, degree, drops)
+        assert columns(new) == columns(ref)
+    assert drops["low"] > 0 and drops["high"] > 0
+
+
+@pytest.mark.parametrize("pointed", [True, False])
+def test_coextend_coderivation_matches_reference_loop(pointed):
+    rng = random.Random(13 if pointed else 17)
+    drops = {"low": 0, "high": 0}
+    for trial in range(60):
+        field = FIELDS[trial % 3]
+        gens = random_generators(rng, "g")
+        names = [g for g, _ in gens]
+        degree_of = dict(gens)
+        tr = Truncation(-rng.randint(1, 4), rng.randint(1, 4),
+                        rng.randint(2, 4))
+        space = free_word_space(field, gens, tr)
+        degree = rng.choice([-1, 1, 2])
+        phi = {}
+        for length in range(0 if not pointed else 1, 4):
+            for chunk in itertools.product(names, repeat=length):
+                if rng.random() < 0.5:
+                    continue
+                want = sum(degree_of[g] for g in chunk) + degree
+                val = {g: field.of(rng.choice([-1, 1, 2]))
+                       for g in names if degree_of[g] == want}
+                phi[word_label(chunk)] = {g: c for g, c in val.items()
+                                          if not field.is_zero(c)}
+        new = coextend_coderivation(space, gens, phi, degree, pointed)
+        ref = ref_coextend_coderivation(space, gens, phi, degree, pointed,
+                                        drops)
+        assert columns(new) == columns(ref)
+    assert drops["low"] > 0 and drops["high"] > 0
+
+
+def assert_same_parts(construction, d_new, space, ref):
+    """d label by label (its columns come in label order, the reference's
+    with the labels of d_int first), d_int and d_ext column by column."""
+    d, d_int, d_ext = ref
+    assert columns_by_label(d_new, space) == columns_by_label(d, space)
+    assert set(d_new.columns) == set(d.columns)
+    assert columns(construction.d_int) == columns(d_int)
+    assert columns(construction.d_ext) == columns(d_ext)
+
+
+def test_bar_matches_two_pass_reference():
+    rng = random.Random(23)
+    drops = {"low": 0, "high": 0}
+    both = failing = 0
+    presets = ["dual-numbers", "free-algebra:x=1", "free-algebra:x=1,y=2",
+               "mc"]
+    for trial in range(24):
+        field = FIELDS[trial % 3]
+        convention = (MINUS, PLUS)[trial // 3 % 2]
+        tr = Truncation(rng.randint(-3, 0), rng.randint(3, 6),
+                        rng.randint(2, 3))
+        pick = trial % 4
+        if pick == 0:
+            A = random_free_dg_algebra(rng, field, tr)
+        elif pick == 1:
+            A = random_monomial_algebra(rng, field, tr)
+        else:
+            A = load_preset(rng.choice(presets)).build(field, tr)
+        b = bar(A, tr, convention)
+        space = b.coalgebra.space
+        ref = ref_bar(A, space, b.generators, convention, drops)
+        assert_same_parts(b, b.coalgebra.d, space, ref)
+        both += bool(ref[1].columns and ref[2].columns)
+        failing += square_zero_fails(b.coalgebra.dg)
+    assert drops["low"] > 0
+    assert both >= 6 and failing >= 2
+
+
+def test_cobar_matches_two_pass_reference():
+    rng = random.Random(29)
+    drops = {"low": 0, "high": 0}
+    both = 0
+    for trial in range(30):
+        field = FIELDS[trial % 3]
+        convention = (PLUS, MINUS)[trial // 3 % 2]
+        trC = Truncation(-3, 3, 2)
+        if trial % 5 == 4:
+            C = load_preset(rng.choice(["primitive-coalgebra:1",
+                                        "diagonal-coalgebra:2"])
+                            ).build(field, trC)
+        else:
+            C = random_dg_coalgebra(rng, field, trC)
+        tr = Truncation(rng.randint(-5, -1), rng.randint(1, 5),
+                        rng.randint(2, 3))
+        cb = cobar(C, tr, convention)
+        space = cb.algebra.space
+        ref = ref_cobar(C, space, convention, drops)
+        assert_same_parts(cb, cb.algebra.d, space, ref)
+        both += bool(ref[1].columns and ref[2].columns)
+        assert not square_zero_fails(cb.algebra.dg)
+    assert drops["low"] > 0 and drops["high"] > 0
+    assert both >= 6

@@ -244,3 +244,30 @@ def test_bad_numbers_fail_cleanly(argv, message, capsys):
     assert out == ""
     # one error line, no traceback
     assert capsys.readouterr().err == message + "\n"
+
+
+def homology_table(out: str) -> dict:
+    """degree -> (dim, trust) from the homology table of a report."""
+    table = {}
+    for line in out.split("table: homology", 1)[1].splitlines():
+        cells = line.split()
+        if len(cells) == 3 and cells[2] in ("trusted", "unreliable"):
+            table[int(cells[0])] = (int(cells[1]), cells[2])
+    return table
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the top window degree is trusted although it never "
+    "sees the boundaries coming from degree dmax+1"))
+def test_trusted_bar_homology_survives_a_wider_window():
+    tables = []
+    for trunc in ("-1:6:4", "-1:7:4"):
+        code, out = run_cli(["bar", "--preset", "free-algebra:x=1,y=1",
+                             "--trunc", trunc, "--homology"])
+        assert code == 0
+        tables.append(homology_table(out))
+    narrow, wide = tables
+    assert 6 in narrow and 6 in wide
+    for n, (dim, trust) in narrow.items():
+        if trust == "trusted" and wide[n][1] == "trusted":
+            assert dim == wide[n][0], f"H_{n}"

@@ -6,8 +6,17 @@ it names live.  After a deliberate change of a report, regenerate the
 files from fresh processes with
 
     PYTHONPATH=src python tests/test_golden.py
+
+and compare every report and exit code with them, rewriting nothing, with
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+Both script modes need only the standard library: the tests are
+parametrized by the `pytest_generate_tests` hook, so this module never
+imports pytest.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -15,8 +24,6 @@ import os
 import pathlib
 import subprocess
 import sys
-
-import pytest
 
 from sweedler.cli import main
 
@@ -72,8 +79,12 @@ def _run_in_process(argv: list) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-@pytest.mark.parametrize("name,command", COMMANDS,
-                         ids=[name for name, _ in COMMANDS])
+def pytest_generate_tests(metafunc):
+    if metafunc.function is test_golden_report:
+        metafunc.parametrize("name,command", COMMANDS,
+                             ids=[name for name, _ in COMMANDS])
+
+
 def test_golden_report(name, command, monkeypatch):
     monkeypatch.chdir(DATA)
     code, out = _run_in_process(command.split())
@@ -102,20 +113,54 @@ def test_readme_cli_block_is_the_first_commands():
                       for _, command in COMMANDS[:13]]
 
 
-def regenerate() -> None:
-    """Rewrite every golden file from a fresh `sweedler` process."""
-    GOLDEN.mkdir(exist_ok=True)
+def fresh_reports() -> dict:
+    """name -> (exit code, stdout bytes) of each command, run in a fresh
+    `sweedler` process."""
     env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
-    codes = {}
+    out = {}
     for name, command in COMMANDS:
         proc = subprocess.run([sys.executable, "-m", "sweedler.cli",
                                *command.split()], cwd=DATA, env=env,
                               capture_output=True, check=False)
-        (GOLDEN / f"{name}.txt").write_bytes(proc.stdout)
-        codes[name] = proc.returncode
+        out[name] = (proc.returncode, proc.stdout)
+    return out
+
+
+def regenerate() -> None:
+    """Rewrite every golden file from a fresh `sweedler` process."""
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, (code, stdout) in fresh_reports().items():
+        (GOLDEN / f"{name}.txt").write_bytes(stdout)
+        codes[name] = code
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=1) + "\n")
 
 
+def check() -> int:
+    """Compare every report and exit code with its golden file; 0 if all
+    match byte for byte, 1 otherwise.  Rewrites nothing."""
+    codes = _manifest()
+    bad = 0
+    for name, (code, stdout) in fresh_reports().items():
+        path = GOLDEN / f"{name}.txt"
+        same_text = path.exists() and stdout == path.read_bytes()
+        ok = same_text and code == codes.get(name)
+        bad += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {name}"
+              + ("" if same_text else " (report differs)")
+              + ("" if code == codes.get(name)
+                 else f" (exit {code}, golden {codes.get(name)})"))
+    print(f"{len(COMMANDS) - bad} of {len(COMMANDS)} golden reports match")
+    return 1 if bad else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=(
+        "Regenerate the golden CLI reports, or check them with --check."))
+    parser.add_argument("--check", action="store_true", help=(
+        "compare reports and exit codes with the golden files and exit 1 "
+        "on any difference, without rewriting them"))
+    if parser.parse_args().check:
+        sys.exit(check())
     regenerate()

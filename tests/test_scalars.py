@@ -114,6 +114,20 @@ def test_integral_rationals_are_ints():
                           Fraction(1, 2), Fraction(3, 4)]
 
 
+
+def test_int_arguments_skip_the_fraction_round_trip():
+    big = 10 ** 30 + 7
+    assert QQ.of(big) is big and QQ.of(-big) == -big
+    assert [QQ.inv(1), QQ.inv(-1), QQ.inv(Fraction(1)), QQ.inv(Fraction(-1))] \
+        == [1, -1, 1, -1]
+    assert {type(QQ.inv(a)) for a in (1, -1, Fraction(1), Fraction(-1))} \
+        == {int}
+    assert QQ.inv(2) == Fraction(1, 2) and QQ.of(True) == 1
+    for field in (QQ, Field(2), Field(5)):
+        for e in range(-3, 4):
+            assert field.sign(e) == field.of((-1) ** (e % 2))
+            assert type(field.sign(e)) is int
+
 # a rational in one of its three exact forms: an int (when integral), a
 # Fraction, or an integral Fraction left behind by arithmetic
 rationals = st.fractions(max_denominator=12).map(
