@@ -215,8 +215,8 @@ def _mark_overflow_degrees(space: GradedSpace, gen_degrees: list[int],
                 space.mark_inexact(n)
 
 
-def free_word_space(field: Field, generators: list[tuple], trunc: Truncation,
-                    unital: bool = True) -> GradedSpace:
+def free_word_space(field: Field, generators: list[tuple],
+                    trunc: Truncation) -> GradedSpace:
     """All tensor words of length ≤ weight_cap over graded generators.
 
     Words are listed by length, and within a length in the lexicographic
@@ -226,8 +226,7 @@ def free_word_space(field: Field, generators: list[tuple], trunc: Truncation,
     space = GradedSpace(field, trunc)
     degree_of = dict(generators)
     letters = [(g, degree_of[g]) for g, _ in generators]
-    if unital:
-        space.add(UNIT_WORD, 0, weight=0)
+    space.add(UNIT_WORD, 0, weight=0)
     level = [((), 0)]
     for length in range(1, trunc.weight_cap + 1):
         words = ((syms + (g,), degree + dg)
@@ -285,6 +284,12 @@ def extend_derivation(generators: list[tuple], phi: dict, space: GradedSpace,
     return D
 
 
+def _length_raise(d_gen: dict) -> int:
+    """How far the derivation extending `d_gen` can raise word length."""
+    return max([0, *(len(word_syms(w)) - 1
+                     for vec in d_gen.values() for w in vec)])
+
+
 def tensor_algebra(field: Field, generators: list[tuple], trunc: Truncation,
                    d_gen: dict | None = None, augmented: bool = False,
                    name: str = "") -> DgAlgebra:
@@ -297,10 +302,7 @@ def tensor_algebra(field: Field, generators: list[tuple], trunc: Truncation,
     space = free_word_space(field, generators, trunc)
     phi = d_gen or {}
     D = extend_derivation(generators, phi, space, -1)
-    raises = 0
-    for vec in phi.values():
-        for w in vec:
-            raises = max(raises, len(word_syms(w)) - 1)
+    raises = _length_raise(phi)
     one = field.one()
 
     def pair(a, b):
@@ -438,10 +440,7 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
 
     # differential: extend on the free algebra, check the ideal, induce
     D_free = extend_derivation(P.generators, P.d_gen, free, -1)
-    raises = 0
-    for vec in P.d_gen.values():
-        for w in vec:
-            raises = max(raises, len(word_syms(w)) - 1)
+    raises = _length_raise(P.d_gen)
     for rel, _ in usable_relations:
         if max(len(word_syms(w)) for w in rel) + raises > cap:
             continue   # not checkable in this window

@@ -592,8 +592,8 @@ def extract_from_coalgebra_map(f: GradedMap, b: BarConstruction,
     return alpha
 
 
-def algebra_map_issues(g: GradedMap, source: DgAlgebra, target: DgAlgebra,
-                       check_weight_cap: bool = True) -> list[str]:
+def algebra_map_issues(g: GradedMap, source: DgAlgebra,
+                       target: DgAlgebra) -> list[str]:
     """Multiplicativity, unit, augmentation and chain conditions for g."""
     field = g.field
     issues = []
@@ -604,8 +604,7 @@ def algebra_map_issues(g: GradedMap, source: DgAlgebra, target: DgAlgebra,
         for b in source.space.labels():
             wa = source.space.weight_of(a)
             wb = source.space.weight_of(b)
-            if check_weight_cap and wa is not None and wb is not None \
-                    and wa + wb > cap:
+            if wa is not None and wb is not None and wa + wb > cap:
                 continue
             lhs = g(source._pair(a, b))
             rhs = target.product(g.apply_label(a), g.apply_label(b))
@@ -615,8 +614,7 @@ def algebra_map_issues(g: GradedMap, source: DgAlgebra, target: DgAlgebra,
                 return issues
     for a in source.space.labels():
         wa = source.space.weight_of(a)
-        if check_weight_cap and wa is not None \
-                and wa + source.dg.d_raises > cap:
+        if wa is not None and wa + source.dg.d_raises > cap:
             continue
         if source.space.degree_of(a) - 1 < source.space.window.degree_min:
             continue
@@ -795,8 +793,9 @@ def length_sign_automorphism(space: GradedSpace) -> GradedMap:
 
 
 def sign_convention_report(d_int: GradedMap, d_ext: GradedMap,
-                           space: GradedSpace, raises_length: bool) -> list:
+                           dg: DgSpace) -> list:
     """Witnesses that π⁻¹(d^int+d^ext)π ≠ d^int-d^ext (empty = verified)."""
+    space = dg.space
     field = space.field
     pi = length_sign_automorphism(space)
     plus = d_int.add(d_ext)
@@ -805,7 +804,7 @@ def sign_convention_report(d_int: GradedMap, d_ext: GradedMap,
     cap = space.window.weight_cap
     for lab in space.labels():
         w = space.weight_of(lab)
-        if raises_length and w is not None and w + 1 > cap:
+        if w is not None and w + dg.d_raises > cap:
             continue
         if space.degree_of(lab) - 1 < space.window.degree_min:
             continue

@@ -55,7 +55,7 @@ def _field_trunc(args, pf: PresentationFile):
 
 
 def _strict_window_check(report: Report, args, space) -> None:
-    if getattr(args, "strict_window", False):
+    if args.strict_window:
         bad = sorted(space.inexact_degrees())
         report.check("strict window: no truncation-affected degrees",
                      not bad, f"affected degrees {bad}" if bad else "")
@@ -245,7 +245,7 @@ def cmd_twist(args) -> int:
         field, trunc = _field_trunc(args, pf)
         alpha, C, A = pf.build(field, trunc)
         report = Report("twist verify", field.name, str(trunc),
-                        args.convention or MINUS + "/" + PLUS)
+                        f"{MINUS}/{PLUS}")
         rep = verify_twisting_cochain(alpha, C, A, pointed=args.pointed)
         report.check(f"Maurer-Cartan equation ({rep.checked} basis elements)",
                      rep.passed,
@@ -306,8 +306,7 @@ def cmd_signs(args) -> int:
     report = Report("signs compare", field.name, str(trunc))
     if isinstance(obj, DgAlgebra):
         b = bar(obj, trunc, MINUS)
-        wit = sign_convention_report(b.d_int, b.d_ext, b.coalgebra.space,
-                                     raises_length=False)
+        wit = sign_convention_report(b.d_int, b.d_ext, b.coalgebra.dg)
         report.check("π conjugates bar conventions (π⁻¹(dint+dext)π = dint-dext)",
                      not wit, label_str(wit[0]) if wit else "")
         beta = universal_bar_cochain(b)
@@ -321,8 +320,7 @@ def cmd_signs(args) -> int:
                      rep_neg.failures[0] if rep_neg.failures else "")
     else:
         c = cobar(obj, trunc, PLUS)
-        wit = sign_convention_report(c.d_int, c.d_ext, c.algebra.space,
-                                     raises_length=True)
+        wit = sign_convention_report(c.d_int, c.d_ext, c.algebra.dg)
         report.check("π conjugates cobar conventions", not wit,
                      label_str(wit[0]) if wit else "")
         omega = universal_cobar_cochain(c)
@@ -347,14 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", help="Q or Fp:<p>")
         p.add_argument("--trunc", help="dmin:dmax:L")
         p.add_argument("--out", help="also write the report to this path")
-        p.add_argument("--strict-window", action="store_true",
-                       dest="strict_window")
         if preset:
             p.add_argument("--preset")
             p.add_argument("--file")
 
+    def strict_window(p):
+        p.add_argument("--strict-window", action="store_true",
+                       help="FAIL when a degree is truncation-affected")
+
     p = sub.add_parser("verify", help="build an object and run its axioms")
     common(p)
+    strict_window(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("dims", help="dimension table")
@@ -369,18 +370,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="the Maurer-Cartan algebra")
     common(p, preset=False)
-    p.add_argument("--convention", choices=[MINUS, PLUS])
     p.add_argument("--homology", action="store_true")
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("bar", help="bar construction of an algebra")
     common(p)
+    strict_window(p)
     p.add_argument("--convention", choices=[MINUS, PLUS])
     p.add_argument("--homology", action="store_true")
     p.set_defaults(func=cmd_bar)
 
     p = sub.add_parser("cobar", help="cobar construction of a coalgebra")
     common(p)
+    strict_window(p)
     p.add_argument("--convention", choices=[MINUS, PLUS])
     p.add_argument("--homology", action="store_true")
     p.set_defaults(func=cmd_cobar)
@@ -407,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twist", help="twisting cochains")
     p.add_argument("action", choices=["verify", "enumerate"])
     common(p, preset=False)
-    p.add_argument("--convention", choices=[MINUS, PLUS])
     p.add_argument("--map", help="map presentation file (for verify)")
     p.add_argument("--coalgebra")
     p.add_argument("--algebra")

@@ -418,15 +418,14 @@ def coshuffle_coalgebra(field: Field, generators: list[tuple],
 
 
 def coextend_coderivation(space: GradedSpace, generators: list[tuple],
-                          phi: dict, degree: int,
-                          pointed: bool = True) -> GradedMap:
+                          phi: dict, degree: int) -> GradedMap:
     """Unique coderivation of T^c(X) with corestriction phi.
 
     phi maps word labels to vectors over generator symbols.  The coextension
-    is D(x1⊗…⊗xk) = Σ_{i≤j} (-1)^{degree·(|x1|+…+|xi|)}
-    x1…xi ⊗ φ(x_{i+1}…x_j) ⊗ x_{j+1}…xk; with `pointed`, φ is only consulted
-    on words of length ≥ 1 (i < j).  Each column is summed in place, in the
-    order of (i, j), and only over the chunk lengths φ has images for.
+    is D(x1⊗…⊗xk) = Σ_{i<j} (-1)^{degree·(|x1|+…+|xi|)}
+    x1…xi ⊗ φ(x_{i+1}…x_j) ⊗ x_{j+1}…xk: T^c(X) is pointed, so φ is only
+    consulted on words of length ≥ 1.  Each column is summed in place, in
+    the order of (i, j), and only over the chunk lengths φ has images for.
     """
     field = space.field
     D = GradedMap(space, space, degree)
@@ -438,8 +437,7 @@ def coextend_coderivation(space: GradedSpace, generators: list[tuple],
     images = {w: [(sym, field.mul(one, c), field.mul(minus, c))
                   for sym, c in v.items()]
               for w, v in phi.items() if v}
-    lengths = sorted({len(word_syms(w)) for w in images
-                      if word_syms(w) or not pointed})
+    lengths = sorted({len(word_syms(w)) for w in images if word_syms(w)})
     inside = space._degree_lookup()
     for lab in space.labels():
         syms = word_syms(lab)

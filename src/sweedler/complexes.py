@@ -84,12 +84,12 @@ class SquareZeroReport:
     def passed(self) -> bool:
         return not self.witnesses
 
-    def describe(self, space: GradedSpace | None = None) -> str:
+    def describe(self, space: GradedSpace) -> str:
         if self.passed:
             return f"d²=0 on {self.checked} checkable basis elements"
         label, residue = self.witnesses[0]
-        res = space.render(residue) if space else repr(residue)
-        return (f"d²≠0 at {label_str(label)}: d²({label_str(label)}) = {res}"
+        return (f"d²≠0 at {label_str(label)}: d²({label_str(label)}) = "
+                f"{space.render(residue)}"
                 f" ({len(self.witnesses)} witnesses)")
 
 

@@ -562,13 +562,12 @@ def susp_label(n: int, x) -> tuple:
     return ("s", n, x)
 
 
-def suspend(X: GradedSpace, n: int, strict: bool = False) -> GradedSpace:
+def suspend(X: GradedSpace, n: int) -> GradedSpace:
     """S^n(X)_i = s^n ⊗ X_{i-n}."""
     S = GradedSpace(X.field, X.window)
     for d in X.degrees():
         for x in X.basis(d):
-            ok = S.add(susp_label(n, x), d + n, weight=X.weight_of(x),
-                       strict=strict)
+            ok = S.add(susp_label(n, x), d + n, weight=X.weight_of(x))
             if not ok:
                 S.mark_inexact(d + n)
     for d in X.inexact_degrees():

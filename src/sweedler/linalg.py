@@ -82,10 +82,17 @@ class RowSpace:
     def insert(self, red: dict) -> dict:
         """Insert a nonzero reduced vector: scale its pivot to 1 and
         back-eliminate that pivot, in place, from the rows that hold it.
-        Returns the (live) row."""
+        Takes ownership of `red`, which is scaled in place and becomes the
+        (live) row it returns."""
         field, rows, cols = self.field, self.rows, self.cols
         piv = self._pivot_of(red)
-        red = vscale(field, field.inv(red[piv]), red)
+        inv = field.inv(red[piv])
+        # over Q a product with 1 is the value itself; over F_p it also
+        # reduces mod p, so it is never skipped there
+        if field.p is not None or not field.is_one(inv):
+            mul = field.mul
+            for k, c in red.items():
+                red[k] = mul(inv, c)
         for q in cols.pop(piv, ()):
             row = rows[q]
             vaddmul_into(field, row, field.neg(row[piv]), red)

@@ -24,7 +24,7 @@ from .algebras import (DgAlgebra, PresentedAlgebra, normal_forms, word_label,
                        word_syms, UNIT_WORD, tensor_algebra, AlgebraError)
 from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_coalgebra,
                          coextend_coderivation, finite_dual, dual_algebra,
-                         RegimeViolation, CoalgebraError)
+                         check_cofree_regime, CoalgebraError)
 from .linalg import vaddmul, vscale
 
 
@@ -210,7 +210,7 @@ class SweedlerProduct:
 
 
 def sweedler_product(C: DgCoalgebra, A: DgAlgebra, trunc: Truncation,
-                     pointed: bool = False, weight_hint=None,
+                     pointed: bool = False,
                      verify: bool = False) -> SweedlerProduct:
     """C▷A as the presented algebra on symbols c▷a.
 
@@ -228,12 +228,9 @@ def sweedler_product(C: DgCoalgebra, A: DgAlgebra, trunc: Truncation,
             g = rh_label(c, a)
             degree = C.space.degree_of(c) + A.space.degree_of(a)
             generators.append((g, degree))
-            if weight_hint is not None:
-                w = weight_hint(c, a)
-            else:
-                w = A.space.weight_of(a)
-                if w is None:
-                    w = 0 if a in unit_labels else 1
+            w = A.space.weight_of(a)
+            if w is None:
+                w = 0 if a in unit_labels else 1
             gen_weights[g] = w
 
     def lift(cvec: dict, avec: dict) -> dict:
@@ -440,11 +437,7 @@ def sweedler_hom_free(field: Field, x_gens: list[tuple], B: DgAlgebra,
             h = hom_label(x, b)
             hdeg = B.space.degree_of(b) - dx
             generators.append((h, hdeg))
-    degs = [d for _, d in generators]
-    if degs and not (all(d > 0 for d in degs) or all(d < 0 for d in degs)):
-        raise RegimeViolation(
-            "[X,B] must be strictly positive or strictly negative for the "
-            f"T^c formula; got degrees {sorted(set(degs))}")
+    check_cofree_regime(generators)
 
     base = tensor_coalgebra(field, generators, trunc,
                             name=name or f"{{T(X),{B.name}}}")
@@ -476,7 +469,7 @@ def sweedler_hom_free(field: Field, x_gens: list[tuple], B: DgAlgebra,
                                   {hom_label(x, b2): field.one()})
         if val:
             phi[w] = val
-    D = coextend_coderivation(space, generators, phi, -1, pointed=True)
+    D = coextend_coderivation(space, generators, phi, -1)
     carrier = DgCoalgebra(DgSpace(space, D), base.comult, base.counit,
                           atom=base.atom, name=base.name)
 

@@ -446,8 +446,7 @@ def test_pi_conjugates_bar_conventions():
     b_minus = bar(A, tr, MINUS)
     b_plus = bar(A, tr, PLUS)
     assert sign_convention_report(b_minus.d_int, b_minus.d_ext,
-                                  b_minus.coalgebra.space,
-                                  raises_length=False) == []
+                                  b_minus.coalgebra.dg) == []
     # π is a dg-coalgebra isomorphism (BA, d⁻) → (BA, d⁺)
     pi = length_sign_automorphism(b_minus.coalgebra.space)
     assert coalgebra_map_issues(pi, b_minus.coalgebra,
@@ -463,8 +462,7 @@ def test_pi_conjugates_cobar_conventions():
     cb_plus = cobar(C, tr, PLUS)
     cb_minus = cobar(C, tr, MINUS)
     assert sign_convention_report(cb_plus.d_int, cb_plus.d_ext,
-                                  cb_plus.algebra.space,
-                                  raises_length=True) == []
+                                  cb_plus.algebra.dg) == []
     # π is a dg-algebra isomorphism (ΩC, d⁻) → (ΩC, d⁺)
     pi = length_sign_automorphism(cb_plus.algebra.space)
     assert algebra_map_issues(pi, cb_minus.algebra, cb_plus.algebra) == []
@@ -474,8 +472,7 @@ def test_pi_on_zero_differential_input():
     tr = Truncation(-1, 6, 4)
     A = dual_numbers(tr=tr)
     b = bar(A, tr)
-    assert sign_convention_report(b.d_int, b.d_ext, b.coalgebra.space,
-                                  raises_length=False) == []
+    assert sign_convention_report(b.d_int, b.d_ext, b.coalgebra.dg) == []
 
 
 # -- Hopf structures -------------------------------------------------------------------

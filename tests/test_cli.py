@@ -222,6 +222,30 @@ def test_strict_window_flag():
     assert "affected degrees" in out2
 
 
+# flags a command would only parse and ignore: mc and twist have no sign
+# convention, and only verify, bar and cobar run the strict-window check
+@pytest.mark.parametrize("argv,flag", [
+    (["mc", "--convention", "plus"], "--convention=plus"),
+    (["twist", "verify", "--map", "my_cochain.swp", "--pointed",
+      "--convention", "plus"], "--convention=plus"),
+    (["homology", "--preset", "dual-numbers", "--strict-window"],
+     "--strict-window"),
+    (["dims", "--preset", "mc", "--strict-window"], "--strict-window"),
+    (["convolve", "--coalgebra", "preset:diagonal-coalgebra:2",
+      "--algebra", "preset:dual-numbers", "--strict-window"],
+     "--strict-window"),
+], ids=["mc-convention", "twist-convention", "homology-strict-window",
+        "dims-strict-window", "convolve-strict-window"])
+def test_removed_flags_are_usage_errors(argv, flag, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sweedler ")
+    assert err.endswith(f"error: unrecognized arguments: {flag}\n")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["bar", "--preset", "dual-numbers", "--trunc", "a:b:c"],
      "error: bad truncation 'a:b:c', want dmin:dmax:L"),
