@@ -5,9 +5,14 @@ on basis labels (bilinear extension), so quotients, convolution algebras and
 tensor products share one interface.  Products that would overflow the word
 cap return zero and mark the target degree truncation-affected.
 
-Quotients by two-sided ideals are computed degreewise by exact elimination
-(no Gröbner machinery): inside a window this always terminates and the
-deterministic pivot order makes the normal-form basis reproducible.
+Quotients by two-sided ideals are computed degreewise by exact elimination:
+inside a window this always terminates and the deterministic pivot order
+makes the normal-form basis reproducible.  Each ideal slice is a per-degree
+Macaulay matrix, as in F4, but with no S-polynomials: its rows u·r·v are
+walked level by level (|u| + maxlen(r) + |v|) and built by one-letter
+closure, x·I and I·x.  A one-letter extension of an element that added no
+row is skipped when the rows it depends on stay inside the window after
+the extension; `_ideal_slices` gives the rule and why the span is unchanged.
 """
 
 from __future__ import annotations
@@ -331,37 +336,137 @@ class PresentedAlgebra:
     gen_weights: dict = dc_field(default_factory=dict)
 
 
-def _word_sort_key(space: GradedSpace, gen_index: dict):
-    def key(label):
-        syms = word_syms(label)
-        return (len(syms), tuple(gen_index[s] for s in syms))
-    return key
+def _parent_kind(p: int, n_p: int, letter: int, grow: dict,
+                 trunc: Truncation) -> int:
+    """A parent triple of `_ideal_slices`, through the word id p and its
+    degree n_p: 0 when it is not in S, 1 when it is safe to extend by a
+    letter of degree `letter`, 2 when it is not.  `grow` maps a degree to
+    the letter degrees that keep its spread in the window."""
+    if p < 0 or not trunc.degree_min <= n_p <= trunc.degree_max:
+        return 0
+    lo, hi = grow.get(n_p, (letter, letter))
+    return 1 if lo <= letter <= hi else 2
+
+
+def _ideal_slices(free: GradedSpace, gen_degree: dict,
+                  relations: list) -> dict[int, RowSpace]:
+    """The ideal slices of `normal_forms`, one RowSpace per degree of `free`.
+
+    `relations` holds (relation, degree) pairs whose terms all lie in `free`.
+    The slice I_n is spanned by the set S of triples (u, r, v) with u, v
+    words of `free`, |u| + |v| + maxlen(r) ≤ cap and deg(u·r·v) = n; each
+    triple stands for the element u·r·v.  S is walked level by level, the
+    level of a triple being |u| + maxlen(r) + |v|, from 0 (a scalar
+    relation has maxlen 0) to the cap.  The parents of (u, r, v) are
+    (u[1:], r, v) and (u, r, v[:-1]) when they lie in S.  A triple is
+    skipped, not built, when it has a parent and every parent p
+      - added no row, and
+      - is safe to extend: over the row-adding triples of p's degree of
+        level < ℓ, the range of deg(u) (deg(v) for the v-parent), shifted by
+        the degree of the added letter, stays inside the window.
+    Every other triple is built and reduced into its slice.
+
+    Why the span is unchanged: a parent p at level ℓ-1 that added no row is
+    Σ cᵢ gᵢ over row-adding triples gᵢ of its degree and of level ≤ ℓ-1.
+    With x the added letter, safety puts every x·gᵢ in S, and x·gᵢ has the
+    row-adding parent gᵢ, so it is built; hence x·p = Σ cᵢ x·gᵢ is in the
+    span already.  Skip decisions at level ℓ read only levels < ℓ.  When
+    mixed-sign letters take an intermediate x·uᵢ out of the window, the
+    safety test fails and the triple is built as before.  Since a fully
+    reduced echelon form depends only on the span and the pivot order, the
+    rows are those of building every triple.
+    """
+    field = free.field
+    trunc = free.window
+    cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
+    # long words are killed first
+    reducers = {n: RowSpace(field, free.basis(n)[::-1])
+                for n in free.degrees()}
+    # integer word ids; tail / init: the id without the first / last letter,
+    # -1 when that word leaves the window or the word is empty
+    labels = free.labels()
+    index = {w: i for i, w in enumerate(labels)}
+    syms = [word_syms(w) for w in labels]
+    degree = [free.degree_of(w) for w in labels]
+    tail = [index.get(word_label(s[1:]), -1) if s else -1 for s in syms]
+    init = [index.get(word_label(s[:-1]), -1) if s else -1 for s in syms]
+    first = [gen_degree[s[0]] if s else 0 for s in syms]
+    last = [gen_degree[s[-1]] if s else 0 for s in syms]
+    buckets: list[dict] = [{} for _ in range(cap + 1)]   # length -> degree
+    for i, s in enumerate(syms):
+        buckets[len(s)].setdefault(degree[i], []).append(i)
+    rels = []
+    for rel, rel_deg in relations:
+        # the terms of r as field elements, zero terms dropped
+        terms = [(word_syms(w), c)
+                 for w, c in vaddmul(field, {}, field.one(), rel).items()]
+        rels.append((terms, rel_deg, max(len(s) for s, _ in terms)))
+
+    def blocks(level: int):
+        """(r, terms, n, us, vs) over the triples of S at this level: u in
+        us, v in vs, all of the same lengths and degrees, deg u·r·v = n."""
+        for r, (terms, rel_deg, maxlen) in enumerate(rels):
+            k = level - maxlen
+            for a in range(k + 1):
+                for du, us in buckets[a].items():
+                    for dv, vs in buckets[k - a].items():
+                        n = du + rel_deg + dv
+                        if dmin <= n <= dmax:
+                            yield r, terms, n, us, vs
+
+    nw = len(labels)
+    added = set()       # (r·nw + u)·nw + v of each row-adding triple
+    u_degs: dict = {}   # degree -> deg u over its row-adding triples
+    v_degs: dict = {}   # degree -> deg v over its row-adding triples
+    for level in range(cap + 1):
+        # the letter degrees that keep each degree's spread in the window
+        grow_u = {n: (dmin - min(ds), dmax - max(ds))
+                  for n, ds in u_degs.items()}
+        grow_v = {n: (dmin - min(ds), dmax - max(ds))
+                  for n, ds in v_degs.items()}
+        for r, terms, n, us, vs in blocks(level):
+            rs = reducers[n]
+            vinfo = [(v, init[v], _parent_kind(init[v], n - last[v], last[v],
+                                               grow_v, trunc)) for v in vs]
+            for u in us:
+                pu = tail[u]
+                u_kind = _parent_kind(pu, n - first[u], first[u], grow_u,
+                                      trunc)
+                u_key = (r * nw + u) * nw
+                pu_key = (r * nw + pu) * nw
+                for v, pv, v_kind in vinfo:
+                    # skipped: some parent, none unsafe (the kinds or to 1),
+                    # and none added a row
+                    if u_kind | v_kind == 1 \
+                            and not (u_kind and pu_key + v in added) \
+                            and not (v_kind and u_key + pv in added):
+                        continue
+                    us_, vs_ = syms[u], syms[v]
+                    if rs.add({word_label(us_ + ws + vs_): c
+                               for ws, c in terms}) is not None:
+                        added.add(u_key + v)
+                        u_degs.setdefault(n, set()).add(degree[u])
+                        v_degs.setdefault(n, set()).add(degree[v])
+    return reducers
 
 
 def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
     """Quotient of the free algebra by the two-sided ideal of the relations.
 
     Per degree, the ideal slice is spanned by u·r·v over free words u,v and
-    relations r; the normal-form basis is the set of non-pivot words under
-    elimination that prefers killing long words.  The free words are sorted
-    by length first, so the u that leave room for r, and the v that leave
-    room for u·r, are prefixes of that list; u·r·v is built only when its
-    degree lies in the window.  The induced product and differential are
+    relations r.  It is built by one-letter closure (`_ideal_slices`, which
+    gives the proof): the triples are walked by level |u| + maxlen(r) + |v|,
+    and x·p or p·x is skipped when p added no row and the rows p depends on
+    stay in the window after the extension.  The normal-form basis is the
+    set of non-pivot words under elimination that prefers killing long
+    words.  Reduced vectors list their words in the
+    quotient basis order.  The induced product and differential are
     re-normalized; a differential that does not preserve the ideal inside
     the window raises InconsistentDifferential.
     """
     field = P.field
     free = free_word_space(field, P.generators, P.trunc)
-    gen_index = {g: i for i, (g, _) in enumerate(P.generators)}
-    sort_key = _word_sort_key(free, gen_index)
     cap = P.trunc.weight_cap
-
-    # collect ideal slice spans per degree
-    reducers: dict[int, RowSpace] = {}
-    for n in free.degrees():
-        order = sorted(free.basis(n), key=sort_key, reverse=True)
-        reducers[n] = RowSpace(field, order)
-    all_words = sorted(free.labels(), key=sort_key)
     gen_degree = dict(P.generators)
     dropped_partial = False
 
@@ -388,29 +493,17 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
                 free.mark_inexact(n)
         # else: the relation lives entirely outside the window
 
-    words = [(word_syms(w), free.degree_of(w)) for w in all_words]
-    # words[:upto[L]] are the words of length ≤ L
-    upto = [sum(len(syms) <= n for syms, _ in words) for n in range(cap + 1)]
-    for rel, rel_deg in usable_relations:
-        room = cap - max(len(word_syms(w)) for w in rel)
-        # the terms of r as field elements, zero terms dropped
-        terms = [(word_syms(w), c)
-                 for w, c in vaddmul(field, {}, field.one(), rel).items()]
-        for us, du in words[:upto[room]]:
-            for vs, dv in words[:upto[room - len(us)]]:
-                # a degree in the window has words, hence a reducer
-                rs = reducers.get(du + rel_deg + dv)
-                if rs is not None:
-                    rs.add({word_label(us + ws + vs): c for ws, c in terms})
+    reducers = _ideal_slices(free, gen_degree, usable_relations)
 
     def reduce(vec: dict) -> dict:
+        """Normal form of vec, its words in the quotient basis order."""
         out: dict = {}
         by_deg: dict[int, dict] = {}
         for w, c in vec.items():
             by_deg.setdefault(free.degree_of(w), {})[w] = c
         for deg, part in by_deg.items():
             vaddmul_into(field, out, field.one(), reducers[deg].reduce(part))
-        return out
+        return {w: out[w] for w in sorted(out, key=position.__getitem__)}
 
     # quotient carrier: non-pivot words
     space = GradedSpace(field, P.trunc)
@@ -419,10 +512,12 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
         weight_of[g] = P.gen_weights.get(g, 1)
     for n in free.degrees():
         pivots = reducers[n].pivots()
-        for w in sorted(free.basis(n), key=sort_key):
+        for w in free.basis(n):
             if w not in pivots:
                 wt = sum(weight_of[s] for s in word_syms(w))
                 space.add(w, n, weight=wt)
+    # every non-pivot word of free is a quotient basis word
+    position = {w: i for i, w in enumerate(space.labels())}
     for n in free.inexact_degrees():
         if P.trunc.contains(n):
             space.mark_inexact(n)

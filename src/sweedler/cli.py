@@ -467,6 +467,12 @@ def main(argv=None) -> int:
             EnumerationTooLarge) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError:
+        # the frames that held the allocation have unwound, which frees
+        # room for this line
+        sys.stderr.write("error: out of memory; try a smaller --trunc "
+                         "window\n")
+        return 2
 
 
 if __name__ == "__main__":

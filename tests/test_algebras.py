@@ -358,15 +358,25 @@ def test_leibniz_and_d_squared_on_constructed_algebras():
 # -- reference u·r·v loop ---------------------------------------------------------
 #
 # normal_forms as it was before it enumerated prefixes of the length-sorted
-# words: every pair (u, v) of free words is tested against the word cap, each
-# element grows by one vaddmul copy per term, each insertion scans every row,
-# and the derivation is extended by vaddmul copies.  The library must give
-# the same reducer rows, quotient basis, product table and differential,
-# dict key order included.
+# words and before it built the ideal slices by one-letter closure: every
+# pair (u, v) of free words is tested against the word cap, every u·r·v in
+# the window is reduced, each element grows by one vaddmul copy per term,
+# each insertion scans every row, and the derivation is extended by vaddmul
+# copies.  The library must give the same pivot → row mapping per degree
+# (the key order of a row depends on the order the rows arrived in), the
+# same quotient basis, and the same product table and differential, whose
+# vectors list their words in the quotient basis order.
 
 
 class _ScanRowSpace(RowSpace):
-    """RowSpace whose insert scans every row and copies each one it edits."""
+    """RowSpace whose insert scans every row and copies each one it edits;
+    `adds` counts the calls of add."""
+
+    adds = 0
+
+    def add(self, v):
+        self.adds += 1
+        return super().add(v)
 
     def insert(self, red):
         field = self.field
@@ -399,16 +409,21 @@ def _ref_extend_derivation(generators, phi, space, degree):
     return D
 
 
+def _word_sort_key(generators):
+    """Length first, then the lexicographic order of the generator list."""
+    gen_index = {g: i for i, (g, _) in enumerate(generators)}
+
+    def key(label):
+        syms = word_syms(label)
+        return (len(syms), tuple(gen_index[s] for s in syms))
+    return key
+
+
 def _ref_normal_forms(P):
     """(reducers, basis per degree, product table, D) of the old loop."""
     field = P.field
     free = free_word_space(field, P.generators, P.trunc)
-    gen_index = {g: i for i, (g, _) in enumerate(P.generators)}
-
-    def sort_key(label):
-        syms = word_syms(label)
-        return (len(syms), tuple(gen_index[s] for s in syms))
-
+    sort_key = _word_sort_key(P.generators)
     cap = P.trunc.weight_cap
     reducers = {n: _ScanRowSpace(field, sorted(free.basis(n), key=sort_key,
                                                reverse=True))
@@ -446,24 +461,69 @@ def _ref_normal_forms(P):
             by_deg.setdefault(free.degree_of(w), {})[w] = c
         for deg, part in by_deg.items():
             out = vaddmul(field, out, field.one(), reducers[deg].reduce(part))
-        return [(w, c) for w, c in out.items() if w in quotient]
+        return {w: c for w, c in out.items() if w in quotient}
 
     basis = {n: [w for w in sorted(free.basis(n), key=sort_key)
                  if w not in reducers[n].rows] for n in free.degrees()}
-    quotient = [w for n in sorted(basis) for w in basis[n]]
+    quotient = {w for ws in basis.values() for w in ws}
     D_free = _ref_extend_derivation(P.generators, P.d_gen, free, -1)
     D = {w: normal(D_free.apply_label(w)) for w in quotient}
     product = {}
     for a in quotient:
         for b in quotient:
             lab = word_label(word_syms(a) + word_syms(b))
-            product[a, b] = normal({lab: field.one()}) if lab in free else []
+            product[a, b] = normal({lab: field.one()}) if lab in free else {}
     return reducers, basis, product, D
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The RowSpaces normal_forms makes, in order; `adds` counts add calls."""
+    made = []
+
+    class Recording(RowSpace):
+        adds = 0
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+        def add(self, v):
+            self.adds += 1
+            return super().add(v)
+
+    monkeypatch.setattr(algebras, "RowSpace", Recording)
+    return made
+
+
+def _check_against_reference(P, made):
+    """Compare normal_forms(P) with the reference loop; returns the quotient
+    and the add calls of the library and of the reference."""
+    made.clear()
+    A = normal_forms(P)
+    reducers, basis, product, D = _ref_normal_forms(P)
+    assert len(made) == len(reducers)
+    for rs, n in zip(made, sorted(reducers)):
+        assert rs.rows == reducers[n].rows
+    assert {n: A.space.basis(n) for n in A.space.degrees()} == \
+        {n: ws for n, ws in basis.items() if ws}
+    labels = A.space.labels()
+    pairs = {(a, b): A._pair(a, b) for a in labels for b in labels}
+    diffs = {w: A.d.apply_label(w) for w in labels}
+    assert pairs == product
+    assert diffs == D
+    position = {w: i for i, w in enumerate(labels)}
+    for vec in [*pairs.values(), *diffs.values()]:
+        assert list(vec) == sorted(vec, key=position.__getitem__)
+    return (A, sum(rs.adds for rs in made),
+            sum(rs.adds for rs in reducers.values()))
 
 
 def _random_presentation(rng, field):
     """Mixed-sign and degree-0 generators; relations whose terms differ in
-    length, some only partly inside the window, some entirely outside."""
+    length, some only partly inside the window, some entirely outside, and
+    some on short words inside the window, whose one-letter extensions
+    often leave it."""
     gens = [(f"g{i}", rng.choice((-2, -1, 0, 0, 1, 2)))
             for i in range(rng.randint(2, 3))]
     degree_of = dict(gens)
@@ -499,42 +559,41 @@ def _random_presentation(rng, field):
         rel = combination(words) if words else {}
         if rel:
             relations.append(rel)
+    for _ in range(rng.randint(1, 2)):
+        degree = rng.randint(trunc.degree_min, trunc.degree_max)
+        words = [w for w in words_of(names, degree, 2) if w != UNIT_WORD]
+        rel = combination(words) if words else {}
+        if rel:
+            relations.append(rel)
     return PresentedAlgebra(field, gens, relations, d_gen, trunc)
 
 
-def test_normal_forms_matches_reference_loop(monkeypatch):
-    made = []
+def _every_parent_safe(monkeypatch):
+    """Make normal_forms skip extensions without the safety rule."""
+    kind = algebras._parent_kind
+    monkeypatch.setattr(algebras, "_parent_kind",
+                        lambda *args: min(kind(*args), 1))
 
-    class Recording(RowSpace):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
 
-    monkeypatch.setattr(algebras, "RowSpace", Recording)
+def test_normal_forms_matches_reference_loop(made, monkeypatch):
+    def adds_without_safety(P):
+        with monkeypatch.context() as m:
+            _every_parent_safe(m)
+            made.clear()
+            normal_forms(P)
+        return sum(rs.adds for rs in made)
+
     rng = random.Random(1999)
     seen = {"partial": 0, "outside": 0, "mixed lengths": 0, "nonzero d": 0,
-            "rows": 0}
+            "rows": 0, "level 0": 0, "skipped": 0, "unsafe": 0}
     for field in (QQ, Field(5), Field(2)):
-        for _ in range(25):
+        for _ in range(40):
             P = _random_presentation(rng, field)
-            made.clear()
-            A = normal_forms(P)
-            reducers, basis, product, D = _ref_normal_forms(P)
-
-            assert len(made) == len(reducers)
-            for rs, n in zip(made, sorted(reducers)):
-                ref = reducers[n]
-                assert rs.pivots() == ref.pivots()
-                assert ([(k, list(r.items())) for k, r in rs.rows.items()]
-                        == [(k, list(r.items())) for k, r in ref.rows.items()])
-                seen["rows"] += ref.rank
-            assert {n: A.space.basis(n) for n in A.space.degrees()} == \
-                {n: ws for n, ws in basis.items() if ws}
-            labels = A.space.labels()
-            assert {(a, b): list(A._pair(a, b).items())
-                    for a in labels for b in labels} == product
-            assert {w: list(A.d.apply_label(w).items())
-                    for w in labels} == D
+            A, adds, ref_adds = _check_against_reference(P, made)
+            seen["rows"] += sum(rs.rank for rs in made)
+            seen["skipped"] += adds < ref_adds
+            # the safety rule decided whether some triple was built
+            seen["unsafe"] += adds_without_safety(P) != adds
 
             degree_of = dict(P.generators)
             for rel in P.relations:
@@ -544,5 +603,72 @@ def test_normal_forms_matches_reference_loop(monkeypatch):
                 seen["mixed lengths"] += len(lens) > 1
                 seen["partial"] += in_window and max(lens) > P.trunc.weight_cap
                 seen["outside"] += not in_window
-            seen["nonzero d"] += any(D.values())
+                seen["level 0"] += in_window and lens == {0}
+            seen["nonzero d"] += not A.d.is_zero()
     assert min(seen.values()) >= 3, seen
+
+
+def test_free_word_space_lists_words_by_length_then_generator_order():
+    # normal_forms reads each degree's words in this order, unsorted
+    rng = random.Random(404)
+    for _ in range(60):
+        gens = [(f"x{i}", rng.randint(-2, 2))
+                for i in rng.sample(range(5), rng.randint(1, 4))]
+        trunc = Truncation(-rng.randint(0, 4), rng.randint(0, 4),
+                           rng.randint(1, 5))
+        free = free_word_space(QQ, gens, trunc)
+        key = _word_sort_key(gens)
+        for n in free.degrees():
+            words = free.basis(n)
+            assert words == sorted(words, key=key)
+            assert len({key(w) for w in words}) == len(words)
+
+
+def test_closure_needs_the_safety_rule(made, monkeypatch):
+    # g0 = 0 with g1, g2 of degrees ±2 in -1:2: rows of degree 0 come from
+    # u·g0·v with deg u = ±2, and one more letter of degree ±2 takes such a
+    # u out of the window; skipping those extensions loses rows
+    P = PresentedAlgebra(QQ, [("g0", 0), ("g1", 2), ("g2", -2)],
+                         [{word_label(("g0",)): QQ.one()}], {},
+                         Truncation(-1, 2, 4))
+    ref = _ref_normal_forms(P)[0]
+    _check_against_reference(P, made)
+    _every_parent_safe(monkeypatch)
+    made.clear()
+    normal_forms(P)
+    assert any(rs.rows != ref[n].rows for rs, n in zip(made, sorted(ref)))
+
+
+def _sweedler_product_presentations():
+    """The presentations of the sweedler-product bench workload."""
+    from sweedler import barcobar, sweedler_ops as so
+
+    T = Truncation.parse
+
+    def preset(name, trunc):
+        return load_preset(name).build(QQ, trunc)
+
+    dual6 = preset("dual-numbers", T("-6:6:6"))
+    sps = [so.example_construction("diff_alg", dual6, T("-6:6:5"), n=n)
+           for n in (0, 1)]
+    for coalgebra, dmin in (("primitive-coalgebra:1", -2),
+                            ("diagonal-coalgebra:2", -3)):
+        tr = Truncation(dmin, -dmin, 4)
+        mc = barcobar.mc_algebra(QQ, Truncation(dmin, 0, 4))
+        sps.append(so.sweedler_product(preset(coalgebra, tr), mc.algebra, tr,
+                                       pointed=True))
+    tr = T("-4:4:4")
+    sps.append(so.sweedler_product(so.primitive_coalgebra(QQ, tr, degree=1),
+                                   tensor_algebra(QQ, [("x", 1)], tr), tr))
+    tr = T("-6:6:4")
+    sps.append(so.sweedler_product(preset("diagonal-coalgebra:2", tr),
+                                   preset("dual-numbers", tr), tr))
+    return [sp.presentation for sp in sps]
+
+
+def test_closure_halves_the_ideal_elements_on_sweedler_products(made):
+    adds = ref_adds = 0
+    for P in _sweedler_product_presentations():
+        _, a, r = _check_against_reference(P, made)
+        adds, ref_adds = adds + a, ref_adds + r
+    assert adds <= ref_adds // 2

@@ -1,5 +1,9 @@
 import io
 import contextlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -268,6 +272,26 @@ def test_bad_numbers_fail_cleanly(argv, message, capsys):
     assert out == ""
     # one error line, no traceback
     assert capsys.readouterr().err == message + "\n"
+
+
+def test_out_of_memory_is_one_error_line():
+    # about 126⁶ words of length 6 lie in this window; under a 200 MB
+    # address-space cap the child runs out of memory within seconds
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sweedler.cli", "bar", "--preset",
+         "free-algebra:x=0,y=0", "--trunc", "-1:6:6"],
+        env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
+        capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == \
+        "error: out of memory; try a smaller --trunc window\n"
 
 
 def homology_table(out: str) -> dict:
