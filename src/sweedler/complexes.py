@@ -123,8 +123,7 @@ def homology(X: DgSpace, check: bool = True) -> dict[int, HomologyEntry]:
     space, d = X.space, X.d
     ranks: dict[int, int] = {}
     for n in space.degrees():
-        cols = {lab: d.apply_label(lab) for lab in space.basis(n)}
-        ranks[n] = rank_of_columns(space.field, cols, space.basis(n),
+        ranks[n] = rank_of_columns(space.field, d.columns, space.basis(n),
                                    space.basis(n - 1))
     out: dict[int, HomologyEntry] = {}
     for n in space.degrees():
@@ -138,8 +137,7 @@ def homology(X: DgSpace, check: bool = True) -> dict[int, HomologyEntry]:
 def cycles(X: DgSpace, degree: int) -> list[dict]:
     """Basis of ker(d) in one degree."""
     space = X.space
-    cols = {lab: X.d.apply_label(lab) for lab in space.basis(degree)}
-    return kernel_basis(space.field, cols, space.basis(degree),
+    return kernel_basis(space.field, X.d.columns, space.basis(degree),
                         space.basis(degree - 1))
 
 

@@ -224,18 +224,28 @@ class GradedMap:
         return self.source.field
 
     def set(self, label, vec: dict) -> None:
-        if label not in self.source:
+        """Store the nonzero terms of vec as the image of label, in one
+        pass that checks each term's degree."""
+        degree = self.source._degree_lookup()(label)
+        if degree is None:
             raise GradedError(f"source lacks {label_str(label)}")
-        want = self.source.degree_of(label) + self.degree
-        vec = {k: c for k, c in vec.items() if not self.field.is_zero(c)}
-        for k in vec:
-            got = self.target.degree_of(k)
+        want = degree + self.degree
+        target_degree = self.target._degree_lookup()
+        is_zero = self.field.is_zero
+        col = {}
+        for k, c in vec.items():
+            if is_zero(c):
+                continue
+            got = target_degree(k)
             if got != want:
+                if got is None:
+                    self.target.degree_of(k)    # raises: unknown basis label
                 raise GradedError(
                     f"image of {label_str(label)} not homogeneous: "
                     f"{label_str(k)} has degree {got}, want {want}")
-        if vec:
-            self.columns[label] = vec
+            col[k] = c
+        if col:
+            self.columns[label] = col
         else:
             self.columns.pop(label, None)
 

@@ -6,18 +6,22 @@ nonzero coordinate in the ambient basis order, and rows are processed in
 insertion order, so bases of kernels, quotients and row spaces are
 reproducible across runs.
 
-`RowSpace` is the one elimination routine.  Its rows are kept in reduced
-row echelon form: each row has a leading 1 at its pivot and zeros at every
-other pivot.  Subtracting a row therefore never brings a pivot coordinate
-back, and a vector is reduced by one sweep over its pivot coordinates in
-pivot order.  A column index maps each non-pivot label to the pivots of
-the rows that hold it, so inserting a row back-eliminates its pivot from
-exactly the rows that hold that label, editing them in place.  The row
-returned by `add`/`insert` is the live row, not a copy: later insertions
-may edit it.  Kernels and membership combinations are tracked by extra
-tracking columns (_TRACK, s), one per source vector, ordered after every
-ambient label so they are never pivots; the tracked combination of a
-reduced vector is its tracking part.
+`RowSpace` is the one elimination routine.  It works on integer column
+ids: a label's id is its position in the ambient order, so it is also its
+pivot priority (lower wins), and a row's pivot is the least id it holds.
+Labels become ids once, when a vector enters `reduce`, `add`, `insert` or
+`contains`, and ids become labels once, when a result leaves; hashing an
+int is several times cheaper than hashing a nested label tuple.  The rows
+are kept in reduced row echelon form: each row has a leading 1 at its
+pivot and zeros at every other pivot.  Subtracting a row therefore never
+brings a pivot coordinate back, and a vector is reduced by one sweep over
+its pivot coordinates in pivot order.  A column index maps each non-pivot
+id to the pivots of the rows that hold it, so inserting a row
+back-eliminates its pivot from exactly the rows that hold that column,
+editing them in place.  Kernels and membership combinations are tracked
+by extra tracking columns, one per source vector, whose ids follow every
+ambient id so they are never pivots; the tracked combination of a reduced
+vector is its tracking part.
 """
 
 from __future__ import annotations
@@ -55,37 +59,65 @@ def vscale(field: Field, coeff, v: dict) -> dict:
 class RowSpace:
     """Incrementally built reduced row echelon span of sparse vectors.
 
-    `order` maps each ambient basis label to its pivot priority (lower wins).
+    `order` maps each ambient basis label to its id, which is also its
+    pivot priority (lower wins).  Internally rows map a pivot id to
+    {id: coefficient} and the column index maps a non-pivot id to the set
+    of pivot ids whose rows hold it.  `rows`, `cols` and `pivots()` are
+    label-keyed views built on request; `reduce`, `add` and `insert`
+    return label-keyed snapshots, not live rows.  Int dicts keep insertion
+    order, so a returned dict lists its labels in the order the
+    elimination wrote them.
     """
 
     def __init__(self, field: Field, order: list):
         self.field = field
-        self.order = {label: i for i, label in enumerate(order)}
-        self.rows: dict = {}          # pivot label -> reduced row (leading 1)
-        self.cols: dict = {}          # non-pivot label -> pivots holding it
+        self._labels = list(order)    # id -> label
+        self.order = {label: i for i, label in enumerate(self._labels)}
+        self._rows: dict = {}         # pivot id -> reduced row (leading 1)
+        self._cols: dict = {}         # non-pivot id -> pivot ids holding it
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
-    def _pivot_of(self, v: dict):
-        return min(v, key=self.order.__getitem__)
+    @property
+    def rows(self) -> dict:
+        """pivot label -> reduced row, over labels."""
+        return {self._labels[p]: self._labels_of(row)
+                for p, row in self._rows.items()}
 
-    def reduce(self, v: dict) -> dict:
-        """Fully reduce v against the span; the residue has no pivot coords."""
-        field, rows = self.field, self.rows
-        out = dict(v)
-        for p in sorted([k for k in v if k in rows], key=self.order.__getitem__):
+    @property
+    def cols(self) -> dict:
+        """non-pivot label -> the pivot labels of the rows that hold it."""
+        labels = self._labels
+        return {labels[k]: {labels[q] for q in qs}
+                for k, qs in self._cols.items()}
+
+    def pivots(self) -> set:
+        labels = self._labels
+        return {labels[p] for p in self._rows}
+
+    def _ids_of(self, v: dict) -> dict:
+        ids = self.order
+        return {ids[k]: c for k, c in v.items()}
+
+    def _labels_of(self, v: dict) -> dict:
+        labels = self._labels
+        return {labels[k]: c for k, c in v.items()}
+
+    def _reduce(self, out: dict) -> dict:
+        """Fully reduce the id vector `out` in place; returns it."""
+        field, rows = self.field, self._rows
+        for p in sorted([k for k in out if k in rows]):
             vaddmul_into(field, out, field.neg(out[p]), rows[p])
         return out
 
-    def insert(self, red: dict) -> dict:
-        """Insert a nonzero reduced vector: scale its pivot to 1 and
-        back-eliminate that pivot, in place, from the rows that hold it.
-        Takes ownership of `red`, which is scaled in place and becomes the
-        (live) row it returns."""
-        field, rows, cols = self.field, self.rows, self.cols
-        piv = self._pivot_of(red)
+    def _insert(self, red: dict) -> dict:
+        """Insert the nonzero reduced id vector `red`: scale its pivot to 1
+        and back-eliminate that pivot, in place, from the rows that hold
+        it.  `red` becomes the new row."""
+        field, rows, cols = self.field, self._rows, self._cols
+        piv = min(red)
         inv = field.inv(red[piv])
         # over Q a product with 1 is the value itself; over F_p it also
         # reduces mod p, so it is never skipped there
@@ -107,47 +139,54 @@ class RowSpace:
         rows[piv] = red
         return red
 
-    def add(self, v: dict) -> dict | None:
-        """Reduce and insert v; returns the new reduced row or None."""
-        red = self.reduce(v)
-        return self.insert(red) if red else None
+    def reduce(self, v: dict) -> dict:
+        """Fully reduce v against the span; the residue has no pivot coords."""
+        return self._labels_of(self._reduce(self._ids_of(v)))
 
-    def extend(self, vecs) -> None:
-        for v in vecs:
-            self.add(v)
+    def insert(self, red: dict) -> dict:
+        """Insert a nonzero reduced vector; returns a snapshot of the row."""
+        return self._labels_of(self._insert(self._ids_of(red)))
+
+    def add(self, v: dict) -> dict | None:
+        """Reduce and insert v; returns a snapshot of the new row or None."""
+        red = self._reduce(self._ids_of(v))
+        return self._labels_of(self._insert(red)) if red else None
 
     def contains(self, v: dict) -> bool:
-        return not self.reduce(v)
-
-    def pivots(self) -> set:
-        return set(self.rows)
+        return not self._reduce(self._ids_of(v))
 
 
 def rank(field: Field, vectors, ambient_order: list) -> int:
     rs = RowSpace(field, ambient_order)
-    rs.extend(vectors)
+    for v in vectors:
+        if v:
+            rs.add(v)
     return rs.rank
 
 
-_TRACK = object()   # tag of the tracking columns (_TRACK, s)
+_TRACK = object()   # tag of the tracking column labels (_TRACK, s)
 
 
 def _tracking_span(field: Field, vectors, tags,
                    ambient_order: list) -> tuple[RowSpace, list]:
     """Reduce each vector, tracked by its tag, into one RowSpace.
 
+    The tracking column of the i-th tag has id n + i, n the ambient size.
     Returns the span and the tracked combinations (over tags) of the
     vectors that reduced to zero in the ambient coordinates.
     """
+    tags = list(tags)
     rs = RowSpace(field, [*ambient_order, *((_TRACK, t) for t in tags)])
-    n = len(ambient_order)
+    n, one = len(ambient_order), field.one()
     dependent = []
-    for t, v in zip(tags, vectors):
-        red = rs.reduce({**v, (_TRACK, t): field.one()})
-        if rs.order[rs._pivot_of(red)] < n:
-            rs.insert(red)
+    for i, v in enumerate(vectors):
+        red = rs._ids_of(v)
+        red[n + i] = one
+        rs._reduce(red)
+        if min(red) < n:
+            rs._insert(red)
         else:
-            dependent.append({k[1]: c for k, c in red.items()})
+            dependent.append({tags[k - n]: c for k, c in red.items()})
     return rs, dependent
 
 
@@ -174,8 +213,8 @@ def solve_membership(field: Field, target: dict, vectors: list[dict],
     Returns a dict {index: coeff} over positions in `vectors`.
     """
     rs, _ = _tracking_span(field, vectors, range(len(vectors)), ambient_order)
-    red = rs.reduce(target)
+    red = rs._reduce(rs._ids_of(target))
     n = len(ambient_order)
-    if any(rs.order[k] < n for k in red):
+    if any(k < n for k in red):
         return None
-    return {k[1]: field.neg(c) for k, c in red.items()}
+    return {k - n: field.neg(c) for k, c in red.items()}

@@ -31,8 +31,8 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 from .scalars import Field, ParseError, QQ
-from .graded import (GradedSpace, GradedMap, Truncation, tensor_label,
-                     tensor_space)
+from .graded import (GradedSpace, GradedMap, GradedError, Truncation,
+                     tensor_label, tensor_space)
 from .complexes import DgSpace
 from .algebras import (DgAlgebra, PresentedAlgebra, normal_forms,
                        word_label)
@@ -111,7 +111,10 @@ class PresentationFile:
     def _build_coalgebra(self, field: Field, trunc: Truncation) -> DgCoalgebra:
         space = GradedSpace(field, trunc)
         for name, degree in self.generators:
-            space.add(name, degree)
+            if not space.add(name, degree):
+                raise GradedError(
+                    f"basis element {name} of degree {degree} lies outside "
+                    f"the window {trunc}")
         TT = tensor_space(space, space)
         comult = GradedMap(space, TT, 0)
         for name, _ in self.generators:

@@ -368,19 +368,31 @@ def test_leibniz_and_d_squared_on_constructed_algebras():
 # vectors list their words in the quotient basis order.
 
 
-class _ScanRowSpace(RowSpace):
-    """RowSpace whose insert scans every row and copies each one it edits;
+class _ScanRowSpace:
+    """A label-keyed span on its own: reduce sweeps the vector's pivots in
+    pivot order, add scans every row and copies each one it edits;
     `adds` counts the calls of add."""
 
-    adds = 0
+    def __init__(self, field, order):
+        self.field = field
+        self.order = {label: i for i, label in enumerate(order)}
+        self.rows = {}
+        self.adds = 0
+
+    def reduce(self, v):
+        field, out = self.field, dict(v)
+        for p in sorted([k for k in v if k in self.rows],
+                        key=self.order.__getitem__):
+            out = vaddmul(field, out, field.neg(out[p]), self.rows[p])
+        return out
 
     def add(self, v):
         self.adds += 1
-        return super().add(v)
-
-    def insert(self, red):
+        red = self.reduce(v)
+        if not red:
+            return None
         field = self.field
-        piv = self._pivot_of(red)
+        piv = min(red, key=self.order.__getitem__)
         red = vscale(field, field.inv(red[piv]), red)
         for k, row in list(self.rows.items()):
             if piv in row:

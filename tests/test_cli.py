@@ -94,6 +94,22 @@ def test_sweedler_dual_outside_the_window_fails_cleanly(capsys):
         "-6, -5, -4, -3, -2, -1 dualize outside it\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cobar", "--preset", "primitive-coalgebra:1", "--trunc", "1:1:1"],
+     "error: basis element e of degree 0 lies outside the window 1:1:1"),
+    (["convolve", "--coalgebra", "preset:diagonal-coalgebra:1",
+      "--algebra", "preset:dual-numbers", "--trunc", "3:3:1"],
+     "error: basis element e1 of degree 0 lies outside the window 3:3:1"),
+])
+def test_coalgebra_basis_outside_the_window_fails_cleanly(argv, message,
+                                                          capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    # one error line, no traceback
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_signs_compare_command():
     code, out = run_cli(["signs", "compare", "--preset", "dual-numbers",
                          "--trunc", "-1:6:6"])

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from sweedler.scalars import QQ
+from sweedler.scalars import QQ, Field
 from sweedler.graded import (Truncation, GradedSpace, GradedMap, tensor_label,
                              hom_label)
 from sweedler.complexes import (DgSpace, check_square_zero, homology,
                                 dg_tensor, dg_hom, NotAComplex, cycles,
                                 shift_complex)
+from sweedler.linalg import rank_of_columns, kernel_basis, vaddmul
+from sweedler.presets import load_preset
+from sweedler.barcobar import bar, cobar
 
 TR = Truncation(-6, 6, 6)
 
@@ -150,3 +153,109 @@ def test_shifted_homology_is_shifted():
     h = {n: e.dim for n, e in homology(dg).items()}
     hs = {n: e.dim for n, e in homology(shift_complex(dg, 2)).items()}
     assert hs == {n + 2: d for n, d in h.items()}
+
+
+# -- homology ranks against the copying path ------------------------------------
+#
+# homology reads d's columns in place.  Its ranks must equal those of the
+# path it replaced, rank_of_columns over one apply_label copy per basis
+# label, and those of a dense elimination that shares no code with linalg.
+
+
+def _copied_ranks(X: DgSpace) -> dict:
+    space = X.space
+    return {n: rank_of_columns(space.field,
+                               {lab: X.d.apply_label(lab)
+                                for lab in space.basis(n)},
+                               space.basis(n), space.basis(n - 1))
+            for n in space.degrees()}
+
+
+def _dense_rank(field, rows: list) -> int:
+    """Rank of a list of equal-length coefficient lists."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows))
+                    if not field.is_zero(rows[i][col])), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        for i in range(len(rows)):
+            if i != rank and not field.is_zero(rows[i][col]):
+                c = field.neg(field.mul(inv, rows[i][col]))
+                rows[i] = [field.add(a, field.mul(c, b))
+                           for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _dense_ranks(X: DgSpace) -> dict:
+    space, zero = X.space, X.field.zero()
+    return {n: _dense_rank(X.field, [[X.d.columns.get(lab, {}).get(t, zero)
+                                      for t in space.basis(n - 1)]
+                                     for lab in space.basis(n)])
+            for n in space.degrees()}
+
+
+def _assert_homology_matches(X: DgSpace):
+    ranks = _copied_ranks(X)
+    assert ranks == _dense_ranks(X)
+    h = homology(X)
+    assert {n: e.dim for n, e in h.items()} == {
+        n: X.space.dim(n) - ranks[n] - ranks.get(n + 1, 0)
+        for n in X.space.degrees()}
+
+
+def _random_sparse_complex(rng, field) -> DgSpace:
+    """A complex on -2:3 with an empty degree, zero columns and dependent
+    ones.  Each column of d is a combination of kernel vectors of the d
+    below it, so d² = 0.  The lowest degree -2 is filled; its d would
+    leave the window."""
+    tr = Truncation(-2, 3, 4)
+    X = GradedSpace(field, tr)
+    empty = rng.randint(-1, 3)
+    for n in range(-2, 4):
+        if n != empty:
+            for i in range(rng.randint(1, 4)):
+                X.add(f"v{n}_{i}", n)
+    d = GradedMap(X, X, -1)
+    for n in X.degrees():
+        cycles_below = kernel_basis(field, d.columns, X.basis(n - 1),
+                                    X.basis(n - 2))
+        made = []
+        for lab in X.basis(n):
+            if not cycles_below or rng.random() < 0.25:
+                continue            # a zero column
+            col = {}
+            pool = made if made and rng.random() < 0.3 else cycles_below
+            for z in rng.sample(pool, rng.randint(1, len(pool))):
+                col = vaddmul(field, col, field.of(rng.randint(-2, 2)), z)
+            d.set(lab, col)
+            made.append(d.apply_label(lab))
+    return DgSpace(X, d)
+
+
+def test_homology_ranks_match_copying_path_on_random_complexes():
+    rng = random.Random(1958)
+    ranked = 0
+    for field in (QQ, Field(5), Field(2)):
+        for _ in range(40):
+            X = _random_sparse_complex(rng, field)
+            assert -2 in X.space.degrees()
+            _assert_homology_matches(X)
+            ranked += any(_copied_ranks(X).values())
+    assert ranked >= 100
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5), Field(2)])
+def test_homology_ranks_match_copying_path_on_bar_and_cobar(field):
+    tr = Truncation(-4, 0, 4)
+    for preset in ("diagonal-coalgebra:3", "primitive-coalgebra:-1"):
+        C = load_preset(preset).build(field, tr)
+        _assert_homology_matches(cobar(C, tr).algebra.dg)
+    tr = Truncation(-1, 5, 5)
+    for preset in ("dual-numbers", "free-algebra:x=1"):
+        A = load_preset(preset).build(field, tr)
+        _assert_homology_matches(bar(A, tr).coalgebra.dg)

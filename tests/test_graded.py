@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sweedler.scalars import QQ
+from sweedler.scalars import QQ, Field
 from sweedler.graded import (Truncation, GradedSpace, GradedMap, tensor_space,
                              tensor_label, koszul_swap, hom_space, hom_label,
                              lambda1, lambda2, uncurry1, uncurry2,
@@ -294,8 +294,8 @@ def eager_tensor(X, Y):
     return dict(sorted(bases.items())), degree, weight, inexact
 
 
-def random_space(rng, prefix, tr):
-    X = GradedSpace(QQ, tr)
+def random_space(rng, prefix, tr, field=QQ):
+    X = GradedSpace(field, tr)
     for k in range(rng.randint(0, 7)):
         weight = rng.choice([None, 0, 1, 2, 3])
         X.add(f"{prefix}{k}", rng.randint(tr.degree_min, tr.degree_max),
@@ -409,3 +409,66 @@ def test_map_sum_keeps_column_order():
     f = GradedMap(X, X, 0, {x: {x: QQ.one()} for x in labels[5:1:-1]})
     g = GradedMap(X, X, 0, {x: {x: QQ.one()} for x in labels[::2]})
     assert list(f.add(g).columns) == [labels[i] for i in (5, 4, 3, 2, 0, 6)]
+
+
+# -- GradedMap.set against the two-pass reference ------------------------------
+
+def _ref_set(f, label, vec):
+    """GradedMap.set as it was: drop the zero terms into a copy, then check
+    the degree of every key through degree_of."""
+    if label not in f.source:
+        raise GradedError(f"source lacks {label_str(label)}")
+    want = f.source.degree_of(label) + f.degree
+    vec = {k: c for k, c in vec.items() if not f.field.is_zero(c)}
+    for k in vec:
+        got = f.target.degree_of(k)
+        if got != want:
+            raise GradedError(
+                f"image of {label_str(label)} not homogeneous: "
+                f"{label_str(k)} has degree {got}, want {want}")
+    if vec:
+        f.columns[label] = vec
+    else:
+        f.columns.pop(label, None)
+
+
+def _set_outcome(setter, f, label, vec):
+    """The error raised, or the columns afterwards, key order included."""
+    try:
+        setter(f, label, vec)
+    except GradedError as exc:
+        return type(exc), str(exc)
+    return [(k, list(v.items())) for k, v in f.columns.items()]
+
+
+def test_map_set_matches_two_pass_reference():
+    rng = random.Random(1979)
+    kinds = set()
+    for field in (QQ, Field(5)):
+        for _ in range(40):
+            tr = Truncation(-3, 3, 4)
+            X = random_space(rng, "x", tr, field)
+            Y = random_space(rng, "y", tr, field)
+            target = tensor_space(X, Y) if rng.random() < 0.4 else Y
+            degree = rng.randint(-1, 1)
+            new, ref = (GradedMap(X, target, degree) for _ in range(2))
+            pool = target.labels() + ["stray", ("t", "x0", "nowhere")]
+            for _ in range(12):
+                label = rng.choice(X.labels() + ["absent"])
+                vec = {k: field.of(rng.randint(-1, 2))
+                       for k in rng.sample(pool, min(len(pool),
+                                                     rng.randint(0, 4)))}
+                if label in X and rng.random() < 0.6:
+                    # mostly terms of the right degree
+                    want = X.degree_of(label) + degree
+                    vec = {k: c for k, c in vec.items()
+                           if k in target and target.degree_of(k) == want}
+                got = _set_outcome(GradedMap.set, new, label, vec)
+                assert got == _set_outcome(_ref_set, ref, label, vec)
+                kinds.add(got[1].split(" ")[0] if isinstance(got, tuple)
+                          else "ok")
+                kinds.update("zero" for c in vec.values()
+                             if field.is_zero(c))
+    # every branch met: stored, zero terms dropped, inhomogeneous image,
+    # unknown target label and unknown source label
+    assert kinds == {"ok", "zero", "image", "unknown", "source"}

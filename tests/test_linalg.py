@@ -220,3 +220,58 @@ def test_rowspace_column_index_invariant():
                     assert field.is_one(row[p])
                     assert all(k == p or k not in rs.rows for k in row)
     assert adds >= 500
+
+
+_TAG = object()     # tag of this test's tracking-column labels (_TAG, s)
+
+
+def test_rowspace_api_matches_reference_loop():
+    # reduce, add, insert and contains interleaved, some vectors carrying a
+    # tracking coordinate: after every step the label-keyed views and the
+    # returned dicts equal the reference loop's, key order included, and
+    # every dict returned earlier is a snapshot that later steps leave alone
+    rng = random.Random(1973)
+    ops = {"reduce": 0, "add": 0, "insert": 0, "contains": 0}
+    for field in (QQ, Field(5), Field(2)):
+        for _ in range(60):
+            tgt = rng.sample(TGT_POOL, rng.randint(1, len(TGT_POOL)))
+            tags = rng.sample(SRC_POOL, rng.randint(0, 4))
+            labels = [*tgt, *((_TAG, t) for t in tags)]
+            rs = RowSpace(field, labels)
+            order = {label: i for i, label in enumerate(labels)}
+            assert rs.order == order
+            rows, tracked, returned = {}, {}, []
+            for v in _random_vectors(rng, field, tgt, rng.randint(1, 10)):
+                if tags and rng.random() < 0.5:
+                    v = {**v, (_TAG, rng.choice(tags)): field.one()}
+                red, _ = _ref_reduce(field, order, rows, tracked, dict(v),
+                                     None)
+                op = rng.choice(list(ops))
+                if op == "insert" and not red:
+                    op = "contains"
+                if op == "reduce":
+                    got, want = rs.reduce(v), red
+                elif op == "contains":
+                    assert rs.contains(v) == (not red)
+                    got = want = None
+                elif op == "add":
+                    got = rs.add(v)
+                    want = (_ref_insert(field, order, rows, tracked, red, {})
+                            if red else None)
+                else:
+                    arg = dict(red)
+                    got = rs.insert(arg)
+                    assert _items(arg) == _items(red)    # left untouched
+                    want = _ref_insert(field, order, rows, tracked, red, {})
+                ops[op] += 1
+                assert _items(got) == _items(want)
+                if got is not None:
+                    returned.append((got, _items(got)))
+                assert ([(k, _items(r)) for k, r in rs.rows.items()]
+                        == [(k, _items(r)) for k, r in rows.items()])
+                assert rs.pivots() == set(rows)
+                assert rs.rank == len(rows)
+                assert ({k: q for k, q in rs.cols.items() if q}
+                        == _fresh_index(rows))
+                assert all(_items(d) == items for d, items in returned)
+    assert min(ops.values()) >= 150
