@@ -7,11 +7,11 @@ degree/word-length truncation windows.
 """
 
 from .scalars import Field, QQ, scalar_arith, DivisionByZero, MixedFields
-from .graded import (Truncation, GradedSpace, GradedMap, WindowOverflow,
-                     tensor_space, tensor_label, koszul_swap, hom_space,
-                     hom_label, lambda1, lambda2, uncurry1, uncurry2,
-                     strength_tensor, suspend, graded_dual, transpose,
-                     identity_map, label_str)
+from .graded import (Truncation, GradedSpace, GradedMap, tensor_space,
+                     tensor_label, koszul_swap, hom_space, hom_label,
+                     lambda1, lambda2, uncurry1, uncurry2, strength_tensor,
+                     suspend, graded_dual, transpose, identity_map,
+                     label_str)
 from .complexes import (DgSpace, NotAComplex, check_square_zero, homology,
                         dg_tensor, dg_hom)
 from .algebras import (DgAlgebra, PresentedAlgebra, normal_forms,

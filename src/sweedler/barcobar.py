@@ -6,7 +6,10 @@ d^int - d^ext together with the plus-sign cobar differential d^int + d^ext,
 under which the universal twisting cochains are β(sa) = -a and ω(c) = s⁻¹c.
 Both conventions are constructible and conjugate under the automorphism π
 multiplying length-n words by (-1)^n; every report names the active
-convention.
+convention.  One rule turns a convention into a sign, for bar and cobar
+alike: minus is -1 and plus is +1 (`_convention_sign`), d = d^int +
+sign·d^ext, and the adjunction transforms scale generators by the same
+sign.  Any other convention raises ConventionMismatch.
 
 Bar:   B A  = (T^c(s A₋), d^int ∓ d^ext), coextending
            sa ↦ -s(da)            (internal)
@@ -27,7 +30,8 @@ from .graded import (GradedSpace, GradedMap, Truncation, tensor_label,
                      tensor_sum_apply, susp_label, label_str)
 from .complexes import DgSpace
 from .algebras import (DgAlgebra, tensor_algebra, extend_derivation,
-                       word_label, word_syms, UNIT_WORD, AlgebraError)
+                       algebra_tensor, word_label, word_syms, UNIT_WORD,
+                       AlgebraError)
 from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_comult,
                          coextend_coderivation, coextend_map,
                          ReducedCoalgebra, shuffle_product)
@@ -51,6 +55,16 @@ class NotCommutative(Exception):
 
 
 MINUS, PLUS = "minus", "plus"
+
+
+def _convention_sign(field: Field, convention: str):
+    """-1 for the minus convention, +1 for plus, for bar and cobar alike."""
+    if convention == MINUS:
+        return field.of(-1)
+    if convention == PLUS:
+        return field.one()
+    raise ConventionMismatch(
+        f"unknown convention {convention!r}, want {MINUS} or {PLUS}")
 
 
 # -- the Maurer-Cartan algebra -------------------------------------------------------
@@ -143,10 +157,15 @@ def verify_mc(mc: MaurerCartanAlgebra) -> list[str]:
 
 def bialgebra_compat_issues(alg: DgAlgebra, comult: GradedMap,
                             counit: dict) -> list[str]:
-    """Δ(xy) = Δ(x)Δ(y) with the Koszul middle swap, and ε multiplicative."""
+    """Δ(xy) = Δ(x)Δ(y) with the Koszul middle swap, and ε multiplicative.
+
+    Δ(x)Δ(y) is the product of A⊗A; both sides keep only the components
+    the target of Δ holds.
+    """
     field = alg.field
     space = alg.space
     TT = comult.target
+    AA = algebra_tensor(alg, alg)
     cap = space.window.weight_cap
     issues = []
     for x in space.labels():
@@ -154,27 +173,9 @@ def bialgebra_compat_issues(alg: DgAlgebra, comult: GradedMap,
             wx, wy = space.weight_of(x), space.weight_of(y)
             if wx is not None and wy is not None and wx + wy > cap:
                 continue   # product overflows the cap; nothing to compare
-            lhs = comult(alg._pair(x, y))
-            dx = comult.apply_label(x)
-            dy = comult.apply_label(y)
-            rhs: dict = {}
-            for t1, c1 in dx.items():
-                _, x1, x2 = t1
-                for t2, c2 in dy.items():
-                    _, y1, y2 = t2
-                    sign = field.sign(space.degree_of(x2)
-                                      * space.degree_of(y1))
-                    for m1, cm1 in alg._pair(x1, y1).items():
-                        for m2, cm2 in alg._pair(x2, y2).items():
-                            lab = tensor_label(m1, m2)
-                            if lab in TT:
-                                coeff = field.mul(field.mul(c1, c2),
-                                                  field.mul(cm1, cm2))
-                                rhs = vaddmul(field, rhs,
-                                              field.mul(sign, coeff),
-                                              {lab: field.one()})
-            # drop components the window cannot represent on the left
-            lhs = {k: v for k, v in lhs.items() if k in TT}
+            lhs = TT.project(comult(alg._pair(x, y)))
+            rhs = TT.project(AA.product(comult.apply_label(x),
+                                        comult.apply_label(y)))
             if lhs != rhs:
                 issues.append(
                     f"Δ not multiplicative at ({label_str(x)},{label_str(y)})")
@@ -202,16 +203,10 @@ def mc_verify(A: DgAlgebra, a: dict) -> dict:
 
 def mc_enumerate(A: DgAlgebra, limit: int = 200000) -> list[dict]:
     """All Maurer-Cartan elements over F_p, by exhaustive enumeration."""
-    field = A.field
-    if field.p is None:
-        raise EnumerationTooLarge("enumeration needs a finite field")
-    basis = A.space.basis(-1)
-    if field.p ** len(basis) > limit:
-        raise EnumerationTooLarge(
-            f"{field.p}^{len(basis)} candidates exceed the limit")
     out = []
-    for coeffs in itertools.product(range(field.p), repeat=len(basis)):
-        a = {b: field.of(c) for b, c in zip(basis, coeffs) if c}
+    for cols in _assignments(A.field, [(None, b) for b in A.space.basis(-1)],
+                             limit):
+        a = cols.get(None, {})
         if not mc_verify(A, a):
             out.append(a)
     return out
@@ -314,24 +309,31 @@ def _length_part(d: GradedMap, keep: bool, coeff) -> GradedMap:
     return out
 
 
+class _LengthSplit:
+    """d_int and d_ext of a bar or cobar construction, read off its d."""
+
+    @cached_property
+    def d_int(self) -> GradedMap:
+        """The terms of d that keep the word length."""
+        return _length_part(self.d, True, self.d.field.one())
+
+    @cached_property
+    def d_ext(self) -> GradedMap:
+        """sign·(d - d_int), so that d = d_int + sign·d_ext."""
+        return _length_part(self.d, False,
+                            _convention_sign(self.d.field, self.convention))
+
+
 @dataclass
-class BarConstruction:
+class BarConstruction(_LengthSplit):
     coalgebra: DgCoalgebra
     algebra: DgAlgebra              # the input A
     convention: str
     generators: list
 
-    @cached_property
-    def d_int(self) -> GradedMap:
-        """The terms of d that keep the word length."""
-        return _length_part(self.coalgebra.d, True, self.coalgebra.field.one())
-
-    @cached_property
-    def d_ext(self) -> GradedMap:
-        """sign·(d - d_int), so that d = d_int + sign·d_ext."""
-        field = self.coalgebra.field
-        sign = field.of(-1) if self.convention == MINUS else field.one()
-        return _length_part(self.coalgebra.d, False, sign)
+    @property
+    def d(self) -> GradedMap:
+        return self.coalgebra.d
 
 
 def bar(A: DgAlgebra, trunc: Truncation,
@@ -350,11 +352,11 @@ def bar(A: DgAlgebra, trunc: Truncation,
     if A.aug is None:
         raise AlgebraError("bar needs an augmented algebra")
     field = A.field
+    sign = _convention_sign(field, convention)
     reduced = A.reduced_basis()
     generators = [(s_label(a), A.space.degree_of(a) + 1) for a in reduced]
     base = tensor_coalgebra(field, generators, trunc, name="BA")
     space = base.space
-    sign = field.of(-1) if convention == MINUS else field.one()
 
     phi: dict = {}
     for a in reduced:
@@ -381,24 +383,16 @@ def bar(A: DgAlgebra, trunc: Truncation,
 
 
 @dataclass
-class CobarConstruction:
+class CobarConstruction(_LengthSplit):
     algebra: DgAlgebra
     coalgebra: DgCoalgebra          # the input C
     convention: str
     generators: list
     reduced: ReducedCoalgebra
 
-    @cached_property
-    def d_int(self) -> GradedMap:
-        """The terms of d that keep the word length."""
-        return _length_part(self.algebra.d, True, self.algebra.field.one())
-
-    @cached_property
-    def d_ext(self) -> GradedMap:
-        """sign·(d - d_int), so that d = d_int + sign·d_ext."""
-        field = self.algebra.field
-        sign = field.one() if self.convention == PLUS else field.of(-1)
-        return _length_part(self.algebra.d, False, sign)
+    @property
+    def d(self) -> GradedMap:
+        return self.algebra.d
 
 
 def cobar(C: DgCoalgebra, trunc: Truncation,
@@ -414,10 +408,10 @@ def cobar(C: DgCoalgebra, trunc: Truncation,
     the length, and d^ext as sign times the rest, on first use.  Within a
     column of d the length-keeping terms come first.
     """
-    R = ReducedCoalgebra(C)
     field = C.field
+    sign = _convention_sign(field, convention)
+    R = ReducedCoalgebra(C)
     one = field.one()
-    sign = one if convention == PLUS else field.of(-1)
     gens = []
     for lab in R.space.labels():
         x = lab[1]
@@ -519,7 +513,7 @@ def cochain_to_algebra_map(alpha: GradedMap, cob: CobarConstruction,
     through -α instead.
     """
     field = A.field
-    sign = field.one() if cob.convention == PLUS else field.of(-1)
+    sign = _convention_sign(field, cob.convention)
     images = {g: vscale(field, sign, alpha.apply_label(g[2]))
               for g, _ in cob.generators}
     return _extend_multiplicatively(cob.algebra.space, A, images)
@@ -549,7 +543,7 @@ def cochain_to_coalgebra_map(alpha: GradedMap, C: DgCoalgebra,
     """
     field = C.field
     R = ReducedCoalgebra(C)
-    phi_sign = field.of(-1) if b.convention == MINUS else field.one()
+    phi_sign = _convention_sign(field, b.convention)
     phi = {r: {s_label(a): field.mul(phi_sign, c)
                for a, c in alpha(R.include({r: field.one()})).items()}
            for r in R.space.labels()}
@@ -561,7 +555,7 @@ def extract_from_algebra_map(g: GradedMap, cob: CobarConstruction,
                              C: DgCoalgebra) -> GradedMap:
     """α(c) = ±g(s⁻¹c), inverse to cochain_to_algebra_map."""
     field = g.field
-    sign = field.one() if cob.convention == PLUS else field.of(-1)
+    sign = _convention_sign(field, cob.convention)
     alpha = GradedMap(C.space, g.target, -1)
     for x in C.space.labels():
         if x == C.atom:
@@ -578,7 +572,7 @@ def extract_from_coalgebra_map(f: GradedMap, b: BarConstruction,
     so the transform/extract roundtrip is the identity."""
     A = b.algebra
     field = A.field
-    phi_sign = field.of(-1) if b.convention == MINUS else field.one()
+    phi_sign = _convention_sign(field, b.convention)
     alpha = GradedMap(C.space, A.space, -1)
     for x in C.space.labels():
         val: dict = {}
@@ -679,37 +673,35 @@ def adjunction_transforms(alpha: GradedMap, C: DgCoalgebra, A: DgAlgebra,
 # -- exhaustive enumerations over F_p ----------------------------------------------------------
 
 
-def _assignments(field: Field, slots: int, limit: int):
+def _assignments(field: Field, slots: list, limit: int):
+    """Every assignment of F_p coefficients to slots [(x, y), ...], as
+    columns {x: {y: c}} without the zero coefficients, in the order of
+    itertools.product over the slots; more than limit candidates raise."""
     if field.p is None:
         raise EnumerationTooLarge("enumeration needs a finite field")
-    if slots and field.p ** slots > limit:
+    if slots and field.p ** len(slots) > limit:
         raise EnumerationTooLarge(
-            f"{field.p}^{slots} candidates exceed the limit {limit}")
-    return itertools.product(range(field.p), repeat=slots)
+            f"{field.p}^{len(slots)} candidates exceed the limit {limit}")
+    for combo in itertools.product(range(field.p), repeat=len(slots)):
+        cols: dict = {}
+        for (x, y), cv in zip(slots, combo):
+            if cv:
+                cols.setdefault(x, {})[y] = field.of(cv)
+        yield cols
 
 
 def enumerate_twisting_cochains(C: DgCoalgebra, A: DgAlgebra,
                                 pointed: bool = True,
                                 limit: int = 1 << 20) -> list[GradedMap]:
     """All (pointed) twisting cochains C → A by brute force over F_p."""
-    field = C.field
     c_labels = [x for x in C.space.labels() if x != C.atom] if pointed \
         else C.space.labels()
     a_basis = A.reduced_basis() if pointed else A.space.labels()
-    slots = []
-    for x in c_labels:
-        for b in a_basis:
-            if A.space.degree_of(b) == C.space.degree_of(x) - 1:
-                slots.append((x, b))
+    slots = [(x, b) for x in c_labels for b in a_basis
+             if A.space.degree_of(b) == C.space.degree_of(x) - 1]
     out = []
-    for combo in _assignments(field, len(slots), limit):
-        alpha = GradedMap(C.space, A.space, -1)
-        cols: dict = {}
-        for (x, b), cv in zip(slots, combo):
-            if cv:
-                cols.setdefault(x, {})[b] = field.of(cv)
-        for x, vec in cols.items():
-            alpha.set(x, vec)
+    for cols in _assignments(C.field, slots, limit):
+        alpha = GradedMap(C.space, A.space, -1, cols)
         if verify_twisting_cochain(alpha, C, A, pointed=pointed).passed:
             out.append(alpha)
     return out
@@ -720,30 +712,17 @@ def enumerate_pointed_algebra_maps(cob: CobarConstruction, A: DgAlgebra,
     """All pointed dg-algebra maps Ω C → A: free on generators, so a map is
     an assignment of generator images in A₋ (same degree) satisfying the
     chain condition; multiplicativity is then automatic."""
-    field = A.field
-    gens = cob.generators
     a_red = A.reduced_basis()
-    slots = []
-    for g, dg in gens:
-        for b in a_red:
-            if A.space.degree_of(b) == dg:
-                slots.append((g, b))
+    slots = [(g, b) for g, dg in cob.generators for b in a_red
+             if A.space.degree_of(b) == dg]
+    gen_words = [word_label((g,)) for g, _ in cob.generators]
     source = cob.algebra
     out = []
-    for combo in _assignments(field, len(slots), limit):
-        images: dict = {}
-        for (g, b), cv in zip(slots, combo):
-            if cv:
-                images.setdefault(g, {})[b] = field.of(cv)
+    for images in _assignments(A.field, slots, limit):
         g_map = _extend_multiplicatively(source.space, A, images)
         # chain condition on generators determines it everywhere
-        ok = True
-        for g, _ in gens:
-            w = word_label((g,))
-            if g_map(source.d.apply_label(w)) != A.d(g_map.apply_label(w)):
-                ok = False
-                break
-        if ok:
+        if all(g_map(source.d.apply_label(w)) == A.d(g_map.apply_label(w))
+               for w in gen_words):
             out.append(g_map)
     return out
 
@@ -754,23 +733,15 @@ def enumerate_pointed_coalgebra_maps(C: DgCoalgebra, b: BarConstruction,
     field = C.field
     BA = b.coalgebra
     c_labels = [x for x in C.space.labels() if x != C.atom]
-    slots = []
-    for x in c_labels:
-        for w in BA.space.labels():
-            if w == UNIT_WORD:
-                continue
-            if BA.space.degree_of(w) == C.space.degree_of(x):
-                slots.append((x, w))
+    slots = [(x, w) for x in c_labels for w in BA.space.labels()
+             if w != UNIT_WORD
+             and BA.space.degree_of(w) == C.space.degree_of(x)]
     out = []
-    for combo in _assignments(field, len(slots), limit):
+    for cols in _assignments(field, slots, limit):
         f = GradedMap(C.space, BA.space, 0)
         f.set(C.atom, {UNIT_WORD: field.one()})
-        cols: dict = {}
-        for (x, w), cv in zip(slots, combo):
-            if cv:
-                cols.setdefault(x, {})[w] = field.of(cv)
         for x in c_labels:
-            vec = dict(cols.get(x, {}))
+            vec = cols.get(x, {})
             eps = C.counit.get(x, field.zero())
             if not field.is_zero(eps):
                 vec[UNIT_WORD] = eps

@@ -633,14 +633,11 @@ def _dual_differential(d: GradedMap, D: GradedSpace) -> GradedMap:
     """d(a*) = -(-1)^{|a|} Σ_b (coefficient of a in db) b* on the dual D."""
     field, space = d.field, d.source
     dD = GradedMap(D, D, -1)
-    for b in space.labels():
-        for a, coeff in d.apply_label(b).items():
-            # d(a*) picks up -(-1)^{|a*|} from d(φ) = -(-1)^{|φ|} φ∘d
-            sign = field.sign(1 + space.degree_of(a))
-            prev = dD.apply_label(dual_label(a))
-            prev = vaddmul(field, prev, field.mul(sign, coeff),
-                           {dual_label(b): field.one()})
-            dD.set(dual_label(a), D.project(prev))
+    for a, terms in target_index(d).items():
+        # d(a*) picks up -(-1)^{|a*|} from d(φ) = -(-1)^{|φ|} φ∘d
+        sign = field.sign(1 + space.degree_of(a))
+        dD.set(dual_label(a), D.project(
+            {dual_label(b): field.mul(sign, coeff) for b, coeff in terms}))
     return dD
 
 

@@ -10,8 +10,8 @@ generators, structured tuples for constructed elements:
     ("s", n, x)            n-fold suspension s^n x
 
 All constructions are truncated to a window: a degree interval plus a word
-length cap.  Operations drop components that fall outside the window (or
-raise WindowOverflow in strict mode) and record which degrees that touched.
+length cap.  Operations drop components that fall outside the window and
+record which degrees that touched.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .linalg import vaddmul, vaddmul_into, vscale
 
 
 class GradedError(Exception):
-    pass
-
-
-class WindowOverflow(GradedError):
     pass
 
 
@@ -100,15 +96,11 @@ class GradedSpace:
         self._inexact: set[int] = set()
 
     # -- construction --------------------------------------------------------
-    def add(self, label, degree: int, weight: int | None = None,
-            strict: bool = False) -> bool:
+    def add(self, label, degree: int, weight: int | None = None) -> bool:
         """Insert a basis element; returns False if outside the window."""
         if label in self._degree_of:
             raise GradedError(f"duplicate basis label {label_str(label)}")
         if not self.window.contains(degree):
-            if strict:
-                raise WindowOverflow(
-                    f"{label_str(label)} of degree {degree} outside window")
             return False
         self._by_degree.setdefault(degree, []).append(label)
         self._degree_of[label] = degree
@@ -164,17 +156,11 @@ class GradedSpace:
         return len(self._degree_of)
 
     # -- vectors ---------------------------------------------------------------
-    def project(self, formal: dict, strict: bool = False) -> dict:
-        """Drop components outside this space (raise in strict mode)."""
+    def project(self, formal: dict) -> dict:
+        """Drop components outside this space."""
         degree = self._degree_lookup()
-        out = {}
-        for label, coeff in formal.items():
-            if degree(label) is not None:
-                out[label] = coeff
-            elif strict:
-                raise WindowOverflow(
-                    f"component {label_str(label)} falls outside the window")
-        return out
+        return {label: coeff for label, coeff in formal.items()
+                if degree(label) is not None}
 
     def degree_of_vector(self, vec: dict) -> int | None:
         """Common degree of a homogeneous vector (None for zero)."""
@@ -200,9 +186,6 @@ def unit_space(field: Field, window: Truncation) -> GradedSpace:
     F = GradedSpace(field, window)
     F.add(("unit",), 0, weight=0)
     return F
-
-
-UNIT = ("unit",)
 
 
 class GradedMap:
@@ -371,8 +354,7 @@ class TensorSpace(GradedSpace):
         self._inexact |= {i + j for j in Y.inexact_degrees() for i in xdims
                           if self.window.contains(i + j)}
 
-    def add(self, label, degree: int, weight: int | None = None,
-            strict: bool = False) -> bool:
+    def add(self, label, degree: int, weight: int | None = None) -> bool:
         raise GradedError("a tensor space is read-only")
 
     def _degree(self, label) -> int | None:
