@@ -24,7 +24,7 @@ from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_coalgebra,
                          coextend_map, shuffle_product, quasi_shuffle_product,
                          finite_dual, dual_algebra, RegimeViolation,
                          NotConilpotent, NotGradedFinite, NotAnAtom)
-from .sweedler_ops import (convolution_algebra, verify_measuring,
+from .sweedler_ops import (convolution_algebra, convolve, verify_measuring,
                            sweedler_product, example_construction,
                            sweedler_hom_free, sweedler_dual,
                            primitive_coalgebra, matrix_algebra)

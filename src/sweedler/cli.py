@@ -54,6 +54,14 @@ def _field_trunc(args, pf: PresentationFile):
     return field, trunc
 
 
+def _build(args, *roles):
+    """(field, trunc, *objects): resolve every input (--preset/--file when
+    no role is named), take field and window from the first, build each."""
+    pfs = [_resolve(args, role) for role in roles or (None,)]
+    field, trunc = _field_trunc(args, pfs[0])
+    return (field, trunc, *(pf.build(field, trunc) for pf in pfs))
+
+
 def _strict_window_check(report: Report, args, space) -> None:
     if args.strict_window:
         bad = sorted(space.inexact_degrees())
@@ -106,9 +114,7 @@ def _verify_object(obj, report: Report) -> None:
 
 
 def cmd_verify(args) -> int:
-    pf = _resolve(args)
-    field, trunc = _field_trunc(args, pf)
-    obj = pf.build(field, trunc)
+    field, trunc, obj = _build(args)
     report = Report("verify", field.name, str(trunc))
     _verify_object(obj, report)
     space = obj.space if hasattr(obj, "space") else None
@@ -119,9 +125,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    pf = _resolve(args)
-    field, trunc = _field_trunc(args, pf)
-    obj = pf.build(field, trunc)
+    field, trunc, obj = _build(args)
     report = Report("dims", field.name, str(trunc))
     _dims_table(report, "dimensions", obj.space)
     if args.basis:
@@ -135,9 +139,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    pf = _resolve(args)
-    field, trunc = _field_trunc(args, pf)
-    obj = pf.build(field, trunc)
+    field, trunc, obj = _build(args)
     report = Report("homology", field.name, str(trunc))
     if _square_zero_check(report, "d² = 0", obj.dg):
         _homology_table(report, obj.dg)
@@ -162,9 +164,7 @@ def cmd_mc(args) -> int:
 def _bar_cobar_report(args, name: str, kind: type, noun: str, construct,
                       convention: str) -> int:
     """d², d^int/d^ext, dimensions and homology of bar or cobar."""
-    pf = _resolve(args)
-    field, trunc = _field_trunc(args, pf)
-    obj = pf.build(field, trunc)
+    field, trunc, obj = _build(args)
     if not isinstance(obj, kind):
         raise UsageError(f"{name} needs {noun} presentation")
     convention = args.convention or convention
@@ -193,11 +193,7 @@ def cmd_cobar(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    pf_c = _resolve(args, "coalgebra")
-    pf_a = _resolve(args, "algebra")
-    field, trunc = _field_trunc(args, pf_c)
-    C = pf_c.build(field, trunc)
-    A = pf_a.build(field, trunc)
+    field, trunc, C, A = _build(args, "coalgebra", "algebra")
     conv = convolution_algebra(C, A)
     report = Report("convolve", field.name, str(trunc))
     report.check_issues("convolution algebra axioms", conv.verify())
@@ -206,11 +202,7 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_sweedler_product(args) -> int:
-    pf_c = _resolve(args, "coalgebra")
-    pf_a = _resolve(args, "algebra")
-    field, trunc = _field_trunc(args, pf_c)
-    C = pf_c.build(field, trunc)
-    A = pf_a.build(field, trunc)
+    field, trunc, C, A = _build(args, "coalgebra", "algebra")
     sp = sweedler_product(C, A, trunc, pointed=args.pointed)
     report = Report("sweedler-product", field.name, str(trunc))
     rep = verify_measuring(sp.measuring, C, A, sp.algebra,
@@ -225,9 +217,7 @@ def cmd_sweedler_product(args) -> int:
 
 
 def cmd_sweedler_dual(args) -> int:
-    pf = _resolve(args, "algebra")
-    field, trunc = _field_trunc(args, pf)
-    A = pf.build(field, trunc)
+    field, trunc, A = _build(args, "algebra")
     D = sweedler_dual(A)
     report = Report("sweedler-dual", field.name, str(trunc))
     report.check_issues("A∨ coalgebra axioms", D.verify())
@@ -241,15 +231,13 @@ def cmd_sweedler_dual(args) -> int:
 
 def cmd_twist(args) -> int:
     if args.action == "verify":
-        pf = _resolve(args, "map")
-        field, trunc = _field_trunc(args, pf)
-        alpha, C, A = pf.build(field, trunc)
+        field, trunc, (alpha, C, A) = _build(args, "map")
         report = Report("twist verify", field.name, str(trunc),
                         f"{MINUS}/{PLUS}")
         rep = verify_twisting_cochain(alpha, C, A, pointed=args.pointed)
         report.check(f"Maurer-Cartan equation ({rep.checked} basis elements)",
                      rep.passed,
-                     rep.failures[0] if rep.failures else "")
+                     rep.first_failure())
         return _emit(report, args)
     if args.action == "enumerate":
         pf_c = _resolve(args, "coalgebra")
@@ -274,9 +262,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
-    pf = _resolve(args, "map")
-    field, trunc = _field_trunc(args, pf)
-    alpha, C, A = pf.build(field, trunc)
+    field, trunc, (alpha, C, A) = _build(args, "map")
     # --convention selects the coherent pair: "minus" is the default
     # (bar d^int - d^ext with cobar d^int + d^ext); "plus" the π-conjugate
     pair = args.convention or MINUS
@@ -286,7 +272,7 @@ def cmd_adjoint(args) -> int:
                     f"bar:{bar_sign} cobar:{cobar_sign}")
     rep = verify_twisting_cochain(alpha, C, A, pointed=True)
     report.check("α is a pointed twisting cochain", rep.passed,
-                 rep.failures[0] if rep.failures else "")
+                 rep.first_failure())
     if rep.passed:
         b = bar(A, trunc, bar_sign)
         cb = cobar(C, trunc, cobar_sign)
@@ -300,9 +286,7 @@ def cmd_adjoint(args) -> int:
 def cmd_signs(args) -> int:
     if args.action != "compare":
         raise UsageError("signs needs the action: compare")
-    pf = _resolve(args)
-    field, trunc = _field_trunc(args, pf)
-    obj = pf.build(field, trunc)
+    field, trunc, obj = _build(args)
     report = Report("signs compare", field.name, str(trunc))
     if isinstance(obj, DgAlgebra):
         b = bar(obj, trunc, MINUS)
@@ -312,12 +296,12 @@ def cmd_signs(args) -> int:
         beta = universal_bar_cochain(b)
         rep = verify_twisting_cochain(beta, b.coalgebra, obj, pointed=True)
         report.check("β is a pointed twisting cochain (minus convention)",
-                     rep.passed, rep.failures[0] if rep.failures else "")
+                     rep.passed, rep.first_failure())
         b_plus = bar(obj, trunc, PLUS)
         rep_neg = verify_twisting_cochain(beta.neg(), b_plus.coalgebra, obj,
                                           pointed=True)
         report.check("-β passes under the plus convention", rep_neg.passed,
-                     rep_neg.failures[0] if rep_neg.failures else "")
+                     rep_neg.first_failure())
     else:
         c = cobar(obj, trunc, PLUS)
         wit = sign_convention_report(c.d_int, c.d_ext, c.algebra.dg)
@@ -326,7 +310,7 @@ def cmd_signs(args) -> int:
         omega = universal_cobar_cochain(c)
         rep = verify_twisting_cochain(omega, obj, c.algebra, pointed=True)
         report.check("ω is a pointed twisting cochain (plus convention)",
-                     rep.passed, rep.failures[0] if rep.failures else "")
+                     rep.passed, rep.first_failure())
     return _emit(report, args)
 
 

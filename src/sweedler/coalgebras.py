@@ -641,21 +641,27 @@ def _dual_differential(d: GradedMap, D: GradedSpace) -> GradedMap:
     return dD
 
 
-def finite_dual(A: DgAlgebra, name: str = "") -> DgCoalgebra:
-    """A* as a dg-coalgebra, for graded-finite A bounded in the window.
-
-    Δ(a*) = Σ_{b,c} (coefficient of a in bc) (-1)^{|b||c|} b*⊗c*.
-    """
-    space = A.space
+def _require_dualizable(space: GradedSpace, noun: str) -> None:
+    """The window rule of both duals: the space is exact in every degree,
+    and every degree n has its dual degree -n inside the window."""
     if space.inexact_degrees():
         raise NotGradedFinite(
-            "dual of a truncation-affected algebra would not be the "
+            f"dual of a truncation-affected {noun} would not be the "
             "truncation of the dual")
     outside = [n for n in space.degrees() if not space.window.contains(-n)]
     if outside:
         raise NotGradedFinite(
             f"dual leaves the window {space.window}: degrees "
             f"{', '.join(map(str, outside))} dualize outside it")
+
+
+def finite_dual(A: DgAlgebra, name: str = "") -> DgCoalgebra:
+    """A* as a dg-coalgebra, for graded-finite A bounded in the window.
+
+    Δ(a*) = Σ_{b,c} (coefficient of a in bc) (-1)^{|b||c|} b*⊗c*.
+    """
+    space = A.space
+    _require_dualizable(space, "algebra")
     field = A.field
     D = graded_dual(space)
     DD = tensor_space(D, D)
@@ -689,8 +695,7 @@ def finite_dual(A: DgAlgebra, name: str = "") -> DgCoalgebra:
 def dual_algebra(C: DgCoalgebra, name: str = "") -> DgAlgebra:
     """C* as a dg-algebra (convolution with scalars): b*·c* = ±(Δ-transpose)."""
     space = C.space
-    if space.inexact_degrees():
-        raise NotGradedFinite("dual of a truncation-affected coalgebra")
+    _require_dualizable(space, "coalgebra")
     field = C.field
     D = graded_dual(space)
     into = target_index(C.comult)    # b⊗c -> [(x, coefficient in Δx)]

@@ -5,6 +5,8 @@ carries a trust flag per degree: a degree is trusted only when both the
 incoming and outgoing ranks are fully representable inside the truncation
 window (a differential that raises word length makes top-weight degrees
 unreliable, and the lowest window degree cannot see its own boundary).
+`DgSpace.d_checkable` owns that window rule for d: trust flags, the d²
+check and the bar–cobar sign and chain-map checks all ask it.
 """
 
 from __future__ import annotations
@@ -47,31 +49,26 @@ class DgSpace:
     def window(self) -> Truncation:
         return self.space.window
 
-    def d_reliable(self, degree: int) -> bool:
-        """Is the restriction of d to this degree fully in-window?"""
-        if self.space.dim(degree) == 0:
-            return True
-        if degree - 1 < self.window.degree_min:
-            return False
-        if self.d_raises:
-            cap = self.window.weight_cap
-            for label in self.space.basis(degree):
-                w = self.space.weight_of(label)
-                if w is not None and w + self.d_raises > cap:
-                    return False
-        return True
+    def d_checkable(self, degree: int, times: int = 1) -> list:
+        """The basis labels of this degree whose dᵗⁱᵐᵉˢ stays in the window.
 
-    def d2_checkable(self, degree: int) -> list:
-        """The basis labels of this degree whose d² is fully in-window."""
-        if degree - 2 < self.window.degree_min:
+        The one window rule for d: degree - times ≥ degree_min, and, when d
+        raises word length, weight + times·d_raises ≤ weight_cap.  A d that
+        keeps word length cannot leave the cap, so weight is then ignored.
+        """
+        if degree - times < self.window.degree_min:
             return []
         basis = self.space.basis(degree)
         if not self.d_raises:
             return basis
-        top = self.window.weight_cap - 2 * self.d_raises
+        top = self.window.weight_cap - times * self.d_raises
         weight = self.space.weight_of
         return [label for label in basis
                 if (w := weight(label)) is None or w <= top]
+
+    def d_reliable(self, degree: int) -> bool:
+        """Is the restriction of d to this degree fully in-window?"""
+        return len(self.d_checkable(degree)) == self.space.dim(degree)
 
 
 @dataclass
@@ -98,7 +95,7 @@ def check_square_zero(X: DgSpace) -> SquareZeroReport:
     report = SquareZeroReport()
     d = X.d
     for n in X.space.degrees():
-        checkable = X.d2_checkable(n)
+        checkable = X.d_checkable(n, times=2)
         report.skipped += X.space.dim(n) - len(checkable)
         report.checked += len(checkable)
         for label in checkable:

@@ -1,5 +1,9 @@
 """Sweedler operations: convolution, measurings, C▷A, {T(X),B}, duality.
 
+`convolution_algebra` builds [C,A] on its basis of elementary maps;
+`convolve` is the same product on whole maps, f⋆g.  Twisting cochains
+(α⋆α) and the antipode identity of mc (S⋆id = id⋆S = eε) both use it.
+
 The Sweedler product is always materialized through the presentation engine
 (generators c▷a, relations (m),(u) and, pointed, (a)), then closed-form
 cases are compared against it in tests rather than silently preferred.
@@ -25,6 +29,7 @@ from .algebras import (DgAlgebra, PresentedAlgebra, normal_forms, word_label,
 from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_coalgebra,
                          coextend_coderivation, finite_dual, dual_algebra,
                          check_cofree_regime, CoalgebraError)
+from .presets import load_preset
 from .linalg import vaddmul, vscale
 
 
@@ -83,6 +88,22 @@ def convolution_algebra(C: DgCoalgebra, A: DgAlgebra,
                 if not field.is_zero(v):
                     aug[lab] = v
     return DgAlgebra(H, pair, unit, aug, name=name or f"[{C.name},{A.name}]")
+
+
+def convolve(f: GradedMap, g: GradedMap, C: DgCoalgebra,
+             A: DgAlgebra) -> GradedMap:
+    """f⋆g: C → A, the product of [C,A] on whole maps:
+    (f⋆g)(c) = Σ (-1)^{|g||c1|} f(c1)g(c2), of degree |f| + |g|."""
+    field = f.field
+    out = GradedMap(C.space, A.space, f.degree + g.degree)
+    for c in C.space.labels():
+        val: dict = {}
+        for (_, c1, c2), coeff in C.comult.apply_label(c).items():
+            sign = field.sign(g.degree * C.space.degree_of(c1))
+            val = vaddmul(field, val, field.mul(coeff, sign),
+                          A.product(f.apply_label(c1), g.apply_label(c2)))
+        out.set(c, A.space.project(val))
+    return out
 
 
 # -- measurings -------------------------------------------------------------------
@@ -304,8 +325,8 @@ def sweedler_product(C: DgCoalgebra, A: DgAlgebra, trunc: Truncation,
     Phi = GradedMap(T, alg.space, 0)
     for lab in T.labels():
         _, c, a = lab
-        w = word_label((rh_label(c, a),))
-        Phi.set(lab, alg.space.project(_reduce_word(alg, w)))
+        Phi.set(lab, alg.product(alg.unit,
+                                 {word_label((rh_label(c, a),)): one}))
     result = SweedlerProduct(alg, Phi, P, pointed)
     if verify:
         rep = verify_measuring(Phi, C, A, alg, pointed=pointed)
@@ -315,36 +336,26 @@ def sweedler_product(C: DgCoalgebra, A: DgAlgebra, trunc: Truncation,
     return result
 
 
-def _reduce_word(alg: DgAlgebra, w) -> dict:
-    """Normal form of a free word in a quotient built by normal_forms."""
-    if w in alg.space:
-        return {w: alg.field.one()}
-    # multiply letter by letter through the quotient product
-    syms = word_syms(w)
-    vec = {UNIT_WORD: alg.field.one()}
-    for s in syms:
-        vec = alg.product(vec, {word_label((s,)): alg.field.one()})
-    return vec
-
-
 # -- type-I example constructions ------------------------------------------------------
 
 
 def matrix_algebra(field: Field, n: int, trunc: Truncation) -> DgAlgebra:
     """Mat(n,F) in degree 0, with basis e_ij and (ab)_ij = Σ a_ik b_kj."""
     space = GradedSpace(field, trunc)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            space.add(f"e{i}{j}", 0)
+    label = {(i, j): f"e{i}{j}" for i in range(1, n + 1)
+             for j in range(1, n + 1)}
+    entry = {lab: ij for ij, lab in label.items()}
+    for lab in label.values():
+        space.add(lab, 0)
 
     def pair(a, b):
-        i, j = int(a[1]), int(a[2])
-        k, l = int(b[1]), int(b[2])
+        i, j = entry[a]
+        k, l = entry[b]
         if j == k:
-            return {f"e{i}{l}": field.one()}
+            return {label[i, l]: field.one()}
         return {}
 
-    unit = {f"e{i}{i}": field.one() for i in range(1, n + 1)}
+    unit = {label[i, i]: field.one() for i in range(1, n + 1)}
     return DgAlgebra(DgSpace(space), pair, unit, name=f"Mat({n})")
 
 
@@ -367,19 +378,11 @@ def example_construction(kind: str, A: DgAlgebra, trunc: Truncation,
 
 def primitive_coalgebra(field: Field, trunc: Truncation,
                         degree: int = 1, name: str = "") -> DgCoalgebra:
-    """Fδ₊ = F ⊕ Fδ with Δ(δ) = δ⊗e + e⊗δ."""
-    space = GradedSpace(field, trunc)
-    space.add("e", 0)
-    space.add("delta", degree)
-    TT = tensor_space(space, space)
-    comult = GradedMap(space, TT, 0)
-    one = field.one()
-    comult.set("e", {tensor_label("e", "e"): one})
-    comult.set("delta", {tensor_label("delta", "e"): one,
-                         tensor_label("e", "delta"): one})
-    counit = {"e": one}
-    return DgCoalgebra(DgSpace(space), comult, counit, atom="e",
-                       name=name or "Fδ+")
+    """Fδ₊ = F ⊕ Fδ with Δ(δ) = δ⊗e + e⊗δ: the `primitive-coalgebra`
+    preset, built at this field and window."""
+    C = load_preset(f"primitive-coalgebra:{degree}").build(field, trunc)
+    C.name = name or "Fδ+"
+    return C
 
 
 # -- the Sweedler hom, formula case ------------------------------------------------------

@@ -490,6 +490,15 @@ def test_dual_refuses_truncation_affected():
         finite_dual(T)
 
 
+def test_dual_algebra_refuses_duals_outside_the_window():
+    # δ has degree 1, so δ* would sit in degree -1, below the window
+    C = load_preset("primitive-coalgebra:1").build(QQ, Truncation(0, 3, 3))
+    with pytest.raises(NotGradedFinite, match="degrees 1 dualize outside"):
+        dual_algebra(C)
+    assert dual_algebra(load_preset("primitive-coalgebra:1").build(
+        QQ, Truncation(-1, 3, 3))).space.dims() == {-1: 1, 0: 1}
+
+
 def test_coderivation_commutator_and_odd_square_are_coderivations():
     gens = [("a", 1), ("b", 2)]
     T = tensor_coalgebra(QQ, gens, Truncation(0, 10, 4))

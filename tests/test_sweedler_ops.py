@@ -4,7 +4,7 @@ import pytest
 
 from sweedler.scalars import QQ, Field
 from sweedler.graded import (Truncation, GradedSpace, GradedMap, tensor_space,
-                             tensor_label, hom_label)
+                             tensor_label, hom_label, GradedError)
 from sweedler.complexes import check_square_zero
 from sweedler.algebras import (tensor_algebra, word_label, word_syms,
                                UNIT_WORD, omega_bimodule, normal_forms,
@@ -15,7 +15,8 @@ from sweedler.sweedler_ops import (convolution_algebra, verify_measuring,
                                    sweedler_product, example_construction,
                                    sweedler_hom_free, sweedler_dual,
                                    corestriction_identity_report,
-                                   primitive_coalgebra, rh_label)
+                                   primitive_coalgebra, matrix_algebra,
+                                   rh_label)
 from sweedler.presets import load_preset
 from sweedler.linalg import vaddmul, vscale
 
@@ -193,6 +194,22 @@ def test_sweedler_product_diagonal_vs_free_product_oracle():
     for k in range(4):
         want[(0, k)] = alternating_count(k)
     assert dims_by_weight(sp.algebra.space, cap=3) == want
+
+
+def test_matrix_algebra_products_at_n_10():
+    # two-digit indices: e1,10·e10,1 = e1,1, not a label parsed from "e110"
+    n = 10
+    A = matrix_algebra(QQ, n, TR)
+    e = {(i, j): f"e{i}{j}" for i in range(1, n + 1)
+         for j in range(1, n + 1)}
+    assert A.product({e[1, 10]: 1}, {e[10, 1]: 1}) == {e[1, 1]: 1}
+    for (i, j), x in e.items():
+        for (k, l), y in e.items():
+            assert A._pair(x, y) == ({e[i, l]: 1} if j == k else {})
+        assert A.product(A.unit, {x: 1}) == {x: 1}
+        assert A.product({x: 1}, A.unit) == {x: 1}
+    with pytest.raises(GradedError, match="duplicate basis label e111"):
+        matrix_algebra(QQ, 11, TR)
 
 
 def test_matrix_coalgebra_n1_gives_A_back():
