@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
-                     tensor_label, label_str)
+                     tensor_label, label_str, not_homogeneous)
 from .complexes import DgSpace, check_square_zero, dg_tensor
 from .linalg import (RowSpace, vaddmul, vaddmul_into, vscale, kernel_basis,
                      solve_membership)
@@ -226,20 +226,28 @@ def free_word_space(field: Field, generators: list[tuple],
 
     Words are listed by length, and within a length in the lexicographic
     order of the generator list; the words of length L and their degrees
-    come from those of length L-1.
+    come from those of length L-1.  A prefix is extended only when some
+    completion within the cap lands in the window: live[r] holds the
+    degrees from which at most r more letters reach it.
     """
     space = GradedSpace(field, trunc)
     degree_of = dict(generators)
     letters = [(g, degree_of[g]) for g, _ in generators]
+    cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
+    shifts = set(degree_of.values())
+    live = [set(range(dmin, dmax + 1))]
+    for _ in range(cap - 1):
+        live.append(live[-1] | {n - s for n in live[-1] for s in shifts})
     space.add(UNIT_WORD, 0, weight=0)
     level = [((), 0)]
-    for length in range(1, trunc.weight_cap + 1):
-        words = ((syms + (g,), degree + dg)
-                 for syms, degree in level for g, dg in letters)
-        if length < trunc.weight_cap:   # words of length cap are not kept
+    for length in range(1, cap + 1):
+        alive = live[cap - length]
+        words = ((syms + (g,), degree + dg) for syms, degree in level
+                 for g, dg in letters if degree + dg in alive)
+        if length < cap:    # words of length cap are not extended
             words = level = list(words)
         for syms, degree in words:
-            if trunc.contains(degree):
+            if dmin <= degree <= dmax:
                 space.add(word_label(syms), degree, weight=length)
     _mark_overflow_degrees(space, [d for _, d in generators], trunc.weight_cap)
     return space
@@ -251,7 +259,8 @@ def extend_derivation(generators: list[tuple], phi: dict, space: GradedSpace,
 
     D(x1⊗…⊗xk) = Σ_i (-1)^{n(|x1|+…+|x_{i-1}|)} x1⊗…⊗phi(x_i)⊗…⊗xk,
     spliced as words; components outside the window are dropped.  Each
-    column is summed in place, in the order of the positions i.
+    column is summed in place, in the order of the positions i, and the
+    one lookup of each spliced word also checks its degree.
     """
     D = GradedMap(space, space, degree)
     if not any(phi.values()):
@@ -261,31 +270,36 @@ def extend_derivation(generators: list[tuple], phi: dict, space: GradedSpace,
     one, minus = field.one(), field.sign(1)
     # the Koszul sign flips past each generator x with n·|x| odd
     flips = {g: degree * d % 2 for g, d in generators}
-    # each term with c and -c; the product with one reduces c mod p
-    images = {g: [(word_syms(t), field.mul(one, c), field.mul(minus, c))
-                  for t, c in v.items()]
+    # each term nonzero in the field, with c and -c
+    images = {g: [(word_syms(t), c, field.mul(minus, c))
+                  for t, c in vaddmul(field, {}, one, v).items()]
               for g, v in phi.items()}
     inside = space._degree_lookup()
-    for label in space.labels():
-        syms = word_syms(label)
-        img: dict = {}
-        odd = 0
-        for i, sym in enumerate(syms):
-            terms = images.get(sym)
-            if terms:
-                head, tail = syms[:i], syms[i + 1:]
-                for tsyms, even_c, odd_c in terms:
-                    new = word_label(head + tsyms + tail)
-                    if inside(new) is None:
-                        continue
-                    s = add(img.get(new, zero), odd_c if odd else even_c)
-                    if is_zero(s):
-                        img.pop(new, None)
-                    else:
-                        img[new] = s
-            odd ^= flips[sym]
-        if img:
-            D.set(label, img)
+    for n in space.degrees():
+        want = n + degree
+        for label in space.basis(n):
+            syms = word_syms(label)
+            img: dict = {}
+            odd = 0
+            for i, sym in enumerate(syms):
+                terms = images.get(sym)
+                if terms:
+                    head, tail = syms[:i], syms[i + 1:]
+                    for tsyms, even_c, odd_c in terms:
+                        new = word_label(head + tsyms + tail)
+                        got = inside(new)
+                        if got != want:
+                            if got is None:
+                                continue
+                            raise not_homogeneous(label, new, got, want)
+                        s = add(img.get(new, zero), odd_c if odd else even_c)
+                        if is_zero(s):
+                            img.pop(new, None)
+                        else:
+                            img[new] = s
+                odd ^= flips[sym]
+            if img:
+                D.columns[label] = img
     return D
 
 
@@ -585,10 +599,9 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
 # -- constructions on algebras ----------------------------------------------------
 
 
-def algebra_tensor(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
-    """(a⊗b)(a'⊗b') = (-1)^{|b||a'|} (aa')⊗(bb')."""
-    dg = dg_tensor(A.dg, B.dg)
-    T = dg.space
+def tensor_pair(A: DgAlgebra, B: DgAlgebra, T: GradedSpace):
+    """The pair product of A⊗B on the labels of T = A⊗B:
+    (a⊗b)(a'⊗b') = (-1)^{|b||a'|} (aa')⊗(bb'), terms outside T dropped."""
     field = T.field
 
     def pair(x, y):
@@ -607,6 +620,15 @@ def algebra_tensor(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
                                   {lab: field.one()})
         return out
 
+    return pair
+
+
+def algebra_tensor(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
+    """(a⊗b)(a'⊗b') = (-1)^{|b||a'|} (aa')⊗(bb'), with the tensor d."""
+    dg = dg_tensor(A.dg, B.dg)
+    T = dg.space
+    field = T.field
+    pair = tensor_pair(A, B, T)
     unit = None
     if A.unit is not None and B.unit is not None:
         unit = {}

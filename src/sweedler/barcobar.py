@@ -27,10 +27,11 @@ from functools import cached_property
 
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_label,
-                     tensor_sum_apply, susp_label, label_str, identity_map)
+                     tensor_space, tensor_sum_apply, susp_label, label_str,
+                     identity_map)
 from .complexes import DgSpace
 from .algebras import (DgAlgebra, tensor_algebra, extend_derivation,
-                       algebra_tensor, word_label, word_syms, UNIT_WORD,
+                       tensor_pair, word_label, word_syms, UNIT_WORD,
                        AlgebraError)
 from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_comult,
                          coextend_coderivation, coextend_map,
@@ -153,13 +154,14 @@ def bialgebra_compat_issues(alg: DgAlgebra, comult: GradedMap,
                             counit: dict) -> list[str]:
     """Δ(xy) = Δ(x)Δ(y) with the Koszul middle swap, and ε multiplicative.
 
-    Δ(x)Δ(y) is the product of A⊗A; both sides keep only the components
-    the target of Δ holds.
+    Δ(x)Δ(y) is the product of A⊗A, built without its d; both sides keep
+    only the components the target of Δ holds.
     """
     field = alg.field
     space = alg.space
     TT = comult.target
-    AA = algebra_tensor(alg, alg)
+    T = tensor_space(space, space)
+    AA = DgAlgebra(DgSpace(T), tensor_pair(alg, alg, T), None)
     cap = space.window.weight_cap
     issues = []
     for x in space.labels():

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
                      tensor_label, tensor_sum_apply, target_index,
-                     koszul_sign_exponent, label_str, graded_dual, dual_label)
+                     koszul_sign_exponent, label_str, graded_dual, dual_label,
+                     not_homogeneous)
 from .complexes import DgSpace, check_square_zero, dg_tensor
 from .linalg import RowSpace, vaddmul, vaddmul_into, kernel_basis
 from .algebras import (DgAlgebra, word_label, word_syms, UNIT_WORD,
@@ -327,28 +328,36 @@ def primitives(C: DgCoalgebra) -> list:
 
 
 def _word_comult(space: GradedSpace, splits) -> GradedMap:
-    """Δ(w) = Σ c·u⊗v over (u, v, c) in splits(syms of w), summed in place.
+    """Δ(w) = Σ c·u⊗v over (u, v, c) in splits(syms of w), summed in place;
+    each c is ±1, so never zero.
 
     A term outside the window marks the degree of w inexact.
     """
     field = space.field
     TT = tensor_space(space, space)
     comult = GradedMap(space, TT, 0)
-    for lab in space.labels():
-        img: dict = {}
-        for u, v, c in splits(word_syms(lab)):
-            t = tensor_label(word_label(u), word_label(v))
-            if t not in TT:
-                space.mark_inexact(space.degree_of(lab))
-            elif t in img:
-                s = field.add(img[t], c)
-                if field.is_zero(s):
-                    del img[t]
+    inside = TT._degree_lookup()
+    for n in space.degrees():
+        for lab in space.basis(n):
+            img: dict = {}
+            for u, v, c in splits(word_syms(lab)):
+                t = tensor_label(word_label(u), word_label(v))
+                got = inside(t)
+                if got != n:
+                    if got is None:
+                        space.mark_inexact(n)
+                        continue
+                    raise not_homogeneous(lab, t, got, n)
+                if t in img:
+                    s = field.add(img[t], c)
+                    if field.is_zero(s):
+                        del img[t]
+                    else:
+                        img[t] = s
                 else:
-                    img[t] = s
-            else:
-                img[t] = c
-        comult.set(lab, img)
+                    img[t] = c
+            if img:
+                comult.columns[lab] = img
     return comult
 
 
@@ -425,7 +434,8 @@ def coextend_coderivation(space: GradedSpace, generators: list[tuple],
     is D(x1⊗…⊗xk) = Σ_{i<j} (-1)^{degree·(|x1|+…+|xi|)}
     x1…xi ⊗ φ(x_{i+1}…x_j) ⊗ x_{j+1}…xk: T^c(X) is pointed, so φ is only
     consulted on words of length ≥ 1.  Each column is summed in place, in
-    the order of (i, j), and only over the chunk lengths φ has images for.
+    the order of (i, j), and only over the chunk lengths φ has images for;
+    the one lookup of each spliced word also checks its degree.
     """
     field = space.field
     D = GradedMap(space, space, degree)
@@ -433,38 +443,44 @@ def coextend_coderivation(space: GradedSpace, generators: list[tuple],
     one, minus = field.one(), field.sign(1)
     # the Koszul sign flips past each generator x with degree·|x| odd
     flips = {g: degree * d % 2 for g, d in generators}
-    # each term with c and -c; the product with one reduces c mod p
-    images = {w: [(sym, field.mul(one, c), field.mul(minus, c))
-                  for sym, c in v.items()]
-              for w, v in phi.items() if v}
-    lengths = sorted({len(word_syms(w)) for w in images if word_syms(w)})
+    # each term nonzero in the field, with c and -c
+    images = {w: [(sym, c, field.mul(minus, c))
+                  for sym, c in vaddmul(field, {}, one, v).items()]
+              for w, v in phi.items()}
+    lengths = sorted({len(word_syms(w)) for w, t in images.items()
+                      if t and word_syms(w)})
     inside = space._degree_lookup()
-    for lab in space.labels():
-        syms = word_syms(lab)
-        k = len(syms)
-        img: dict = {}
-        odd = 0
-        for i in range(k + 1):
-            for n in lengths:
-                if i + n > k:
-                    break
-                terms = images.get(word_label(syms[i:i + n]))
-                if not terms:
-                    continue
-                head, tail = syms[:i], syms[i + n:]
-                for sym, even_c, odd_c in terms:
-                    new = word_label(head + (sym,) + tail)
-                    if inside(new) is None:
+    for m in space.degrees():
+        want = m + degree
+        for lab in space.basis(m):
+            syms = word_syms(lab)
+            k = len(syms)
+            img: dict = {}
+            odd = 0
+            for i in range(k + 1):
+                for n in lengths:
+                    if i + n > k:
+                        break
+                    terms = images.get(word_label(syms[i:i + n]))
+                    if not terms:
                         continue
-                    s = add(img.get(new, zero), odd_c if odd else even_c)
-                    if is_zero(s):
-                        img.pop(new, None)
-                    else:
-                        img[new] = s
-            if i < k:
-                odd ^= flips[syms[i]]
-        if img:
-            D.set(lab, img)
+                    head, tail = syms[:i], syms[i + n:]
+                    for sym, even_c, odd_c in terms:
+                        new = word_label(head + (sym,) + tail)
+                        got = inside(new)
+                        if got != want:
+                            if got is None:
+                                continue
+                            raise not_homogeneous(lab, new, got, want)
+                        s = add(img.get(new, zero), odd_c if odd else even_c)
+                        if is_zero(s):
+                            img.pop(new, None)
+                        else:
+                            img[new] = s
+                if i < k:
+                    odd ^= flips[syms[i]]
+            if img:
+                D.columns[lab] = img
     return D
 
 

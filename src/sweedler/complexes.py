@@ -11,6 +11,7 @@ check and the bar–cobar sign and chain-map checks all ask it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 from .graded import (GradedSpace, GradedMap, Truncation, hom_space,
@@ -122,11 +123,12 @@ def homology(X: DgSpace, check: bool = True) -> dict[int, HomologyEntry]:
     for n in space.degrees():
         ranks[n] = rank_of_columns(space.field, d.columns, space.basis(n),
                                    space.basis(n - 1))
+    reliable = functools.cache(X.d_reliable)    # asked at most once a degree
     out: dict[int, HomologyEntry] = {}
     for n in space.degrees():
         dim = space.dim(n) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         trusted = (space.is_exact(n) and space.is_exact(n + 1)
-                   and X.d_reliable(n) and X.d_reliable(n + 1))
+                   and reliable(n) and reliable(n + 1))
         out[n] = HomologyEntry(dim, trusted)
     return out
 

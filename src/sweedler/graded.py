@@ -188,6 +188,12 @@ def unit_space(field: Field, window: Truncation) -> GradedSpace:
     return F
 
 
+def not_homogeneous(label, term, got: int, want: int) -> GradedError:
+    """The error for an image of `label` whose `term` has the wrong degree."""
+    return GradedError(f"image of {label_str(label)} not homogeneous: "
+                       f"{label_str(term)} has degree {got}, want {want}")
+
+
 class GradedMap:
     """Homogeneous linear map stored as sparse images of basis elements."""
 
@@ -223,9 +229,7 @@ class GradedMap:
             if got != want:
                 if got is None:
                     self.target.degree_of(k)    # raises: unknown basis label
-                raise GradedError(
-                    f"image of {label_str(label)} not homogeneous: "
-                    f"{label_str(k)} has degree {got}, want {want}")
+                raise not_homogeneous(label, k, got, want)
             col[k] = c
         if col:
             self.columns[label] = col

@@ -48,17 +48,23 @@ def _primitive(degree: int) -> PresentationFile:
     return pf
 
 
+def matrix_label(i: int, j: int, n: int) -> str:
+    """The name of e_ij in n×n matrices: e{i}{j} while every index is one
+    digit, e{i}_{j} from n = 10 on, so e_1,11 and e_11,1 stay apart."""
+    return f"e{i}{j}" if n < 10 else f"e{i}_{j}"
+
+
 def _matrix(n: int) -> PresentationFile:
     pf = PresentationFile(kind="coalgebra", trunc=Truncation(-6, 6, 6))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            name = f"e{i}{j}"
-            pf.generators.append((name, 0))
-            pf.comult[name] = [("1/1", f"e{i}{k},e{k}{j}")
-                               for k in range(1, n + 1)]
-            pf.counit[name] = "1/1" if i == j else "0/1"
+    e = {(i, j): matrix_label(i, j, n) for i in range(1, n + 1)
+         for j in range(1, n + 1)}
+    for (i, j), name in e.items():
+        pf.generators.append((name, 0))
+        pf.comult[name] = [("1/1", f"{e[i, k]},{e[k, j]}")
+                           for k in range(1, n + 1)]
+        pf.counit[name] = "1/1" if i == j else "0/1"
     if n == 1:
-        pf.atom = "e11"
+        pf.atom = e[1, 1]
     return pf
 
 

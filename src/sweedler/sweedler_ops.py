@@ -29,7 +29,7 @@ from .algebras import (DgAlgebra, PresentedAlgebra, normal_forms, word_label,
 from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_coalgebra,
                          coextend_coderivation, finite_dual, dual_algebra,
                          check_cofree_regime, CoalgebraError)
-from .presets import load_preset
+from .presets import load_preset, matrix_label
 from .linalg import vaddmul, vscale
 
 
@@ -342,7 +342,7 @@ def sweedler_product(C: DgCoalgebra, A: DgAlgebra, trunc: Truncation,
 def matrix_algebra(field: Field, n: int, trunc: Truncation) -> DgAlgebra:
     """Mat(n,F) in degree 0, with basis e_ij and (ab)_ij = Σ a_ik b_kj."""
     space = GradedSpace(field, trunc)
-    label = {(i, j): f"e{i}{j}" for i in range(1, n + 1)
+    label = {(i, j): matrix_label(i, j, n) for i in range(1, n + 1)
              for j in range(1, n + 1)}
     entry = {lab: ij for ij, lab in label.items()}
     for lab in label.values():

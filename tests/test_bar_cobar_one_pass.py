@@ -19,9 +19,11 @@ coextension, run with degree +1, covers its top end.
 import itertools
 import random
 
+import pytest
+
 from sweedler.scalars import QQ, Field
-from sweedler.graded import (Truncation, GradedSpace, GradedMap, tensor_label,
-                             tensor_space)
+from sweedler.graded import (Truncation, GradedSpace, GradedMap, GradedError,
+                             tensor_label, tensor_space, koszul_sign_exponent)
 from sweedler.complexes import DgSpace, SquareZeroReport, check_square_zero
 from sweedler.algebras import (word_label, word_syms, free_word_space,
                                extend_derivation, tensor_algebra,
@@ -29,7 +31,8 @@ from sweedler.algebras import (word_label, word_syms, free_word_space,
                                _mark_overflow_degrees)
 from sweedler.coalgebras import (DgCoalgebra, coextend_coderivation,
                                  tensor_coalgebra, coshuffle_coalgebra,
-                                 ReducedCoalgebra)
+                                 ReducedCoalgebra, coshuffle_comult,
+                                 _word_comult)
 from sweedler.barcobar import (bar, cobar, s_label, s_inv_label, MINUS,
                                PLUS)
 from sweedler.presets import load_preset
@@ -449,3 +452,332 @@ def test_cobar_matches_two_pass_reference():
         assert not square_zero_fails(cb.algebra.dg)
     assert drops["low"] > 0 and drops["high"] > 0
     assert both >= 6
+
+
+# -- word spaces that cost what they keep -------------------------------------
+#
+# The loops below are the ones that pruning and the one-lookup writes
+# replaced: `free_word_space` extending every prefix level by level, and the
+# splice loops writing each finished column through `GradedMap.set`.
+
+
+def ref_level_word_space(field, generators, trunc):
+    space = GradedSpace(field, trunc)
+    degree_of = dict(generators)
+    letters = [(g, degree_of[g]) for g, _ in generators]
+    space.add(UNIT_WORD, 0, weight=0)
+    level = [((), 0)]
+    for length in range(1, trunc.weight_cap + 1):
+        words = ((syms + (g,), degree + dg)
+                 for syms, degree in level for g, dg in letters)
+        if length < trunc.weight_cap:   # words of length cap are not kept
+            words = level = list(words)
+        for syms, degree in words:
+            if trunc.contains(degree):
+                space.add(word_label(syms), degree, weight=length)
+    _mark_overflow_degrees(space, [d for _, d in generators], trunc.weight_cap)
+    return space
+
+
+def ref_set_extend_derivation(generators, phi, space, degree):
+    D = GradedMap(space, space, degree)
+    if not any(phi.values()):
+        return D
+    field = space.field
+    add, is_zero, zero = field.add, field.is_zero, field.zero()
+    one, minus = field.one(), field.sign(1)
+    flips = {g: degree * d % 2 for g, d in generators}
+    images = {g: [(word_syms(t), field.mul(one, c), field.mul(minus, c))
+                  for t, c in v.items()]
+              for g, v in phi.items()}
+    inside = space._degree_lookup()
+    for label in space.labels():
+        syms = word_syms(label)
+        img: dict = {}
+        odd = 0
+        for i, sym in enumerate(syms):
+            terms = images.get(sym)
+            if terms:
+                head, tail = syms[:i], syms[i + 1:]
+                for tsyms, even_c, odd_c in terms:
+                    new = word_label(head + tsyms + tail)
+                    if inside(new) is None:
+                        continue
+                    s = add(img.get(new, zero), odd_c if odd else even_c)
+                    if is_zero(s):
+                        img.pop(new, None)
+                    else:
+                        img[new] = s
+            odd ^= flips[sym]
+        if img:
+            D.set(label, img)
+    return D
+
+
+def ref_set_coextend_coderivation(space, generators, phi, degree):
+    field = space.field
+    D = GradedMap(space, space, degree)
+    add, is_zero, zero = field.add, field.is_zero, field.zero()
+    one, minus = field.one(), field.sign(1)
+    flips = {g: degree * d % 2 for g, d in generators}
+    images = {w: [(sym, field.mul(one, c), field.mul(minus, c))
+                  for sym, c in v.items()]
+              for w, v in phi.items() if v}
+    lengths = sorted({len(word_syms(w)) for w in images if word_syms(w)})
+    inside = space._degree_lookup()
+    for lab in space.labels():
+        syms = word_syms(lab)
+        k = len(syms)
+        img: dict = {}
+        odd = 0
+        for i in range(k + 1):
+            for n in lengths:
+                if i + n > k:
+                    break
+                terms = images.get(word_label(syms[i:i + n]))
+                if not terms:
+                    continue
+                head, tail = syms[:i], syms[i + n:]
+                for sym, even_c, odd_c in terms:
+                    new = word_label(head + (sym,) + tail)
+                    if inside(new) is None:
+                        continue
+                    s = add(img.get(new, zero), odd_c if odd else even_c)
+                    if is_zero(s):
+                        img.pop(new, None)
+                    else:
+                        img[new] = s
+            if i < k:
+                odd ^= flips[syms[i]]
+        if img:
+            D.set(lab, img)
+    return D
+
+
+def ref_set_word_comult(space, splits):
+    field = space.field
+    TT = tensor_space(space, space)
+    comult = GradedMap(space, TT, 0)
+    for lab in space.labels():
+        img: dict = {}
+        for u, v, c in splits(word_syms(lab)):
+            t = tensor_label(word_label(u), word_label(v))
+            if t not in TT:
+                space.mark_inexact(space.degree_of(lab))
+            elif t in img:
+                s = field.add(img[t], c)
+                if field.is_zero(s):
+                    del img[t]
+                else:
+                    img[t] = s
+            else:
+                img[t] = c
+        comult.set(lab, img)
+    return comult
+
+
+def deconcat_splits(field):
+    one = field.one()
+    return lambda syms: ((syms[:i], syms[i:], one)
+                         for i in range(len(syms) + 1))
+
+
+def unshuffle_splits(field, degree_of):
+    def unshuffles(syms):
+        k = len(syms)
+        degrees = [degree_of[s] for s in syms]
+        for size in range(k + 1):
+            for subset in itertools.combinations(range(k), size):
+                rest = [i for i in range(k) if i not in subset]
+                exp = koszul_sign_exponent(degrees, list(subset) + rest)
+                yield (tuple(syms[i] for i in subset),
+                       tuple(syms[i] for i in rest), field.sign(exp))
+    return unshuffles
+
+
+def random_word_space_input(rng, trial):
+    """Generators and a window, cycling through the cases pruning must
+    get right: mixed signs, a degree-0 letter, all letters positive, all
+    negative, a window without 0; caps 1-6; sometimes a repeated name."""
+    kind = trial % 5
+    degrees = {0: range(-3, 4), 1: range(-3, 4), 2: range(1, 4),
+               3: range(-3, 0), 4: range(-3, 4)}[kind]
+    k = rng.randint(1, 4)
+    cap = 1 + trial % 6
+    gens = [(f"g{i}", rng.choice(degrees)) for i in range(k)]
+    if kind == 1:
+        i = rng.randrange(k)
+        gens[i] = (gens[i][0], 0)
+    if k > 1 and rng.random() < 0.15:
+        gens[-1] = (gens[0][0], gens[-1][1])
+    if kind == 4:
+        lo = rng.randint(1, 5)
+        dmin, dmax = rng.choice([(lo, lo + rng.randint(0, 4)),
+                                 (-lo - rng.randint(0, 4), -lo)])
+    else:
+        dmin, dmax = rng.randint(-6, 0), rng.randint(0, 6)
+    return gens, Truncation(dmin, dmax, cap)
+
+
+def build_or_error(make, *args):
+    try:
+        return make(*args)
+    except GradedError as exc:
+        return str(exc)
+
+
+def test_pruned_word_space_matches_level_loop():
+    rng = random.Random(37)
+    seen = {"zero": 0, "positive": 0, "negative": 0, "no 0": 0,
+            "repeated": 0, "raised": 0, "dropped": 0}
+    for trial in range(660):
+        field = FIELDS[trial % 3]
+        gens, tr = random_word_space_input(rng, trial)
+        new = build_or_error(free_word_space, field, gens, tr)
+        ref = build_or_error(ref_level_word_space, field, gens, tr)
+        degrees = [d for _, d in gens]
+        seen["zero"] += 0 in degrees
+        seen["positive"] += min(degrees) > 0
+        seen["negative"] += max(degrees) < 0
+        seen["no 0"] += not tr.contains(0)
+        seen["repeated"] += len(dict(gens)) < len(gens)
+        if isinstance(ref, str):
+            seen["raised"] += 1
+            assert new == ref
+            continue
+        assert new.degrees() == ref.degrees()
+        for n in ref.degrees():
+            assert new.basis(n) == ref.basis(n)
+            assert [new.weight_of(w) for w in new.basis(n)] == \
+                [ref.weight_of(w) for w in ref.basis(n)]
+        assert new.inexact_degrees() == ref.inexact_degrees()
+        # the window keeps fewer words than the cap allows
+        seen["dropped"] += ref.total_dim() < sum(
+            len(gens) ** length for length in range(tr.weight_cap + 1))
+    assert min(seen.values()) >= 20, seen
+
+
+def test_pruned_word_space_repeated_names_raise_as_before():
+    for gens, tr in [([("x", 1), ("x", 2)], Truncation(0, 4, 3)),
+                     ([("x", 5), ("x", 1)], Truncation(0, 4, 3)),
+                     ([("x", 5), ("y", 1), ("x", -1)], Truncation(-2, 2, 2))]:
+        with pytest.raises(GradedError) as new:
+            free_word_space(QQ, gens, tr)
+        with pytest.raises(GradedError) as ref:
+            ref_level_word_space(QQ, gens, tr)
+        assert str(new.value) == str(ref.value)
+        assert str(new.value).startswith("duplicate basis label ")
+
+
+def with_coefficient_p(rng, field, space, degree, vec):
+    """vec plus one term whose raw coefficient is p (zero in F_p), at a
+    word of `degree` when the space has one."""
+    words = space.basis(degree)
+    if words:
+        vec = dict(vec)
+        vec[rng.choice(words)] = field.p or 5
+    return vec
+
+
+def reduced_and_nonzero(f: GradedMap) -> bool:
+    field = f.field
+    return all(c == field.mul(field.one(), c) and not field.is_zero(c)
+               for col in f.columns.values() for c in col.values())
+
+
+def test_one_lookup_writes_match_set_loops():
+    rng = random.Random(41)
+    for trial in range(90):
+        field = FIELDS[trial % 3]
+        gens = random_generators(rng, "g")
+        names = [g for g, _ in gens]
+        degree_of = dict(gens)
+        tr = Truncation(-rng.randint(1, 4), rng.randint(1, 4),
+                        rng.randint(2, 4))
+        space = free_word_space(field, gens, tr)
+        degree = rng.choice([-2, -1, 1, 2])
+        words = free_word_space(field, gens, Truncation(-12, 12, 3))
+        phi = {g: with_coefficient_p(
+                   rng, field, words, deg + degree,
+                   random_word_vector(rng, field, words, deg + degree, 3))
+               for g, deg in gens}
+        new = extend_derivation(gens, phi, space, degree)
+        assert columns(new) == columns(
+            ref_set_extend_derivation(gens, phi, space, degree))
+        assert reduced_and_nonzero(new)
+        cophi = {}
+        for length in range(1, 4):
+            for chunk in itertools.product(names, repeat=length):
+                want = sum(degree_of[g] for g in chunk) + degree
+                val = {g: rng.choice([-1, 1, 2, field.p or 5])
+                       for g in names if degree_of[g] == want}
+                if val and rng.random() < 0.6:
+                    cophi[word_label(chunk)] = val
+        new = coextend_coderivation(space, gens, cophi, degree)
+        assert columns(new) == columns(
+            ref_set_coextend_coderivation(space, gens, cophi, degree))
+        assert reduced_and_nonzero(new)
+        assert columns(coshuffle_comult(space, degree_of)) == columns(
+            ref_set_word_comult(free_word_space(field, gens, tr),
+                                unshuffle_splits(field, degree_of)))
+
+
+def test_one_lookup_word_comult_matches_set_loop():
+    # windows without 0 drop splits u⊗v whose u or v lies below the window,
+    # so the comult marks degrees that free_word_space left exact
+    rng = random.Random(43)
+    marked = 0
+    for trial in range(200):
+        field = FIELDS[trial % 3]
+        gens, tr = random_word_space_input(rng, trial)
+        gens = list(dict(gens).items())
+        tr = Truncation(tr.degree_min, tr.degree_max, min(tr.weight_cap, 4))
+        degree_of = dict(gens)
+        for splits in (deconcat_splits(field),
+                       unshuffle_splits(field, degree_of)):
+            mine = free_word_space(field, gens, tr)
+            theirs = free_word_space(field, gens, tr)
+            before = mine.inexact_degrees()
+            new = _word_comult(mine, splits)
+            assert columns(new) == columns(ref_set_word_comult(theirs, splits))
+            assert mine.inexact_degrees() == theirs.inexact_degrees()
+            assert reduced_and_nonzero(new)
+            marked += mine.inexact_degrees() != before
+    assert marked >= 10
+
+
+def test_one_lookup_writes_refuse_non_homogeneous_images():
+    # |x| = 1, |y| = 2: a degree +1 map must send x into degree 2
+    gens = [("x", 1), ("y", 2)]
+    for field in FIELDS:
+        space = free_word_space(field, gens, Truncation(-4, 4, 3))
+        x, y = word_label(("x",)), word_label(("y",))
+        message = "image of x not homogeneous: x has degree 1, want 2"
+        cases = [
+            (extend_derivation, ref_set_extend_derivation,
+             (gens, {"x": {y: 1, x: 1}}, space, 1)),
+            (coextend_coderivation, ref_set_coextend_coderivation,
+             (space, gens, {x: {"y": 1, "x": 1}}, 1))]
+        for new, ref, args in cases:
+            for make in (new, ref):
+                with pytest.raises(GradedError) as exc:
+                    make(*args)
+                assert str(exc.value) == message
+        # a zero coefficient is dropped before its degree is checked
+        zero = field.p or 0
+        assert columns(extend_derivation(gens, {"x": {y: 1, x: zero}},
+                                         space, 1)) == \
+            columns(extend_derivation(gens, {"x": {y: 1}}, space, 1))
+        assert columns(coextend_coderivation(space, gens,
+                                             {x: {"y": 1, "x": zero}}, 1)) \
+            == columns(coextend_coderivation(space, gens, {x: {"y": 1}}, 1))
+        def twice(syms):
+            # x ↦ x⊗x has degree 2 where Δ(x) needs degree 1
+            return [(syms, syms, field.one())] if syms else []
+
+        for make in (_word_comult, ref_set_word_comult):
+            with pytest.raises(GradedError) as exc:
+                make(free_word_space(field, gens, Truncation(-4, 4, 3)),
+                     twice)
+            assert str(exc.value) == (
+                "image of x not homogeneous: (x)⊗(x) has degree 2, want 1")

@@ -373,6 +373,19 @@ def test_bialgebra_compat_matches_reference():
     assert messages == {"Δ not multiplicative", "ε not multiplicative"}
 
 
+def test_bialgebra_compat_on_mc_at_weight_10():
+    # the product of A⊗A without its d: mc's lists, with Δ intact and with
+    # Δ(u) cut down to u⊗1
+    for field in (QQ, F3):
+        mc = mc_algebra(field, Truncation(-10, 0, 10))
+        alg, u = mc.algebra, word_label(("u",))
+        cut = mutated(mc.comult, u, {tensor_label(u, UNIT_WORD): field.one()})
+        for co in (mc.comult, cut):
+            new = bialgebra_compat_issues(alg, co, mc.counit)
+            assert new == ref_bialgebra_compat_issues(alg, co, mc.counit)
+            assert bool(new) == (co is cut)
+
+
 # -- one sign rule -----------------------------------------------------------------------
 
 

@@ -310,6 +310,19 @@ def test_out_of_memory_is_one_error_line():
         "error: out of memory; try a smaller --trunc window\n"
 
 
+def test_bar_work_follows_the_answer_not_the_window():
+    # B A of T(x, y) with |x| = 1, |y| = 2 at -1:8:6 keeps a few thousand
+    # words; listing every word up to the cap first ran past 300 s
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sweedler.cli", "bar", "--preset",
+         "free-algebra:x=1,y=2", "--trunc", "-1:8:6", "--homology"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "table: homology" in proc.stdout
+
+
 def homology_table(out: str) -> dict:
     """degree -> (dim, trust) from the homology table of a report."""
     table = {}

@@ -259,3 +259,35 @@ def test_homology_ranks_match_copying_path_on_bar_and_cobar(field):
     for preset in ("dual-numbers", "free-algebra:x=1"):
         A = load_preset(preset).build(field, tr)
         _assert_homology_matches(bar(A, tr).coalgebra.dg)
+
+
+def test_homology_asks_d_reliable_at_most_once_per_degree(monkeypatch):
+    # the loop it replaced asked d_reliable(n) and d_reliable(n + 1) for
+    # each degree n with both exact flags set, so inner degrees twice
+    rng = random.Random(7)
+    complexes = [_random_sparse_complex(rng, QQ) for _ in range(20)]
+    tr = Truncation(-4, 0, 4)
+    complexes.append(cobar(load_preset("diagonal-coalgebra:3").build(QQ, tr),
+                           tr).algebra.dg)
+    tr = Truncation(-1, 5, 5)
+    complexes.append(bar(load_preset("free-algebra:x=1").build(QQ, tr),
+                         tr).coalgebra.dg)
+    flags, wanted = [], []
+    for X in complexes:
+        space = X.space
+        exact = [n for n in space.degrees()
+                 if space.is_exact(n) and space.is_exact(n + 1)]
+        wanted.append({m for n in exact for m in (n, n + 1)})
+        flags.append({n: n in exact and X.d_reliable(n) and X.d_reliable(n + 1)
+                      for n in space.degrees()})
+    assert any(False in f.values() for f in flags)
+    assert any(True in f.values() for f in flags)
+    asked = []
+    reliable = DgSpace.d_reliable
+    monkeypatch.setattr(DgSpace, "d_reliable", lambda self, n: (
+        asked.append(n), reliable(self, n))[1])
+    for X, want, degrees in zip(complexes, flags, wanted):
+        asked.clear()
+        assert {n: e.trusted for n, e in homology(X).items()} == want
+        assert len(asked) == len(set(asked))
+        assert set(asked) <= degrees

@@ -4,7 +4,7 @@ import pytest
 
 from sweedler.scalars import QQ, Field
 from sweedler.graded import (Truncation, GradedSpace, GradedMap, tensor_space,
-                             tensor_label, hom_label, GradedError)
+                             tensor_label, hom_label)
 from sweedler.complexes import check_square_zero
 from sweedler.algebras import (tensor_algebra, word_label, word_syms,
                                UNIT_WORD, omega_bimodule, normal_forms,
@@ -17,7 +17,7 @@ from sweedler.sweedler_ops import (convolution_algebra, verify_measuring,
                                    corestriction_identity_report,
                                    primitive_coalgebra, matrix_algebra,
                                    rh_label)
-from sweedler.presets import load_preset
+from sweedler.presets import load_preset, matrix_label
 from sweedler.linalg import vaddmul, vscale
 
 TR = Truncation(-6, 6, 6)
@@ -197,19 +197,36 @@ def test_sweedler_product_diagonal_vs_free_product_oracle():
 
 
 def test_matrix_algebra_products_at_n_10():
-    # two-digit indices: e1,10·e10,1 = e1,1, not a label parsed from "e110"
-    n = 10
-    A = matrix_algebra(QQ, n, TR)
-    e = {(i, j): f"e{i}{j}" for i in range(1, n + 1)
+    # two-digit indices: e1,10·e10,1 = e1,1, not a label parsed from "e110";
+    # at n = 11, e1,11 and e11,1 are two labels, not both "e111"
+    assert matrix_label(2, 3, 9) == "e23"
+    assert matrix_label(1, 11, 11) != matrix_label(11, 1, 11)
+    for n in (10, 11):
+        A = matrix_algebra(QQ, n, TR)
+        e = {(i, j): matrix_label(i, j, n) for i in range(1, n + 1)
+             for j in range(1, n + 1)}
+        assert A.space.labels() == list(e.values())
+        assert A.product({e[1, n]: 1}, {e[n, 1]: 1}) == {e[1, 1]: 1}
+        for (i, j), x in e.items():
+            for (k, l), y in e.items():
+                assert A._pair(x, y) == ({e[i, l]: 1} if j == k else {})
+            assert A.product(A.unit, {x: 1}) == {x: 1}
+            assert A.product({x: 1}, A.unit) == {x: 1}
+
+
+def test_matrix_coalgebra_at_n_11():
+    # the preset and the dual of Mat(11) name e_ij alike, and the Sweedler
+    # product of Mat(11)* runs
+    n, tr = 11, Truncation(-1, 1, 1)
+    C = load_preset(f"matrix-coalgebra:{n}").build(QQ, tr)
+    assert C.space.labels() == matrix_algebra(QQ, n, tr).space.labels()
+    assert C.verify() == []
+    e = {(i, j): matrix_label(i, j, n) for i in range(1, n + 1)
          for j in range(1, n + 1)}
-    assert A.product({e[1, 10]: 1}, {e[10, 1]: 1}) == {e[1, 1]: 1}
-    for (i, j), x in e.items():
-        for (k, l), y in e.items():
-            assert A._pair(x, y) == ({e[i, l]: 1} if j == k else {})
-        assert A.product(A.unit, {x: 1}) == {x: 1}
-        assert A.product({x: 1}, A.unit) == {x: 1}
-    with pytest.raises(GradedError, match="duplicate basis label e111"):
-        matrix_algebra(QQ, 11, TR)
+    assert C.comult.apply_label(e[1, 11]) == {
+        tensor_label(e[1, k], e[k, 11]): 1 for k in range(1, n + 1)}
+    sp = example_construction("matrix", dual_numbers(tr=tr), tr, n=n)
+    assert sp.algebra.space.dims() == {0: 1 + n * n}
 
 
 def test_matrix_coalgebra_n1_gives_A_back():
