@@ -17,7 +17,7 @@ the extension; `_ideal_slices` gives the rule and why the span is unchanged.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 
 from .scalars import Field
@@ -113,38 +113,46 @@ class DgAlgebra:
         return m
 
     # -- verification ------------------------------------------------------------
-    def _representable(self, *labels) -> bool:
-        """Can the window hold the product of these basis elements (and its
-        intermediates)?  Degree sub-sums and total weight are both checked."""
+    def window_tuples(self, k: int):
+        """The k-tuples of basis labels whose product the window can hold,
+        streamed in itertools.product order: every run of consecutive
+        degrees sums into the window and, when every weight in the tuple is
+        known, the weights sum to at most the cap.  Labels are listed by
+        degree, so the labels that keep each run of a prefix in the window
+        are one slice of them."""
         space = self.space
-        degs = [space.degree_of(k) for k in labels]
-        for i in range(len(degs)):
-            total = 0
-            for j in range(i, len(degs)):
-                total += degs[j]
-                if not space.window.contains(total):
-                    return False
-        weights = [space.weight_of(k) for k in labels]
-        if all(w is not None for w in weights) and \
-                sum(weights) > space.window.weight_cap:
-            return False
-        return True
+        win = space.window
+        labels = space.labels()
+        degs = [space.degree_of(x) for x in labels]
+        weights = [space.weight_of(x) for x in labels]
+
+        def grow(prefix, lo, hi, weight, left):
+            # lo, hi: least and greatest sum of a run ending the prefix, or 0
+            for i in range(bisect_left(degs, win.degree_min - lo),
+                           bisect_right(degs, win.degree_max - hi)):
+                n, wi = degs[i], weights[i]
+                total = None if weight is None or wi is None else weight + wi
+                if left > 1:
+                    yield from grow(prefix + (labels[i],), min(0, lo + n),
+                                    max(0, hi + n), total, left - 1)
+                elif total is None or total <= win.weight_cap:
+                    yield prefix + (labels[i],)
+
+        return grow((), 0, 0, 0, k)
 
     def verify(self, check_d_squared: bool = True) -> list[str]:
         """Associativity, unit, Leibniz and d² on the window; [] means pass.
 
-        Pairs and triples whose (sub)products overflow the window are
-        skipped: the truncated product is honestly non-associative there,
-        which the truncation flags already record.
+        Associativity, Leibniz and the augmentation are checked on the tuples
+        of `window_tuples`: one whose (sub)products overflow the window is
+        skipped, since the truncated product is honestly non-associative
+        there, which the truncation flags already record.
         """
         issues: list[str] = []
         field = self.field
-        labels = self.space.labels()
         one = field.one()
         # associativity
-        for a, b, c in itertools.product(labels, repeat=3):
-            if not self._representable(a, b, c):
-                continue
+        for a, b, c in self.window_tuples(3):
             lhs = self.product(self._pair(a, b), {c: one})
             rhs = self.product({a: one}, self._pair(b, c))
             if lhs != rhs:
@@ -154,15 +162,13 @@ class DgAlgebra:
                 break
         # unit laws
         if self.unit is not None:
-            for a in labels:
+            for a in self.space.labels():
                 if self.product(self.unit, {a: one}) != {a: one} or \
                         self.product({a: one}, self.unit) != {a: one}:
                     issues.append(f"unit law fails at {label_str(a)}")
                     break
         # Leibniz
-        for a, b in itertools.product(labels, repeat=2):
-            if not self._representable(a, b):
-                continue
+        for a, b in self.window_tuples(2):
             lhs = self.d(self._pair(a, b))
             rhs = self.product(self.d.apply_label(a), {b: one})
             sign = field.sign(self.space.degree_of(a))
@@ -176,9 +182,7 @@ class DgAlgebra:
         if self.aug is not None and self.unit is not None:
             if not field.is_one(self.augmentation(self.unit)):
                 issues.append("augmentation does not send 1 to 1")
-            for a, b in itertools.product(labels, repeat=2):
-                if not self._representable(a, b):
-                    continue
+            for a, b in self.window_tuples(2):
                 lhs = self.augmentation(self._pair(a, b))
                 rhs = field.mul(self.augmentation({a: one}),
                                 self.augmentation({b: one}))

@@ -157,36 +157,23 @@ def bialgebra_compat_issues(alg: DgAlgebra, comult: GradedMap,
     Δ(x)Δ(y) is the product of A⊗A, built without its d; both sides keep
     only the components the target of Δ holds.
     """
-    field = alg.field
+    field, zero = alg.field, alg.field.zero()
     space = alg.space
     TT = comult.target
     T = tensor_space(space, space)
     AA = DgAlgebra(DgSpace(T), tensor_pair(alg, alg, T), None)
-    cap = space.window.weight_cap
-    issues = []
-    for x in space.labels():
-        for y in space.labels():
-            wx, wy = space.weight_of(x), space.weight_of(y)
-            if wx is not None and wy is not None and wx + wy > cap:
-                continue   # product overflows the cap; nothing to compare
-            lhs = TT.project(comult(alg._pair(x, y)))
-            rhs = TT.project(AA.product(comult.apply_label(x),
-                                        comult.apply_label(y)))
-            if lhs != rhs:
-                issues.append(
-                    f"Δ not multiplicative at ({label_str(x)},{label_str(y)})")
-                return issues
-            el = counit.get(x, field.zero())
-            er = counit.get(y, field.zero())
-            exy = field.zero()
-            for m, cm in alg._pair(x, y).items():
-                exy = field.add(exy, field.mul(cm,
-                                               counit.get(m, field.zero())))
-            if exy != field.mul(el, er):
-                issues.append(
-                    f"ε not multiplicative at ({label_str(x)},{label_str(y)})")
-                return issues
-    return issues
+    for x, y in alg.window_tuples(2):
+        lhs = TT.project(comult(alg._pair(x, y)))
+        rhs = TT.project(AA.product(comult.apply_label(x),
+                                    comult.apply_label(y)))
+        if lhs != rhs:
+            return [f"Δ not multiplicative at ({label_str(x)},{label_str(y)})"]
+        exy = zero
+        for m, cm in alg._pair(x, y).items():
+            exy = field.add(exy, field.mul(cm, counit.get(m, zero)))
+        if exy != field.mul(counit.get(x, zero), counit.get(y, zero)):
+            return [f"ε not multiplicative at ({label_str(x)},{label_str(y)})"]
+    return []
 
 
 # -- Maurer-Cartan elements ------------------------------------------------------------
@@ -574,19 +561,13 @@ def algebra_map_issues(g: GradedMap, source: DgAlgebra,
     issues = []
     if source.unit is not None and g(source.unit) != target.unit:
         issues.append("g(1) ≠ 1")
-    cap = source.space.window.weight_cap
-    for a in source.space.labels():
-        for b in source.space.labels():
-            wa = source.space.weight_of(a)
-            wb = source.space.weight_of(b)
-            if wa is not None and wb is not None and wa + wb > cap:
-                continue
-            lhs = g(source._pair(a, b))
-            rhs = target.product(g.apply_label(a), g.apply_label(b))
-            if lhs != rhs:
-                issues.append(
-                    f"g not multiplicative at ({label_str(a)},{label_str(b)})")
-                return issues
+    for a, b in source.window_tuples(2):
+        lhs = g(source._pair(a, b))
+        rhs = target.product(g.apply_label(a), g.apply_label(b))
+        if lhs != rhs:
+            issues.append(
+                f"g not multiplicative at ({label_str(a)},{label_str(b)})")
+            return issues
     for n in source.space.degrees():
         for a in source.dg.d_checkable(n):
             if g(source.d.apply_label(a)) != target.d(g.apply_label(a)):
@@ -782,6 +763,7 @@ def hopf_on_bar(b: BarConstruction) -> tuple[GradedMap, list[str]]:
     """Shuffle product on B A for commutative A; errors carry a witness."""
     A = b.algebra
     field = A.field
+    # every pair: in A⊗B or C▷A a pair past the cap can have a product
     for x in A.space.labels():
         for y in A.space.labels():
             sign = field.sign(A.space.degree_of(x) * A.space.degree_of(y))

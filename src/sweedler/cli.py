@@ -35,17 +35,28 @@ def _load_pf(source: str) -> PresentationFile:
     return parse_file(source)
 
 
-def _resolve(args, role: str | None = None) -> PresentationFile:
+NOUNS = {"algebra": "an algebra", "coalgebra": "a coalgebra", "map": "a map"}
+
+
+def _resolve(args, role: str | None = None,
+             kinds=("algebra", "coalgebra")) -> PresentationFile:
+    """The presentation of a role's input, of the role's kind, or without a
+    role the --preset/--file one, of one of `kinds`."""
     if role is not None:
-        source = getattr(args, role.replace("-", "_"), None)
-        if source is None:
+        if getattr(args, role, None) is None:
             raise UsageError(f"missing --{role}")
-        return _load_pf(source)
-    if getattr(args, "preset", None):
-        return load_preset(args.preset)
-    if getattr(args, "file", None):
-        return parse_file(args.file)
-    raise UsageError("need --preset NAME or --file PATH")
+        pf, kinds = _load_pf(getattr(args, role)), (role,)
+    elif getattr(args, "preset", None):
+        pf = load_preset(args.preset)
+    elif getattr(args, "file", None):
+        pf = parse_file(args.file)
+    else:
+        raise UsageError("need --preset NAME or --file PATH")
+    if pf.kind not in kinds:
+        raise UsageError(f"{args.command if role is None else '--' + role} "
+                         f"needs {' or '.join(map(NOUNS.get, kinds))} "
+                         "presentation")
+    return pf
 
 
 def _field_trunc(args, pf: PresentationFile):
@@ -54,10 +65,11 @@ def _field_trunc(args, pf: PresentationFile):
     return field, trunc
 
 
-def _build(args, *roles):
-    """(field, trunc, *objects): resolve every input (--preset/--file when
-    no role is named), take field and window from the first, build each."""
-    pfs = [_resolve(args, role) for role in roles or (None,)]
+def _build(args, *roles, kinds=("algebra", "coalgebra")):
+    """(field, trunc, *objects): resolve every input (--preset/--file, of
+    one of `kinds`, when no role is named), take field and window from the
+    first, build each."""
+    pfs = [_resolve(args, role, kinds) for role in roles or (None,)]
     field, trunc = _field_trunc(args, pfs[0])
     return (field, trunc, *(pf.build(field, trunc) for pf in pfs))
 
@@ -114,7 +126,7 @@ def _verify_object(obj, report: Report) -> None:
 
 
 def cmd_verify(args) -> int:
-    field, trunc, obj = _build(args)
+    field, trunc, obj = _build(args, kinds=tuple(NOUNS))
     report = Report("verify", field.name, str(trunc))
     _verify_object(obj, report)
     space = obj.space if hasattr(obj, "space") else None
@@ -161,15 +173,13 @@ def cmd_mc(args) -> int:
     return _emit(report, args)
 
 
-def _bar_cobar_report(args, name: str, kind: type, noun: str, construct,
+def _bar_cobar_report(args, name: str, kind: str, construct,
                       convention: str) -> int:
     """d², d^int/d^ext, dimensions and homology of bar or cobar."""
-    field, trunc, obj = _build(args)
-    if not isinstance(obj, kind):
-        raise UsageError(f"{name} needs {noun} presentation")
+    field, trunc, obj = _build(args, kinds=(kind,))
     convention = args.convention or convention
     c = construct(obj, trunc, convention)
-    dg = (c.coalgebra if kind is DgAlgebra else c.algebra).dg
+    dg = (c.coalgebra if kind == "algebra" else c.algebra).dg
     report = Report(name, field.name, str(trunc), convention)
     square_zero = _square_zero_check(report, "d² = 0 on the checkable window",
                                      dg)
@@ -184,12 +194,11 @@ def _bar_cobar_report(args, name: str, kind: type, noun: str, construct,
 
 
 def cmd_bar(args) -> int:
-    return _bar_cobar_report(args, "bar", DgAlgebra, "an algebra", bar, MINUS)
+    return _bar_cobar_report(args, "bar", "algebra", bar, MINUS)
 
 
 def cmd_cobar(args) -> int:
-    return _bar_cobar_report(args, "cobar", DgCoalgebra, "a coalgebra",
-                             cobar, PLUS)
+    return _bar_cobar_report(args, "cobar", "coalgebra", cobar, PLUS)
 
 
 def cmd_convolve(args) -> int:
@@ -240,13 +249,9 @@ def cmd_twist(args) -> int:
                      rep.first_failure())
         return _emit(report, args)
     if args.action == "enumerate":
-        pf_c = _resolve(args, "coalgebra")
-        pf_a = _resolve(args, "algebra")
-        field, trunc = _field_trunc(args, pf_c)
+        field, trunc, C, A = _build(args, "coalgebra", "algebra")
         if field.p is None:
             raise UsageError("twist enumerate needs --field Fp:<p>")
-        C = pf_c.build(field, trunc)
-        A = pf_a.build(field, trunc)
         found = enumerate_twisting_cochains(C, A, pointed=args.pointed)
         report = Report("twist enumerate", field.name, str(trunc))
         report.check("enumeration completed", True, f"{len(found)} cochains")
@@ -444,7 +449,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ParseError, ScalarError, FileNotFoundError) as exc:
+    except (UsageError, ParseError, ScalarError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (GradedError, AlgebraError, CoalgebraError,

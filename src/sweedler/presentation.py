@@ -17,8 +17,8 @@ The format is diff-friendly structured text with explicit section lines:
     atom e
 
     degree -1                     # map: degree + source/target files
-    source coalg.swp
-    target alg.swp
+    source coalg.swp              # a coalgebra
+    target alg.swp                # an algebra
     entry delta 1/1 u             # image of a source element, term list
 
 Coefficients are "p/q" strings over Q and integer residues over F_p.
@@ -71,6 +71,15 @@ class PresentationFile:
     # -- building ------------------------------------------------------------
     def names(self) -> set[str]:
         return {g for g, _ in self.generators}
+
+    def declare(self, name: str, degree: int) -> None:
+        """Add a generator or basis element; so that `serialize` reads back,
+        its name is new, non-empty and free of whitespace, "." "," and "#"."""
+        if not name or any(c.isspace() or c in ".,#" for c in name):
+            raise ParseError(f"bad generator name {name!r}")
+        if name in self.names():
+            raise ParseError(f"duplicate name {name!r}")
+        self.generators.append((name, degree))
 
     def build(self, field: Field | None = None,
               trunc: Truncation | None = None):
@@ -151,6 +160,9 @@ class PresentationFile:
         base = os.path.dirname(self.path) if self.path else "."
         src_file = parse_file(os.path.join(base, self.source_path))
         tgt_file = parse_file(os.path.join(base, self.target_path))
+        if (src_file.kind, tgt_file.kind) != ("coalgebra", "algebra"):
+            raise ParseError("a map goes from a coalgebra to an algebra, "
+                             f"not from {src_file.kind} to {tgt_file.kind}")
         source = src_file.build(field, trunc)
         target = tgt_file.build(field, trunc)
         src_space = source.space
@@ -162,11 +174,7 @@ class PresentationFile:
             vec: dict = {}
             for coeff_text, word in terms:
                 coeff = field.parse(coeff_text)
-                if tgt_file.kind == "algebra":
-                    syms = () if word == "1" else tuple(word.split("."))
-                    lab = word_label(syms)
-                else:
-                    lab = word
+                lab = word_label(() if word == "1" else tuple(word.split(".")))
                 if lab not in tgt_space:
                     raise UnknownName(
                         f"target element {word!r} not in the window")
@@ -230,7 +238,6 @@ def parse_text(text: str, path: str | None = None) -> PresentationFile:
     lines = text.splitlines()
     if not lines or lines[0].strip() != HEADER:
         raise ParseError(f"missing header line {HEADER!r}")
-    declared: set[str] = set()
     for no, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -247,13 +254,7 @@ def parse_text(text: str, path: str | None = None) -> PresentationFile:
             elif head == "trunc":
                 pf.trunc = Truncation.parse(rest[0])
             elif head in ("gen", "basis"):
-                name, degree = rest[0], int(rest[1])
-                if "." in name or "," in name:
-                    raise ParseError(f"bad generator name {name!r}")
-                if name in declared:
-                    raise ParseError(f"duplicate name {name!r}")
-                declared.add(name)
-                pf.generators.append((name, degree))
+                pf.declare(rest[0], int(rest[1]))
             elif head == "rel":
                 pf.relations.append(_parse_terms(rest, no))
             elif head == "d":

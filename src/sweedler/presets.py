@@ -75,8 +75,7 @@ def _free_algebra(spec: str) -> PresentationFile:
             raise ParseError(f"free-algebra wants name=degree, got {item!r}")
         name, degree = item.split("=", 1)
         name = name.strip()
-        pf.generators.append(
-            (name, _integer(f"free-algebra degree of {name!r}", degree)))
+        pf.declare(name, _integer(f"free-algebra degree of {name!r}", degree))
     pf.aug = {name: "0/1" for name, _ in pf.generators}
     return pf
 

@@ -548,6 +548,7 @@ def double_dual_compare(A: DgAlgebra) -> list[str]:
         return out
 
     one = field.one()
+    # every pair: in A⊗B or C▷A a pair past the cap can have a product
     for a in A.space.labels():
         for b in A.space.labels():
             lhs = into(A._pair(a, b))

@@ -290,6 +290,84 @@ def test_bad_numbers_fail_cleanly(argv, message, capsys):
     assert capsys.readouterr().err == message + "\n"
 
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["convolve", "--coalgebra", "preset:mc", "--algebra",
+      "preset:dual-numbers"], "--coalgebra needs a coalgebra presentation"),
+    (["sweedler-dual", "--algebra", "preset:primitive-coalgebra:1"],
+     "--algebra needs an algebra presentation"),
+    (["sweedler-product", "--coalgebra", "preset:dual-numbers", "--algebra",
+      "preset:diagonal-coalgebra:2"],
+     "--coalgebra needs a coalgebra presentation"),
+    (["twist", "enumerate", "--field", "Fp:2", "--coalgebra",
+      "preset:primitive-coalgebra:1", "--algebra",
+      "preset:primitive-coalgebra:1"],
+     "--algebra needs an algebra presentation"),
+    (["twist", "verify", "--map", str(DATA / "a.swp")],
+     "--map needs a map presentation"),
+    (["adjoint", "--map", str(DATA / "c.swp")],
+     "--map needs a map presentation"),
+    (["dims", "--file", str(DATA / "my_cochain.swp")],
+     "dims needs an algebra or a coalgebra presentation"),
+    (["homology", "--file", str(DATA / "my_cochain.swp")],
+     "homology needs an algebra or a coalgebra presentation"),
+    (["signs", "compare", "--file", str(DATA / "my_cochain.swp")],
+     "signs needs an algebra or a coalgebra presentation"),
+    (["bar", "--file", str(DATA / "c.swp")],
+     "bar needs an algebra presentation"),
+    (["cobar", "--preset", "mc"], "cobar needs a coalgebra presentation"),
+    (["dims", "--preset", "free-algebra:x.y=1"],
+     "bad generator name 'x.y'"),
+], ids=["convolve", "sweedler-dual", "sweedler-product", "twist-enumerate",
+        "twist-verify", "adjoint", "dims", "homology", "signs", "bar",
+        "cobar", "preset-name"])
+def test_inputs_of_the_wrong_kind_fail_cleanly(argv, message, capsys):
+    code, out = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    # one error line, no traceback
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("source,target,kinds", [
+    ("a.swp", "c.swp", "algebra to coalgebra"),
+    ("my_cochain.swp", "a.swp", "map to algebra"),
+])
+def test_a_map_between_the_wrong_kinds_fails_cleanly(source, target, kinds,
+                                                      tmp_path, capsys):
+    m = tmp_path / "m.swp"
+    m.write_text("sweedler-presentation v1\nkind map\ntrunc -3:3:4\n"
+                 f"degree -1\nsource {DATA / source}\n"
+                 f"target {DATA / target}\n")
+    for argv in (["twist", "verify", "--map", str(m)],
+                 ["adjoint", "--map", str(m)], ["verify", "--file", str(m)]):
+        code, out = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: a map goes from a coalgebra to an algebra, not from "
+            f"{kinds}\n")
+
+
+def test_a_map_file_still_verifies_as_built():
+    code, out = run_cli(["verify", "--file", str(DATA / "my_cochain.swp")])
+    assert code == 0
+    assert "PASS object built" in out
+
+
+def test_a_directory_is_one_error_line():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sweedler.cli", "dims", "--file", str(DATA)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_out_of_memory_is_one_error_line():
     # about 126⁶ words of length 6 lie in this window; under a 200 MB
     # address-space cap the child runs out of memory within seconds

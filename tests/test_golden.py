@@ -34,8 +34,9 @@ DATA = TESTS / "data"
 # (name, arguments after `sweedler`): the README CLI section, then the
 # plus-convention adjunction, homology over 𝔽3, a dual over 𝔽5, a
 # Sweedler product whose presented algebra has many u·r·v elements, a
-# coalgebra that fails co-Leibniz and an algebra whose d² ≠ 0 has a
-# non-integral coefficient and an integral one reached through 1/2·2
+# coalgebra that fails co-Leibniz, an algebra whose d² ≠ 0 has a
+# non-integral coefficient and an integral one reached through 1/2·2, and
+# the axioms of a free algebra on generators of mixed sign
 COMMANDS = [
     ("mc-homology", "mc --homology"),
     ("bar-dual-numbers", "bar --preset dual-numbers --trunc -1:6:6 --homology"),
@@ -65,6 +66,7 @@ COMMANDS = [
                             "preset:mc --trunc -3:3:4 --pointed"),
     ("verify-not-coleibniz", "verify --file not_coleibniz.swp"),
     ("homology-d2-half", "homology --file d2_half.swp"),
+    ("verify-free-mixed", "verify --preset free-algebra:x=1,y=-2"),
 ]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sweedler.scalars import QQ, Field, ParseError
@@ -64,6 +66,29 @@ def test_preset_roundtrip():
         obj = again.build()
         issues = obj.verify()
         assert issues == []
+
+
+@pytest.mark.parametrize("name", ["x.y", "x,y", "", "x y", "x#"])
+def test_generator_names_have_one_rule(name):
+    message = f"bad generator name {name!r}"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_preset("dual-numbers").declare(name, 1)
+    if "," not in name:     # a preset item ends at ","
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_preset(f"free-algebra:{name}=1")
+    if name and not any(c.isspace() or c == "#" for c in name):
+        # a name a file line can carry as one token
+        text = MC_TEXT.replace("gen u -1", f"gen u -1\ngen {name} 1")
+        with pytest.raises(ParseError, match=f"^line 6: {re.escape(message)}$"):
+            parse_text(text)
+
+
+def test_free_algebra_preset_reads_back():
+    with pytest.raises(ParseError, match="^duplicate name 'x'$"):
+        load_preset("free-algebra:x=1,x=2")
+    pf = load_preset("free-algebra: x=1, y_2=-2")
+    again = parse_text(pf.serialize())
+    assert again.generators == pf.generators == [("x", 1), ("y_2", -2)]
 
 
 def test_missing_header():
