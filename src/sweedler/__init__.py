@@ -11,7 +11,7 @@ from .graded import (Truncation, GradedSpace, GradedMap, tensor_space,
                      tensor_label, koszul_swap, hom_space, hom_label,
                      lambda1, lambda2, uncurry1, uncurry2, strength_tensor,
                      suspend, graded_dual, transpose, identity_map,
-                     label_str)
+                     label_str, EnumerationTooLarge)
 from .complexes import (DgSpace, NotAComplex, check_square_zero, homology,
                         dg_tensor, dg_hom)
 from .algebras import (DgAlgebra, PresentedAlgebra, normal_forms,
@@ -34,7 +34,7 @@ from .barcobar import (mc_algebra, mc_verify, mc_enumerate,
                        adjunction_transforms, sign_convention_report,
                        length_sign_automorphism, hopf_on_bar, hopf_on_cobar,
                        enumerate_twisting_cochains, MINUS, PLUS,
-                       ConventionMismatch, EnumerationTooLarge)
+                       ConventionMismatch)
 from .presentation import PresentationFile, parse_file, parse_text
 from .presets import load_preset
 

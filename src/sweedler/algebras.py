@@ -18,11 +18,13 @@ the extension; `_ideal_slices` gives the rule and why the span is unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from dataclasses import dataclass, field as dc_field
 
 from .scalars import Field
-from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
-                     tensor_label, label_str, not_homogeneous)
+from .graded import (GradedSpace, GradedMap, GradedError, Truncation,
+                     EnumerationTooLarge, tensor_space, tensor_label,
+                     label_str, not_homogeneous)
 from .complexes import DgSpace, check_square_zero, dg_tensor
 from .linalg import (RowSpace, vaddmul, vaddmul_into, vscale, kernel_basis,
                      solve_membership)
@@ -224,35 +226,139 @@ def _mark_overflow_degrees(space: GradedSpace, gen_degrees: list[int],
                 space.mark_inexact(n)
 
 
-def free_word_space(field: Field, generators: list[tuple],
-                    trunc: Truncation) -> GradedSpace:
-    """All tensor words of length ≤ weight_cap over graded generators.
+# the most words (window words and the prefixes kept to reach them) that
+# free_word_space lists; a larger window raises EnumerationTooLarge
+WORD_LIMIT = 1_000_000
+
+
+def _word_counts(letters: list[tuple], trunc: Truncation) -> list[dict]:
+    """counts[L]: degree -> number of words of length L that the pruned
+    enumeration lists, for L = 0..weight_cap.
+
+    A word of length L is listed when some completion of at most cap - L
+    more letters lands in the window.  Its degree lies in reach[L], the sums
+    of L letter degrees (at most L·(gmax - gmin) + 1 of them), so each
+    length's live degrees are found inside reach[L], from the top length
+    down, and never range over the whole window.
+    """
+    cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
+    mult: dict[int, int] = {}          # letter degree -> letters of it
+    for _, dg in letters:
+        mult[dg] = mult.get(dg, 0) + 1
+    reach = [{0}]
+    for _ in range(cap):
+        reach.append({n + s for n in reach[-1] for s in mult})
+    live = [set() for _ in range(cap + 1)]
+    live[cap] = {n for n in reach[cap] if dmin <= n <= dmax}
+    for length in range(cap - 1, 0, -1):
+        after = live[length + 1]
+        live[length] = {n for n in reach[length] if dmin <= n <= dmax
+                        or any(n + s in after for s in mult)}
+    counts = [{0: 1}]                  # the empty word is always listed
+    for length in range(1, cap + 1):
+        prev = counts[-1]
+        counts.append({n: c for n in live[length]
+                       if (c := sum(k * prev.get(n - s, 0)
+                                    for s, k in mult.items()))})
+    return counts
+
+
+class WordSpace(GradedSpace):
+    """The tensor words of length ≤ weight_cap over graded generators that
+    lie in the window; read-only.
 
     Words are listed by length, and within a length in the lexicographic
-    order of the generator list; the words of length L and their degrees
-    come from those of length L-1.  A prefix is extended only when some
-    completion within the cap lands in the window: live[r] holds the
-    degrees from which at most r more letters reach it.
+    order of the generator list; a word's weight is its length.  The number
+    of words of each (degree, length) is counted before any word is listed,
+    and a window that needs more than WORD_LIMIT words raises
+    EnumerationTooLarge instead.  The words of length L and their degrees
+    come from the listed words of length L-1; a prefix is listed only when
+    some completion within the cap lands in the window (`_word_counts`).
+    Each length's window words go into the degree lists and the degree map
+    in one pass.
     """
-    space = GradedSpace(field, trunc)
-    degree_of = dict(generators)
-    letters = [(g, degree_of[g]) for g, _ in generators]
-    cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
-    shifts = set(degree_of.values())
-    live = [set(range(dmin, dmax + 1))]
-    for _ in range(cap - 1):
-        live.append(live[-1] | {n - s for n in live[-1] for s in shifts})
-    space.add(UNIT_WORD, 0, weight=0)
-    level = [((), 0)]
-    for length in range(1, cap + 1):
-        alive = live[cap - length]
-        words = ((syms + (g,), degree + dg) for syms, degree in level
-                 for g, dg in letters if degree + dg in alive)
-        if length < cap:    # words of length cap are not extended
-            words = level = list(words)
-        for syms, degree in words:
-            if dmin <= degree <= dmax:
-                space.add(word_label(syms), degree, weight=length)
+
+    def __init__(self, field: Field, generators: list[tuple],
+                 trunc: Truncation):
+        # GradedSpace.__init__ is skipped on purpose: a word's weight is its
+        # length, so there is no weight dict to fill
+        self.field = field
+        self.window = trunc
+        self._inexact: set[int] = set()
+        degree_of = dict(generators)
+        letters = [(g, degree_of[g]) for g, _ in generators]
+        cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
+        counts = _word_counts(letters, trunc)
+        listed = sum(sum(c.values()) for c in counts)
+        if listed > WORD_LIMIT:
+            raise EnumerationTooLarge(
+                f"{listed} words in window {trunc} exceed the limit "
+                f"{WORD_LIMIT}")
+        by_length: dict[int, list[int]] = {}
+        for length, row in enumerate(counts):
+            for n, c in row.items():
+                if dmin <= n <= dmax:
+                    by_length.setdefault(n, [0] * (cap + 1))[length] = c
+        # degree -> number of its words of length at most L, for L = 0..cap
+        self._upto = {n: list(accumulate(by_length[n]))
+                      for n in sorted(by_length)}
+        lists = {n: [] for n in self._upto}
+        self._by_degree: dict[int, list] = lists
+        self._degree_of: dict = {}
+        where = self._degree_of
+        if 0 in lists:
+            lists[0].append(UNIT_WORD)
+            where[UNIT_WORD] = 0
+        level = [((), 0)]
+        for length in range(1, cap + 1):
+            live = counts[length]
+            words = ((syms + (g,), n + dg) for syms, n in level
+                     for g, dg in letters if n + dg in live)
+            if length < cap:    # words of length cap are not extended
+                words = list(words)
+            for syms, n in words:
+                if dmin <= n <= dmax:
+                    label = ("w", syms)
+                    lists[n].append(label)
+                    where[label] = n
+            if len(where) < sum(upto[length] for upto in self._upto.values()):
+                self._raise_duplicate(level, letters, live)
+            level = words
+
+    def _raise_duplicate(self, level, letters, live):
+        """Raise at the first window word of this length listed twice: a
+        generator name given twice spells the same words twice."""
+        seen = set()
+        window = self.window
+        for syms, n in level:
+            for g, dg in letters:
+                word = syms + (g,)
+                if n + dg in live and window.contains(n + dg):
+                    if word in seen:
+                        raise GradedError(
+                            f"duplicate basis label {label_str(word_label(word))}")
+                    seen.add(word)
+
+    def add(self, label, degree: int, weight: int | None = None) -> bool:
+        raise GradedError("a word space is read-only")
+
+    def weight_of(self, label, default=None):
+        return len(label[1]) if label in self._degree_of else default
+
+    def basis_within(self, degree: int, weight_cap: int) -> list:
+        # a degree's words are listed by length: a prefix of its basis
+        upto = self._upto.get(degree)
+        if upto is None or weight_cap < 0:
+            return []
+        return self._by_degree[degree][:upto[min(weight_cap, len(upto) - 1)]]
+
+
+def free_word_space(field: Field, generators: list[tuple],
+                    trunc: Truncation) -> WordSpace:
+    """All tensor words of length ≤ weight_cap over graded generators that
+    lie in the window (see `WordSpace`), with the degrees that longer words
+    could reach marked inexact."""
+    space = WordSpace(field, generators, trunc)
     _mark_overflow_degrees(space, [d for _, d in generators], trunc.weight_cap)
     return space
 

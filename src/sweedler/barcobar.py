@@ -26,9 +26,9 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .scalars import Field
-from .graded import (GradedSpace, GradedMap, Truncation, tensor_label,
-                     tensor_space, tensor_sum_apply, susp_label, label_str,
-                     identity_map)
+from .graded import (GradedSpace, GradedMap, Truncation, EnumerationTooLarge,
+                     tensor_label, tensor_space, tensor_sum_apply, susp_label,
+                     label_str, identity_map)
 from .complexes import DgSpace
 from .algebras import (DgAlgebra, tensor_algebra, extend_derivation,
                        tensor_pair, word_label, word_syms, UNIT_WORD,
@@ -41,10 +41,6 @@ from .linalg import vaddmul, vaddmul_into, vscale
 
 
 class ConventionMismatch(Exception):
-    pass
-
-
-class EnumerationTooLarge(Exception):
     pass
 
 

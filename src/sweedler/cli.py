@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .scalars import Field, ParseError, ScalarError
-from .graded import Truncation, label_str, GradedError
+from .graded import Truncation, label_str, GradedError, EnumerationTooLarge
 from .complexes import check_square_zero, homology
 from .algebras import DgAlgebra, AlgebraError
 from .coalgebras import DgCoalgebra, CoalgebraError
@@ -19,7 +19,7 @@ from .barcobar import (mc_algebra, verify_mc, bar, cobar, MINUS, PLUS,
                        verify_twisting_cochain, adjunction_transforms,
                        anticommutator_issues, sign_convention_report,
                        enumerate_twisting_cochains, universal_bar_cochain,
-                       universal_cobar_cochain, EnumerationTooLarge)
+                       universal_cobar_cochain)
 from .presentation import parse_file, PresentationFile
 from .presets import load_preset, PRESET_NAMES
 from .reports import Report

@@ -56,16 +56,15 @@ class DgSpace:
         The one window rule for d: degree - times ≥ degree_min, and, when d
         raises word length, weight + times·d_raises ≤ weight_cap.  A d that
         keeps word length cannot leave the cap, so weight is then ignored.
+        The space answers the weight half (`basis_within`); a word space
+        lists a degree's words by length, so there it is a prefix.
         """
         if degree - times < self.window.degree_min:
             return []
-        basis = self.space.basis(degree)
         if not self.d_raises:
-            return basis
-        top = self.window.weight_cap - times * self.d_raises
-        weight = self.space.weight_of
-        return [label for label in basis
-                if (w := weight(label)) is None or w <= top]
+            return self.space.basis(degree)
+        return self.space.basis_within(
+            degree, self.window.weight_cap - times * self.d_raises)
 
     def d_reliable(self, degree: int) -> bool:
         """Is the restriction of d to this degree fully in-window?"""

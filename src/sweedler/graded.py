@@ -26,6 +26,10 @@ class GradedError(Exception):
     pass
 
 
+class EnumerationTooLarge(Exception):
+    """A construction or enumeration would list more items than its limit."""
+
+
 @dataclass(frozen=True)
 class Truncation:
     """Degree window and word-length cap for all infinite constructions."""
@@ -145,6 +149,13 @@ class GradedSpace:
 
     def weight_of(self, label, default=None):
         return self._weight_of.get(label, default)
+
+    def basis_within(self, degree: int, weight_cap: int) -> list:
+        """The basis labels of this degree whose weight is unknown or at
+        most weight_cap, in basis order."""
+        weight = self.weight_of
+        return [label for label in self.basis(degree)
+                if (w := weight(label)) is None or w <= weight_cap]
 
     def dim(self, degree: int) -> int:
         return len(self._by_degree.get(degree, []))

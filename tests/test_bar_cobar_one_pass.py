@@ -9,6 +9,10 @@ value, with the same key order within every column.  The d² check, which
 now decides once per degree which labels it can check, keeps the per-label
 loop's counts and witnesses.
 
+The word-space checks keep the parent's pruned enumeration, whose live
+table ranged over the whole window (`ref_pruned_counts`), and the d-window
+rule's per-label weight filter (`ref_d_checkable`).
+
 The references count the terms they drop outside the window.  Over the
 trials, terms fall below the lowest degree and past the top (of the degree
 range, or of the word-length cap).  bar's d lowers the degree and never
@@ -18,17 +22,21 @@ coextension, run with degree +1, covers its top end.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from sweedler.scalars import QQ, Field
 from sweedler.graded import (Truncation, GradedSpace, GradedMap, GradedError,
-                             tensor_label, tensor_space, koszul_sign_exponent)
+                             EnumerationTooLarge, tensor_label, tensor_space,
+                             koszul_sign_exponent, suspend)
 from sweedler.complexes import DgSpace, SquareZeroReport, check_square_zero
 from sweedler.algebras import (word_label, word_syms, free_word_space,
                                extend_derivation, tensor_algebra,
                                normal_forms, PresentedAlgebra, UNIT_WORD,
-                               _mark_overflow_degrees)
+                               WordSpace, _mark_overflow_degrees,
+                               _word_counts)
+import sweedler.algebras as algebras
 from sweedler.coalgebras import (DgCoalgebra, coextend_coderivation,
                                  tensor_coalgebra, coshuffle_coalgebra,
                                  ReducedCoalgebra, coshuffle_comult,
@@ -479,6 +487,62 @@ def ref_level_word_space(field, generators, trunc):
     return space
 
 
+def ref_pruned_counts(generators, trunc):
+    """(length, degree) -> words listed by the pruned enumeration whose live
+    table ranged over the whole window, prefixes outside the window
+    included."""
+    degree_of = dict(generators)
+    letters = [(g, degree_of[g]) for g, _ in generators]
+    cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
+    shifts = set(degree_of.values())
+    live = [set(range(dmin, dmax + 1))]
+    for _ in range(cap - 1):
+        live.append(live[-1] | {n - s for n in live[-1] for s in shifts})
+    counts = {(0, 0): 1}
+    level = [((), 0)]
+    for length in range(1, cap + 1):
+        alive = live[cap - length]
+        level = [(syms + (g,), degree + dg) for syms, degree in level
+                 for g, dg in letters if degree + dg in alive]
+        for _, degree in level:
+            key = (length, degree)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def ref_d_checkable(X, degree, times):
+    """DgSpace.d_checkable as it filtered every label through weight_of."""
+    if degree - times < X.window.degree_min:
+        return []
+    basis = X.space.basis(degree)
+    if not X.d_raises:
+        return basis
+    top = X.window.weight_cap - times * X.d_raises
+    return [label for label in basis
+            if (w := X.space.weight_of(label)) is None or w <= top]
+
+
+def assert_d_checkable_as_filter(new, ref):
+    """d_checkable on `new` equals the per-label filter on `ref` (the same
+    space, or its reference build) for every degree, d_raises 0-3 and
+    times 1, 2.  Returns how many cases had a negative top, and in how many
+    degrees the filter kept some labels but not all."""
+    negative = cut = 0
+    for raises in range(4):
+        for times in (1, 2):
+            top = new.window.weight_cap - times * raises
+            negative += raises and top < 0
+            X, R = DgSpace(new, d_raises=raises), DgSpace(ref, d_raises=raises)
+            for n in ref.degrees():
+                kept = ref_d_checkable(R, n, times)
+                assert X.d_checkable(n, times) == kept
+                cut += 0 < len(kept) < ref.dim(n)
+    return negative, cut
+
+
+NOT_WORDS = ("x", ("t", UNIT_WORD, UNIT_WORD), ("s", 1, UNIT_WORD))
+
+
 def ref_set_extend_derivation(generators, phi, space, degree):
     D = GradedMap(space, space, degree)
     if not any(phi.values()):
@@ -629,7 +693,8 @@ def build_or_error(make, *args):
 def test_pruned_word_space_matches_level_loop():
     rng = random.Random(37)
     seen = {"zero": 0, "positive": 0, "negative": 0, "no 0": 0,
-            "repeated": 0, "raised": 0, "dropped": 0}
+            "repeated": 0, "raised": 0, "dropped": 0, "pruned": 0,
+            "negative top": 0, "cut": 0}
     for trial in range(660):
         field = FIELDS[trial % 3]
         gens, tr = random_word_space_input(rng, trial)
@@ -641,20 +706,115 @@ def test_pruned_word_space_matches_level_loop():
         seen["negative"] += max(degrees) < 0
         seen["no 0"] += not tr.contains(0)
         seen["repeated"] += len(dict(gens)) < len(gens)
+        # the counts of the words and prefixes listed, before any is listed
+        degree_of = dict(gens)
+        counts = _word_counts([(g, degree_of[g]) for g, _ in gens], tr)
+        assert {(length, n): c for length, row in enumerate(counts)
+                for n, c in row.items()} == ref_pruned_counts(gens, tr)
+        for length, row in enumerate(counts):
+            assert len(row) <= length * (max(degrees) - min(degrees)) + 1
         if isinstance(ref, str):
             seen["raised"] += 1
             assert new == ref
+            assert new.startswith("duplicate basis label ")
             continue
+        assert type(new) is WordSpace
         assert new.degrees() == ref.degrees()
         for n in ref.degrees():
             assert new.basis(n) == ref.basis(n)
             assert [new.weight_of(w) for w in new.basis(n)] == \
                 [ref.weight_of(w) for w in ref.basis(n)]
+            # the counts that fill the space's table are its words
+            lengths = [len(word_syms(w)) for w in new.basis(n)]
+            assert [row.get(n, 0) for row in counts] == \
+                [lengths.count(length) for length in range(len(counts))]
         assert new.inexact_degrees() == ref.inexact_degrees()
+        # words the window drops, and non-members, weigh the default
+        outside = word_label(tuple(g for g, _ in gens) * (tr.weight_cap + 1))
+        for label in (outside, *NOT_WORDS):
+            assert new.weight_of(label) is None
+            assert new.weight_of(label, "none") == ref.weight_of(label, "none")
+        with pytest.raises(GradedError, match="^a word space is read-only$"):
+            new.add(word_label(("fresh",)), 0, weight=1)
+        negative, cut = assert_d_checkable_as_filter(new, ref)
+        seen["negative top"] += negative
+        seen["cut"] += cut > 0
         # the window keeps fewer words than the cap allows
         seen["dropped"] += ref.total_dim() < sum(
             len(gens) ** length for length in range(tr.weight_cap + 1))
+        seen["pruned"] += sum(sum(row.values()) for row in counts) < sum(
+            len(gens) ** length for length in range(tr.weight_cap + 1))
     assert min(seen.values()) >= 20, seen
+
+
+def test_d_checkable_keeps_the_label_filter_on_other_spaces():
+    # tensor, suspended and normal-form spaces still filter label by label
+    rng = random.Random(39)
+    cut = {"tensor": 0, "suspended": 0, "normal forms": 0}
+    for trial in range(120):
+        field = FIELDS[trial % 3]
+        gens, tr = random_word_space_input(rng, trial)
+        gens = list(dict(gens).items())
+        tr = Truncation(tr.degree_min, tr.degree_max, min(tr.weight_cap, 3))
+        words = free_word_space(field, gens, tr)
+        # the windows of test_bar_matches_two_pass_reference
+        A = random_monomial_algebra(rng, field, Truncation(
+            rng.randint(-3, 0), rng.randint(3, 6), rng.randint(2, 3)))
+        spaces = {"tensor": tensor_space(words, words),
+                  "suspended": suspend(words, 1), "normal forms": A.space}
+        for kind, space in spaces.items():
+            assert not isinstance(space, WordSpace)
+            cut[kind] += assert_d_checkable_as_filter(space, space)[1] > 0
+    assert min(cut.values()) >= 20, cut
+
+
+def test_word_limit_refuses_before_listing(monkeypatch):
+    # 126 letters of degree 1 (B A of k<x, y>, |x| = |y| = 0, at -1:6:6)
+    # give about 4·10¹² words; the count refuses them with nothing listed
+    letters = [(f"a{i}", 1) for i in range(126)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationTooLarge) as exc:
+            free_word_space(QQ, letters, Truncation(-1, 6, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == \
+        "4033516174507 words in window -1:6:6 exceed the limit 1000000"
+    assert peak < 200_000
+    # the limit counts listed prefixes too: x and y lie outside the window
+    gens, tr = [("x", -1), ("y", 1)], Truncation(0, 0, 2)
+    assert ref_pruned_counts(gens, tr) == {(0, 0): 1, (1, -1): 1, (1, 1): 1,
+                                           (2, 0): 2}
+    monkeypatch.setattr(algebras, "WORD_LIMIT", 5)
+    assert free_word_space(QQ, gens, tr).labels() == [
+        UNIT_WORD, word_label(("x", "y")), word_label(("y", "x"))]
+    monkeypatch.setattr(algebras, "WORD_LIMIT", 4)
+    with pytest.raises(EnumerationTooLarge,
+                       match="^5 words in window 0:0:2 exceed the limit 4$"):
+        free_word_space(QQ, gens, tr)
+
+
+def test_wide_window_lists_only_what_its_words_reach():
+    # the live degrees follow the words, not the window: |x| = 1 at a
+    # width of 10⁶ keeps 4 words and a table of at most L + 1 degrees
+    gens = [("x", 1)]
+    wide = Truncation(-1, 1_000_000, 3)
+    tracemalloc.start()
+    try:
+        counts = _word_counts(gens, wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
+    assert peak < 50_000
+    for gens, tr in [([("x", 1)], Truncation(-1, 200_000, 3)),
+                     ([("x", 2), ("y", -1), ("z", 0)],
+                      Truncation(-150_000, 150_000, 4))]:
+        new, ref = free_word_space(QQ, gens, tr), ref_level_word_space(
+            QQ, gens, tr)
+        assert new.labels() == ref.labels()
+        assert new.inexact_degrees() == ref.inexact_degrees()
 
 
 def test_pruned_word_space_repeated_names_raise_as_before():

@@ -369,8 +369,9 @@ def test_a_directory_is_one_error_line():
 
 
 def test_out_of_memory_is_one_error_line():
-    # about 126⁶ words of length 6 lie in this window; under a 200 MB
-    # address-space cap the child runs out of memory within seconds
+    # 2¹⁹ - 1 words of degree 0, under the word limit, need a few hundred
+    # MB; under a 200 MB address-space cap the child runs out of memory
+    # within seconds
     resource = pytest.importorskip("resource")
 
     def cap_memory():
@@ -378,14 +379,37 @@ def test_out_of_memory_is_one_error_line():
 
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "sweedler.cli", "bar", "--preset",
-         "free-algebra:x=0,y=0", "--trunc", "-1:6:6"],
+        [sys.executable, "-m", "sweedler.cli", "dims", "--preset",
+         "free-algebra:x=0,y=0", "--trunc", "0:0:18"],
         env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
         capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == \
         "error: out of memory; try a smaller --trunc window\n"
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_too_many_words_are_refused_before_listing(capped):
+    # B A of k<x, y> with |x| = |y| = 0 at -1:6:6 has 126 letters of
+    # degree 1, so about 4·10¹² words; the count refuses it at once, with
+    # or without an address-space cap
+    resource = pytest.importorskip("resource")
+
+    def cap_memory():
+        if capped:
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        ["timeout", "60", sys.executable, "-m", "sweedler.cli", "bar",
+         "--preset", "free-algebra:x=0,y=0", "--trunc", "-1:6:6"],
+        env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=cap_memory,
+        capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: 4033516174507 words in window -1:6:6 "
+                           "exceed the limit 1000000\n")
 
 
 def test_bar_work_follows_the_answer_not_the_window():
