@@ -3,7 +3,9 @@
 An algebra carrier is a GradedSpace; the product is kept as a pair-product
 on basis labels (bilinear extension), so quotients, convolution algebras and
 tensor products share one interface.  Products that would overflow the word
-cap return zero and mark the target degree truncation-affected.
+cap return zero and mark the target degree truncation-affected.  The
+derivations of T(X) and the coderivations of T^c(X) share one word-splicing
+loop, `splice_map`.
 
 Quotients by two-sided ideals are computed degreewise by exact elimination:
 inside a window this always terminates and the deterministic pivot order
@@ -174,8 +176,8 @@ class DgAlgebra:
             lhs = self.d(self._pair(a, b))
             rhs = self.product(self.d.apply_label(a), {b: one})
             sign = field.sign(self.space.degree_of(a))
-            rhs = vaddmul(field, rhs, sign,
-                          self.product({a: one}, self.d.apply_label(b)))
+            vaddmul_into(field, rhs, sign,
+                         self.product({a: one}, self.d.apply_label(b)))
             if lhs != rhs:
                 issues.append(
                     f"Leibniz fails at ({label_str(a)},{label_str(b)})")
@@ -363,54 +365,86 @@ def free_word_space(field: Field, generators: list[tuple],
     return space
 
 
+def splice_map(space: GradedSpace, generators: list[tuple], chunks: dict,
+               degree: int) -> GradedMap:
+    """The map of `degree` on a word space that replaces each chunk of a word
+    by its image: x1⊗…⊗xk ↦ Σ_{i,n} (-1)^{degree·(|x1|+…+|xi|)}
+    x1…xi ⊗ image(x_{i+1}…x_{i+n}) ⊗ x_{i+n+1}…xk.
+
+    `chunks` maps each chunk, a tuple of n ≥ 1 letters, to its image, a
+    vector over word labels.  Components outside the window are dropped.
+    Each column is summed in place, in (i, n) order, and the one lookup of
+    each spliced word also checks its degree.
+    """
+    D = GradedMap(space, space, degree)
+    field = space.field
+    add, is_zero, zero = field.add, field.is_zero, field.zero()
+    one, minus = field.one(), field.sign(1)
+    # each letter -> {n: what it starts}: for n = 1 its own image terms, for
+    # n > 1 the table of the chunks of length n, so a letter that is itself a
+    # tuple never meets a chunk equal to it; each term nonzero in the field,
+    # with c and -c
+    tables: dict = {}
+    starts: dict = {}
+    for chunk, v in chunks.items():
+        terms = [(word_syms(t), c, field.mul(minus, c))
+                 for t, c in vaddmul(field, {}, one, v).items()]
+        if terms:
+            n = len(chunk)
+            table = tables.setdefault(n, {})
+            table[chunk] = terms
+            starts.setdefault(chunk[0], {})[n] = terms if n == 1 else table
+    if not starts:
+        return D
+    # each generator x -> (the Koszul sign's flip past x, degree·|x| mod 2;
+    # what x starts, by increasing n)
+    letters = {g: (degree * d % 2, sorted(starts.get(g, {}).items()))
+               for g, d in generators}
+    inside = space._degree_lookup()
+    for m in space.degrees():
+        want = m + degree
+        for label in space.basis(m):
+            syms = word_syms(label)
+            img: dict = {}
+            odd = 0
+            for i, sym in enumerate(syms):
+                flip, found = letters[sym]
+                if found:
+                    for n, terms in found:
+                        if n > 1:
+                            # a slice cut short by the word's end is no key
+                            terms = terms.get(syms[i:i + n])
+                            if not terms:
+                                continue
+                        head, tail = syms[:i], syms[i + n:]
+                        for tsyms, even_c, odd_c in terms:
+                            new = word_label(head + tsyms + tail)
+                            got = inside(new)
+                            if got != want:
+                                if got is None:
+                                    continue
+                                raise not_homogeneous(label, new, got, want)
+                            s = add(img.get(new, zero),
+                                    odd_c if odd else even_c)
+                            if is_zero(s):
+                                img.pop(new, None)
+                            else:
+                                img[new] = s
+                odd ^= flip
+            if img:
+                D.columns[label] = img
+    return D
+
+
 def extend_derivation(generators: list[tuple], phi: dict, space: GradedSpace,
                       degree: int) -> GradedMap:
     """Unique derivation of T(X) with D(x) = phi[x] on generators.
 
     D(x1⊗…⊗xk) = Σ_i (-1)^{n(|x1|+…+|x_{i-1}|)} x1⊗…⊗phi(x_i)⊗…⊗xk,
-    spliced as words; components outside the window are dropped.  Each
-    column is summed in place, in the order of the positions i, and the
-    one lookup of each spliced word also checks its degree.
+    spliced as words by `splice_map` with phi as its one-letter chunks.
     """
-    D = GradedMap(space, space, degree)
-    if not any(phi.values()):
-        return D
-    field = space.field
-    add, is_zero, zero = field.add, field.is_zero, field.zero()
-    one, minus = field.one(), field.sign(1)
-    # the Koszul sign flips past each generator x with n·|x| odd
-    flips = {g: degree * d % 2 for g, d in generators}
-    # each term nonzero in the field, with c and -c
-    images = {g: [(word_syms(t), c, field.mul(minus, c))
-                  for t, c in vaddmul(field, {}, one, v).items()]
-              for g, v in phi.items()}
-    inside = space._degree_lookup()
-    for n in space.degrees():
-        want = n + degree
-        for label in space.basis(n):
-            syms = word_syms(label)
-            img: dict = {}
-            odd = 0
-            for i, sym in enumerate(syms):
-                terms = images.get(sym)
-                if terms:
-                    head, tail = syms[:i], syms[i + 1:]
-                    for tsyms, even_c, odd_c in terms:
-                        new = word_label(head + tsyms + tail)
-                        got = inside(new)
-                        if got != want:
-                            if got is None:
-                                continue
-                            raise not_homogeneous(label, new, got, want)
-                        s = add(img.get(new, zero), odd_c if odd else even_c)
-                        if is_zero(s):
-                            img.pop(new, None)
-                        else:
-                            img[new] = s
-                odd ^= flips[sym]
-            if img:
-                D.columns[label] = img
-    return D
+    return splice_map(space, generators, {(g,): v for g, v in phi.items()},
+                      degree)
 
 
 def _length_raise(d_gen: dict) -> int:
@@ -725,9 +759,9 @@ def tensor_pair(A: DgAlgebra, B: DgAlgebra, T: GradedSpace):
             for rb, cb in pb.items():
                 lab = tensor_label(ra, rb)
                 if lab in T:
-                    out = vaddmul(field, out,
-                                  field.mul(sign, field.mul(ca, cb)),
-                                  {lab: field.one()})
+                    vaddmul_into(field, out,
+                                 field.mul(sign, field.mul(ca, cb)),
+                                 {lab: field.one()})
         return out
 
     return pair
@@ -826,9 +860,9 @@ class OmegaBimodule:
         for x in A.space.labels():
             tvec: dict = {}
             for u, cu in A.unit.items():
-                tvec = vaddmul(field, tvec, cu, {tensor_label(u, x): one})
-                tvec = vaddmul(field, tvec, field.neg(cu),
-                               {tensor_label(x, u): one})
+                vaddmul_into(field, tvec, cu, {tensor_label(u, x): one})
+                vaddmul_into(field, tvec, field.neg(cu),
+                             {tensor_label(x, u): one})
             d.set(x, self.express(self.T.project(tvec)))
         return d
 
@@ -842,8 +876,8 @@ class OmegaBimodule:
                 for x2, cx in self.A._pair(a_label, x).items():
                     t2 = tensor_label(x2, y)
                     if t2 in self.T:
-                        out = vaddmul(field, out, field.mul(c, field.mul(ct, cx)),
-                                      {t2: field.one()})
+                        vaddmul_into(field, out, field.mul(c, field.mul(ct, cx)),
+                                     {t2: field.one()})
         return self.express(self.T.project(out))
 
     def act_right(self, om: dict, a_label) -> dict:
@@ -855,8 +889,8 @@ class OmegaBimodule:
                 for y2, cy in self.A._pair(y, a_label).items():
                     t2 = tensor_label(x, y2)
                     if t2 in self.T:
-                        out = vaddmul(field, out, field.mul(c, field.mul(ct, cy)),
-                                      {t2: field.one()})
+                        vaddmul_into(field, out, field.mul(c, field.mul(ct, cy)),
+                                     {t2: field.one()})
         return self.express(self.T.project(out))
 
     def factor_derivation(self, D: GradedMap) -> GradedMap:
@@ -871,8 +905,8 @@ class OmegaBimodule:
             for t, c in tvec.items():
                 _, x, y = t
                 sign = field.sign(D.degree * A.space.degree_of(x))
-                img = vaddmul(field, img, field.mul(c, sign),
-                              A.product({x: field.one()}, D.apply_label(y)))
+                vaddmul_into(field, img, field.mul(c, sign),
+                             A.product({x: field.one()}, D.apply_label(y)))
             f.set(lab, A.space.project(img))
         return f
 

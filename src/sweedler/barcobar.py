@@ -220,9 +220,8 @@ def verify_twisting_cochain(alpha: GradedMap, C: DgCoalgebra, A: DgAlgebra,
     square = convolve(alpha, alpha, C, A)
     for c in C.space.labels():
         residue = A.d(alpha.apply_label(c))
-        residue = vaddmul(field, residue, field.one(),
-                          alpha(C.d.apply_label(c)))
-        residue = vaddmul(field, residue, field.one(), square.apply_label(c))
+        vaddmul_into(field, residue, field.one(), alpha(C.d.apply_label(c)))
+        vaddmul_into(field, residue, field.one(), square.apply_label(c))
         report.checked += 1
         if residue:
             report.failures.append(
@@ -545,8 +544,8 @@ def extract_from_coalgebra_map(f: GradedMap, b: BarConstruction,
             syms = word_syms(w)
             if len(syms) == 1:
                 a = syms[0][2]
-                val = vaddmul(field, val, field.mul(phi_sign, coeff),
-                              {a: field.one()})
+                vaddmul_into(field, val, field.mul(phi_sign, coeff),
+                             {a: field.one()})
         alpha.set(x, val)
     return alpha
 
@@ -587,9 +586,9 @@ def coalgebra_map_issues(f: GradedMap, source: DgCoalgebra,
                 for y2, c2 in f.apply_label(x2).items():
                     lab = tensor_label(y1, y2)
                     if lab in TT:
-                        rhs = vaddmul(field, rhs,
-                                      field.mul(coeff, field.mul(c1, c2)),
-                                      {lab: field.one()})
+                        vaddmul_into(field, rhs,
+                                     field.mul(coeff, field.mul(c1, c2)),
+                                     {lab: field.one()})
         if lhs != rhs:
             issues.append(f"f not comultiplicative at {label_str(x)}")
             return issues

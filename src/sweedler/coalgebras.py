@@ -4,7 +4,9 @@ The comultiplication is a graded map C → C⊗C into the tensor space, which
 answers membership from the factors without listing every pair.  Pointed
 coalgebras carry an atom: a basis label e with Δ(e) = e⊗e, ε(e) = 1,
 de = 0; the reduced part C_- = ker ε is materialized with its reduced
-coproduct whenever conilpotency machinery needs it.
+coproduct whenever conilpotency machinery needs it.  A coderivation of
+T^c(X) is coextended from its corestriction by `algebras.splice_map`, the
+splice rule it shares with the derivations of T(X).
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
                      koszul_sign_exponent, label_str, graded_dual, dual_label,
                      not_homogeneous)
 from .complexes import DgSpace, check_square_zero, dg_tensor
-from .linalg import RowSpace, vaddmul, vaddmul_into, kernel_basis
+from .linalg import RowSpace, vaddmul_into, kernel_basis
 from .algebras import (DgAlgebra, word_label, word_syms, UNIT_WORD,
-                       free_word_space, extend_derivation)
+                       free_word_space, extend_derivation, splice_map)
 
 
 class CoalgebraError(Exception):
@@ -221,7 +223,7 @@ class ReducedCoalgebra:
                 if a != e and b != e:
                     rl = tensor_label(red_label(a), red_label(b))
                     if rl in self.RR:
-                        img = vaddmul(field, img, c, {rl: field.one()})
+                        vaddmul_into(field, img, c, {rl: field.one()})
             comult.set(lab, img)
         self.comult = comult
         d = GradedMap(space, space, -1)
@@ -269,7 +271,7 @@ def radical(C: DgCoalgebra) -> RadicalResult:
                     for lf, cf in f.items():
                         lab = tensor_label(lf, c)
                         if lab in RR:
-                            vec = vaddmul(field, vec, cf, {lab: field.one()})
+                            vaddmul_into(field, vec, cf, {lab: field.one()})
                     if vec:
                         span.append(vec)
             for n in RR.degrees():
@@ -432,56 +434,12 @@ def coextend_coderivation(space: GradedSpace, generators: list[tuple],
 
     phi maps word labels to vectors over generator symbols.  The coextension
     is D(x1⊗…⊗xk) = Σ_{i<j} (-1)^{degree·(|x1|+…+|xi|)}
-    x1…xi ⊗ φ(x_{i+1}…x_j) ⊗ x_{j+1}…xk: T^c(X) is pointed, so φ is only
-    consulted on words of length ≥ 1.  Each column is summed in place, in
-    the order of (i, j), and only over the chunk lengths φ has images for;
-    the one lookup of each spliced word also checks its degree.
+    x1…xi ⊗ φ(x_{i+1}…x_j) ⊗ x_{j+1}…xk, spliced by `splice_map`: T^c(X)
+    is pointed, so φ is only consulted on words of length ≥ 1.
     """
-    field = space.field
-    D = GradedMap(space, space, degree)
-    add, is_zero, zero = field.add, field.is_zero, field.zero()
-    one, minus = field.one(), field.sign(1)
-    # the Koszul sign flips past each generator x with degree·|x| odd
-    flips = {g: degree * d % 2 for g, d in generators}
-    # each term nonzero in the field, with c and -c
-    images = {w: [(sym, c, field.mul(minus, c))
-                  for sym, c in vaddmul(field, {}, one, v).items()]
-              for w, v in phi.items()}
-    lengths = sorted({len(word_syms(w)) for w, t in images.items()
-                      if t and word_syms(w)})
-    inside = space._degree_lookup()
-    for m in space.degrees():
-        want = m + degree
-        for lab in space.basis(m):
-            syms = word_syms(lab)
-            k = len(syms)
-            img: dict = {}
-            odd = 0
-            for i in range(k + 1):
-                for n in lengths:
-                    if i + n > k:
-                        break
-                    terms = images.get(word_label(syms[i:i + n]))
-                    if not terms:
-                        continue
-                    head, tail = syms[:i], syms[i + n:]
-                    for sym, even_c, odd_c in terms:
-                        new = word_label(head + (sym,) + tail)
-                        got = inside(new)
-                        if got != want:
-                            if got is None:
-                                continue
-                            raise not_homogeneous(lab, new, got, want)
-                        s = add(img.get(new, zero), odd_c if odd else even_c)
-                        if is_zero(s):
-                            img.pop(new, None)
-                        else:
-                            img[new] = s
-                if i < k:
-                    odd ^= flips[syms[i]]
-            if img:
-                D.columns[lab] = img
-    return D
+    chunks = {word_syms(w): {word_label((sym,)): c for sym, c in v.items()}
+              for w, v in phi.items() if word_syms(w)}
+    return splice_map(space, generators, chunks, degree)
 
 
 # -- cofree conilpotent coalgebra ----------------------------------------------------
@@ -543,14 +501,14 @@ def coextend_map(C: DgCoalgebra, f: dict, target: DgCoalgebra,
                         coeff = field.mul(coeff, cc)
                     w = word_label(syms)
                     if len(syms) <= cap and w in T:
-                        img = vaddmul(field, img, coeff, {w: one})
+                        vaddmul_into(field, img, coeff, {w: one})
             new: dict = {}
             for key, c in terms.items():
                 last = key[-1]
                 for t, c2 in R.comult.apply_label(last).items():
                     _, a, b = t
-                    new = vaddmul(field, new, field.mul(c, c2),
-                                  {key[:-1] + (a, b): one})
+                    vaddmul_into(field, new, field.mul(c, c2),
+                                 {key[:-1] + (a, b): one})
             terms = new
             n += 1
         if terms and max_terms is None and n > bound:
@@ -585,9 +543,9 @@ def tensor_product_coalgebra(C: DgCoalgebra, D: DgCoalgebra,
                 if left in T and right in T:
                     t = tensor_label(left, right)
                     if t in TT:
-                        img = vaddmul(field, img,
-                                      field.mul(sign, field.mul(c1, c2)),
-                                      {t: field.one()})
+                        vaddmul_into(field, img,
+                                     field.mul(sign, field.mul(c1, c2)),
+                                     {t: field.one()})
         comult.set(lab, img)
     counit = None
     if C.counit is not None and D.counit is not None:
@@ -721,8 +679,8 @@ def dual_algebra(C: DgCoalgebra, name: str = "") -> DgAlgebra:
         sign = field.sign(space.degree_of(b) * space.degree_of(c))
         out: dict = {}
         for x, coeff in into.get(tensor_label(b, c), ()):
-            out = vaddmul(field, out, field.mul(sign, coeff),
-                          {dual_label(x): field.one()})
+            vaddmul_into(field, out, field.mul(sign, coeff),
+                         {dual_label(x): field.one()})
         return D.project(out)
 
     unit = None

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from .graded import (GradedSpace, GradedMap, Truncation, hom_space,
                      hom_label, tensor_space, tensor_sum_apply, target_index,
                      label_str, suspend, susp_label)
-from .linalg import rank_of_columns, kernel_basis, vaddmul
+from .linalg import rank_of_columns, kernel_basis, vaddmul_into
 
 
 class NotAComplex(Exception):
@@ -162,8 +162,8 @@ def dg_hom(X: DgSpace, Y: DgSpace) -> DgSpace:
             img[hom_label(x, y2)] = coeff
         sign = field.sign(H.degree_of(label) + 1)  # -(-1)^{|f|}
         for z, c in into.get(x, ()):
-            img = vaddmul(field, img, field.mul(sign, c),
-                          {hom_label(z, y): field.one()})
+            vaddmul_into(field, img, field.mul(sign, c),
+                         {hom_label(z, y): field.one()})
         d.set(label, H.project(img))
     return DgSpace(H, d)
 

@@ -37,7 +37,7 @@ from .complexes import DgSpace
 from .algebras import (DgAlgebra, PresentedAlgebra, normal_forms,
                        word_label)
 from .coalgebras import DgCoalgebra
-from .linalg import vaddmul
+from .linalg import vaddmul_into
 
 HEADER = "sweedler-presentation v1"
 
@@ -93,21 +93,18 @@ class PresentationFile:
             return self._build_map(field, trunc)
         raise ParseError(f"unknown kind {self.kind!r}")
 
-    def _term_vec(self, field: Field, terms: list) -> dict:
-        vec: dict = {}
-        for coeff_text, word in terms:
-            coeff = field.parse(coeff_text)
-            syms = () if word == "1" else tuple(word.split("."))
-            for s in syms:
-                if s not in self.names():
-                    raise UnknownName(f"unknown generator {s!r}")
-            vec = vaddmul(field, vec, coeff,
-                          {word_label(syms): field.one()})
-        return vec
-
     def _build_algebra(self, field: Field, trunc: Truncation) -> DgAlgebra:
-        relations = [self._term_vec(field, r) for r in self.relations]
-        d_gen = {g: self._term_vec(field, t)
+        names = self.names()
+
+        def word(text):
+            syms = () if text == "1" else tuple(text.split("."))
+            for s in syms:
+                if s not in names:
+                    raise UnknownName(f"unknown generator {s!r}")
+            return word_label(syms)
+
+        relations = [_read_terms(field, r, word) for r in self.relations]
+        d_gen = {g: _read_terms(field, t, word)
                  for g, t in self.d_table.items()}
         aug_gen = None
         if self.aug:
@@ -124,32 +121,28 @@ class PresentationFile:
                 raise GradedError(
                     f"basis element {name} of degree {degree} lies outside "
                     f"the window {trunc}")
+        names = self.names()
         TT = tensor_space(space, space)
+
+        def element(text):
+            if text not in names:
+                raise UnknownName(f"unknown basis element {text!r}")
+            return text
+
+        def pair(text):
+            x, y = text.split(",")
+            lab = tensor_label(element(x), element(y))
+            return lab if lab in TT else None
+
         comult = GradedMap(space, TT, 0)
         for name, _ in self.generators:
-            terms = self.comult.get(name, [])
-            img: dict = {}
-            for coeff_text, pair in terms:
-                coeff = field.parse(coeff_text)
-                x, y = pair.split(",")
-                for s in (x, y):
-                    if s not in self.names():
-                        raise UnknownName(f"unknown basis element {s!r}")
-                lab = tensor_label(x, y)
-                if lab in TT:
-                    img = vaddmul(field, img, coeff, {lab: field.one()})
-            comult.set(name, img)
+            comult.set(name, _read_terms(field, self.comult.get(name, []),
+                                         pair))
         counit = {n: field.parse(v) for n, v in self.counit.items()} or None
         d = GradedMap(space, space, -1)
         for name, terms in self.d_table.items():
-            vec: dict = {}
-            for coeff_text, word in terms:
-                coeff = field.parse(coeff_text)
-                if word not in self.names():
-                    raise UnknownName(f"unknown basis element {word!r}")
-                vec = vaddmul(field, vec, coeff, {word: field.one()})
-            d.set(name, vec)
-        if self.atom is not None and self.atom not in self.names():
+            d.set(name, _read_terms(field, terms, element))
+        if self.atom is not None and self.atom not in names:
             raise UnknownName(f"atom {self.atom!r} not declared")
         return DgCoalgebra(DgSpace(space, d), comult, counit, self.atom,
                            name=self.path or "coalgebra")
@@ -165,20 +158,19 @@ class PresentationFile:
                              f"not from {src_file.kind} to {tgt_file.kind}")
         source = src_file.build(field, trunc)
         target = tgt_file.build(field, trunc)
-        src_space = source.space
         tgt_space = target.space
-        f = GradedMap(src_space, tgt_space, self.map_degree)
+
+        def word(text):
+            lab = word_label(() if text == "1" else tuple(text.split(".")))
+            if lab not in tgt_space:
+                raise UnknownName(f"target element {text!r} not in the window")
+            return lab
+
+        f = GradedMap(source.space, tgt_space, self.map_degree)
         for name, terms in self.entries.items():
-            if name not in {g for g, _ in src_file.generators}:
+            if name not in src_file.names():
                 raise UnknownName(f"unknown source element {name!r}")
-            vec: dict = {}
-            for coeff_text, word in terms:
-                coeff = field.parse(coeff_text)
-                lab = word_label(() if word == "1" else tuple(word.split(".")))
-                if lab not in tgt_space:
-                    raise UnknownName(
-                        f"target element {word!r} not in the window")
-                vec = vaddmul(field, vec, coeff, {lab: field.one()})
+            vec = _read_terms(field, terms, word)
             try:
                 f.set(name, vec)
             except Exception as exc:
@@ -217,6 +209,19 @@ class PresentationFile:
             for name, terms in sorted(self.d_table.items()):
                 lines.append(f"d {name} " + _terms_text(terms))
         return "\n".join(lines) + "\n"
+
+
+def _read_terms(field: Field, terms: list, label) -> dict:
+    """Σ coeff·label(word) over a term list, each coefficient parsed before
+    its word is read.  `label` gives the word's basis label, or None for a
+    term to drop, and raises UnknownName for a word it does not know."""
+    vec: dict = {}
+    for coeff_text, word in terms:
+        coeff = field.parse(coeff_text)
+        lab = label(word)
+        if lab is not None:
+            vaddmul_into(field, vec, coeff, {lab: field.one()})
+    return vec
 
 
 def _terms_text(terms: list) -> str:

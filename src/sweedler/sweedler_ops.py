@@ -30,7 +30,7 @@ from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_coalgebra,
                          coextend_coderivation, finite_dual, dual_algebra,
                          check_cofree_regime, CoalgebraError)
 from .presets import load_preset, matrix_label
-from .linalg import vaddmul, vscale
+from .linalg import vaddmul_into, vscale
 
 
 # -- convolution ------------------------------------------------------------------
@@ -64,9 +64,9 @@ def convolution_algebra(C: DgCoalgebra, A: DgAlgebra,
             for m, cm in prod.items():
                 lab = hom_label(x, m)
                 if lab in space:
-                    out = vaddmul(field, out,
-                                  field.mul(coeff, field.mul(sign, cm)),
-                                  {lab: field.one()})
+                    vaddmul_into(field, out,
+                                 field.mul(coeff, field.mul(sign, cm)),
+                                 {lab: field.one()})
         return out
 
     unit = None
@@ -100,8 +100,8 @@ def convolve(f: GradedMap, g: GradedMap, C: DgCoalgebra,
         val: dict = {}
         for (_, c1, c2), coeff in C.comult.apply_label(c).items():
             sign = field.sign(g.degree * C.space.degree_of(c1))
-            val = vaddmul(field, val, field.mul(coeff, sign),
-                          A.product(f.apply_label(c1), g.apply_label(c2)))
+            vaddmul_into(field, val, field.mul(coeff, sign),
+                         A.product(f.apply_label(c1), g.apply_label(c2)))
         out.set(c, A.space.project(val))
     return out
 
@@ -142,8 +142,8 @@ def verify_measuring(f: GradedMap, C: DgCoalgebra, A: DgAlgebra,
             for a, ca in avec.items():
                 lab = tensor_label(c, a)
                 if lab in T:
-                    out = vaddmul(field, out, field.mul(cc, ca),
-                                  f.apply_label(lab))
+                    vaddmul_into(field, out, field.mul(cc, ca),
+                                 f.apply_label(lab))
         return out
 
     for c in C.space.labels():
@@ -161,7 +161,7 @@ def verify_measuring(f: GradedMap, C: DgCoalgebra, A: DgAlgebra,
                                       * C.space.degree_of(c2))
                     part = B.product(F({c1: one}, {a: one}),
                                      F({c2: one}, {b: one}))
-                    rhs = vaddmul(field, rhs, field.mul(coeff, sign), part)
+                    vaddmul_into(field, rhs, field.mul(coeff, sign), part)
                 report.checked += 1
                 if lhs != rhs:
                     report.failures.append(
@@ -259,8 +259,8 @@ def sweedler_product(C: DgCoalgebra, A: DgAlgebra, trunc: Truncation,
         out: dict = {}
         for c, cc in cvec.items():
             for a, ca in avec.items():
-                out = vaddmul(field, out, field.mul(cc, ca),
-                              {word_label((rh_label(c, a),)): one})
+                vaddmul_into(field, out, field.mul(cc, ca),
+                             {word_label((rh_label(c, a),)): one})
         return out
 
     relations = []
@@ -279,23 +279,22 @@ def sweedler_product(C: DgCoalgebra, A: DgAlgebra, trunc: Truncation,
                     sign = field.sign(A.space.degree_of(a)
                                       * C.space.degree_of(c2))
                     w = word_label((rh_label(c1, a), rh_label(c2, b)))
-                    rhs = vaddmul(field, rhs, field.mul(coeff, sign),
-                                  {w: one})
-                relations.append(vaddmul(field, lhs, field.of(-1), rhs))
+                    vaddmul_into(field, rhs, field.mul(coeff, sign), {w: one})
+                relations.append(vaddmul_into(field, lhs, field.of(-1), rhs))
         # (u): c ▷ 1 = ε(c)
         if A.unit is not None and C.counit is not None:
             rel = lift({c: one}, A.unit)
-            rel = vaddmul(field, rel,
-                          field.neg(C.counit.get(c, field.zero())),
-                          {UNIT_WORD: one})
+            vaddmul_into(field, rel,
+                         field.neg(C.counit.get(c, field.zero())),
+                         {UNIT_WORD: one})
             relations.append(rel)
     if pointed:
         if C.atom is None or A.aug is None:
             raise CoalgebraError("pointed Sweedler product needs pointed data")
         for a in A.space.labels():
             rel = lift({C.atom: one}, {a: one})
-            rel = vaddmul(field, rel, field.neg(A.aug.get(a, field.zero())),
-                          {UNIT_WORD: one})
+            vaddmul_into(field, rel, field.neg(A.aug.get(a, field.zero())),
+                         {UNIT_WORD: one})
             relations.append(rel)
 
     d_gen = {}
@@ -303,7 +302,7 @@ def sweedler_product(C: DgCoalgebra, A: DgAlgebra, trunc: Truncation,
         for a in A.space.labels():
             img = lift(C.d.apply_label(c), {a: one})
             sign = field.sign(C.space.degree_of(c))
-            img = vaddmul(field, img, sign, lift({c: one}, A.d.apply_label(a)))
+            vaddmul_into(field, img, sign, lift({c: one}, A.d.apply_label(a)))
             d_gen[rh_label(c, a)] = img
 
     aug_gen = None
@@ -456,8 +455,8 @@ def sweedler_hom_free(field: Field, x_gens: list[tuple], B: DgAlgebra,
         if len(fs) == 1:
             _, x, b = fs[0]
             for b2, coeff in B.d.apply_label(b).items():
-                val = vaddmul(field, val, coeff,
-                              {hom_label(x, b2): field.one()})
+                vaddmul_into(field, val, coeff,
+                             {hom_label(x, b2): field.one()})
         # -(-1)^{|h|} h♭(φ(x)) summed over generators x
         hdeg = space.degree_of(w)
         sign = field.sign(1 + hdeg)
@@ -467,9 +466,9 @@ def sweedler_hom_free(field: Field, x_gens: list[tuple], B: DgAlgebra,
                 for b2, c2 in flat.items():
                     if b2 not in allowed_b:
                         continue
-                    val = vaddmul(field, val,
-                                  field.mul(sign, field.mul(coeff, c2)),
-                                  {hom_label(x, b2): field.one()})
+                    vaddmul_into(field, val,
+                                 field.mul(sign, field.mul(coeff, c2)),
+                                 {hom_label(x, b2): field.one()})
         if val:
             phi[w] = val
     D = coextend_coderivation(space, generators, phi, -1)
@@ -507,20 +506,17 @@ def corestriction_identity_report(sh: SweedlerHom, field: Field,
             fs = word_syms(w)
             if len(fs) == 1:
                 _, x, b = fs[0]
-                lhs = vaddmul(field, lhs, coeff,
-                              {(x, b): field.one()})
+                vaddmul_into(field, lhs, coeff, {(x, b): field.one()})
+        sign = field.sign(1 + space.degree_of(h))
         rhs: dict = {}
         for x, dx in x_gens:
             val = B.d(hom_flat(field, h, B, (x,), deg_of_x, B.space))
-            hw: dict = {}
             for xw, coeff in phi_der.get(x, {}).items():
-                hw = vaddmul(field, hw, coeff,
+                vaddmul_into(field, val, field.mul(sign, coeff),
                              hom_flat(field, h, B, word_syms(xw), deg_of_x,
                                       B.space))
-            sign = field.sign(1 + space.degree_of(h))
-            val = vaddmul(field, val, sign, hw)
             for b, c in val.items():
-                rhs = vaddmul(field, rhs, c, {(x, b): field.one()})
+                vaddmul_into(field, rhs, c, {(x, b): field.one()})
         if lhs != rhs:
             failures.append(label_str(h))
     return failures

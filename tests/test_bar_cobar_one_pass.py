@@ -398,6 +398,30 @@ def test_coextend_coderivation_matches_reference_loop():
     assert drops["low"] > 0 and drops["high"] > 0
 
 
+def test_coextension_keeps_a_tuple_letter_apart_from_its_chunk():
+    # the letter t = ("a", "b") equals the chunk a⊗b as a tuple; φ differs
+    # on the word a⊗b and on the one-letter word t
+    a, b, t = "a", "b", ("a", "b")
+    gens = [(a, 1), (b, 1), (t, 2)]
+    for field in FIELDS:
+        space = free_word_space(field, gens, Truncation(-1, 6, 4))
+        assert word_label((a, b)) in space and word_label((t,)) in space
+        for degree, phi in (
+                (0, {word_label((a, b)): {t: 2},
+                     word_label((t,)): {t: 3},
+                     word_label((a,)): {b: 1}}),
+                (-1, {word_label((t,)): {a: 1, b: 4},
+                      word_label((a, b)): {a: 1},
+                      word_label((a, t)): {t: 1},
+                      word_label((t, a)): {t: 5}})):
+            new = coextend_coderivation(space, gens, phi, degree)
+            assert new.columns
+            assert columns(new) == columns(
+                ref_coextend_coderivation(space, gens, phi, degree))
+            assert columns(new) == columns(
+                ref_set_coextend_coderivation(space, gens, phi, degree))
+
+
 def assert_same_parts(construction, d_new, space, ref):
     """d label by label (its columns come in label order, the reference's
     with the labels of d_int first), d_int and d_ext column by column."""

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from sweedler.scalars import QQ, Field, ParseError
+from sweedler.scalars import QQ, Field, ParseError, DivisionByZero
 from sweedler.graded import Truncation
 from sweedler.presentation import (parse_text, parse_file, UnknownName,
                                    DegreeMismatch, HEADER)
@@ -109,17 +109,7 @@ def test_unknown_generator_in_relation():
         pf.build()
 
 
-def test_unknown_directive_rejected():
-    with pytest.raises(ParseError):
-        parse_text(HEADER + "\nfrobnicate yes\n")
-
-
-def test_map_presentation_roundtrip(tmp_path):
-    # δ of degree 0 so that a degree -1 map can hit u
-    (tmp_path / "c.swp").write_text(COALG_TEXT.replace("basis delta 1",
-                                                       "basis delta 0"))
-    (tmp_path / "a.swp").write_text(MC_TEXT.replace("-10:0:10", "-6:6:6"))
-    map_text = """sweedler-presentation v1
+MAP_TEXT = """sweedler-presentation v1
 field Q
 kind map
 trunc -6:6:6
@@ -128,9 +118,54 @@ source c.swp
 target a.swp
 entry delta 1/1 u
 """
+
+
+def write_map_files(tmp_path, entry="1/1 u"):
+    # δ of degree 0 so that a degree -1 map can hit u
+    (tmp_path / "c.swp").write_text(COALG_TEXT.replace("basis delta 1",
+                                                       "basis delta 0"))
+    (tmp_path / "a.swp").write_text(MC_TEXT.replace("-10:0:10", "-6:6:6"))
     path = tmp_path / "m.swp"
-    path.write_text(map_text)
-    pf = parse_file(str(path))
+    path.write_text(MAP_TEXT.replace("entry delta 1/1 u",
+                                     f"entry delta {entry}"))
+    return str(path)
+
+
+@pytest.mark.parametrize("text, old, new, message", [
+    (MC_TEXT, "d u -1/1 u.u", "d u -1/1 u.v", "unknown generator 'v'"),
+    (MC_TEXT, "aug u 0/1", "rel 1/1 v.u 1/1 u.u", "unknown generator 'v'"),
+    (COALG_TEXT, "1/1 e,delta", "1/1 e,z", "unknown basis element 'z'"),
+    (COALG_TEXT, "d delta 0", "d delta 1/1 z", "unknown basis element 'z'"),
+])
+def test_term_reader_messages(text, old, new, message):
+    pf = parse_text(text.replace(old, new))
+    with pytest.raises(UnknownName, match=f"^{re.escape(message)}$"):
+        pf.build()
+    # the coefficient is read before the word: 1/5 fails first over F_5
+    pf = parse_text(text.replace(old, new.replace("1/1 ", "1/5 ")))
+    with pytest.raises(DivisionByZero):
+        pf.build(Field(5))
+
+
+@pytest.mark.parametrize("entry", ["w", "u.u.u.u.u.u.u"])
+def test_map_entry_outside_the_window(tmp_path, entry):
+    pf = parse_file(write_map_files(tmp_path, f"1/1 {entry}"))
+    message = f"target element {entry!r} not in the window"
+    with pytest.raises(UnknownName, match=f"^{re.escape(message)}$"):
+        pf.build()
+    pf = parse_file(write_map_files(tmp_path, f"1/5 {entry}"))
+    with pytest.raises(DivisionByZero):
+        pf.build(Field(5))
+
+
+def test_unknown_directive_rejected():
+    with pytest.raises(ParseError):
+        parse_text(HEADER + "\nfrobnicate yes\n")
+
+
+def test_map_presentation_roundtrip(tmp_path):
+    path = write_map_files(tmp_path)
+    pf = parse_file(path)
     alpha, C, A = pf.build()
     assert alpha.apply_label("delta") == {word_label(("u",)): QQ.one()}
     again = parse_text(pf.serialize(), path=str(path))
