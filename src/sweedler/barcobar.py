@@ -33,8 +33,8 @@ from .complexes import DgSpace
 from .algebras import (DgAlgebra, tensor_algebra, extend_derivation,
                        tensor_pair, word_label, word_syms, UNIT_WORD,
                        AlgebraError)
-from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_comult,
-                         coextend_coderivation, coextend_map,
+from .coalgebras import (DgCoalgebra, TensorCoalgebra, tensor_coalgebra,
+                         coshuffle_comult, coextend_coderivation, coextend_map,
                          ReducedCoalgebra, shuffle_product)
 from .sweedler_ops import convolve
 from .linalg import vaddmul, vaddmul_into, vscale
@@ -263,13 +263,17 @@ def _length_first(d: GradedMap) -> None:
 
 def _length_part(d: GradedMap, keep: bool, coeff) -> GradedMap:
     """coeff times the terms of each column of d that keep (or, with
-    keep=False, change) the word length of their source."""
-    field = d.field
+    keep=False, change) the word length of their source.  A part is a
+    checked column's terms times ±1, so it is stored without
+    `GradedMap.set`'s checks; an empty part is left out, as `set` does."""
+    mul = d.field.mul
     out = GradedMap(d.source, d.target, d.degree)
     for label, col in d.columns.items():
         n = len(word_syms(label))
-        out.set(label, {k: field.mul(coeff, c) for k, c in col.items()
-                        if (len(word_syms(k)) == n) == keep})
+        part = {k: mul(coeff, c) for k, c in col.items()
+                if (len(word_syms(k)) == n) == keep}
+        if part:
+            out.columns[label] = part
     return out
 
 
@@ -341,8 +345,8 @@ def bar(A: DgAlgebra, trunc: Truncation,
     d = coextend_coderivation(space, generators, phi, -1)
     if len({len(word_syms(w)) for w in phi}) > 1:
         _length_first(d)                              # both parts present
-    coalg = DgCoalgebra(DgSpace(space, d), base.comult, base.counit,
-                        atom=UNIT_WORD, name=f"B({A.name})")
+    # base's Δ is not read here: reading it would build it
+    coalg = TensorCoalgebra(DgSpace(space, d), base.TT, name=f"B({A.name})")
     return BarConstruction(coalg, A, convention, generators)
 
 

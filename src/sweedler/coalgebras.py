@@ -7,18 +7,24 @@ de = 0; the reduced part C_- = ker ε is materialized with its reduced
 coproduct whenever conilpotency machinery needs it.  A coderivation of
 T^c(X) is coextended from its corestriction by `algebras.splice_map`, the
 splice rule it shares with the derivations of T(X).
+
+The deconcatenation coproduct of T^c(X), and so of B A, is fixed by the
+words alone, so a `TensorCoalgebra` builds it the first time something
+reads `comult`.  Its target C⊗C and the degrees where Δ leaves the window
+are fixed when the coalgebra is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
                      tensor_label, tensor_sum_apply, target_index,
                      koszul_sign_exponent, label_str, graded_dual, dual_label,
-                     not_homogeneous)
+                     not_homogeneous, TensorSpace)
 from .complexes import DgSpace, check_square_zero, dg_tensor
 from .linalg import RowSpace, vaddmul_into, kernel_basis
 from .algebras import (DgAlgebra, word_label, word_syms, UNIT_WORD,
@@ -329,14 +335,17 @@ def primitives(C: DgCoalgebra) -> list:
 # -- tensor and coshuffle coalgebras --------------------------------------------------
 
 
-def _word_comult(space: GradedSpace, splits) -> GradedMap:
+def _word_comult(space: GradedSpace, splits,
+                 TT: TensorSpace | None = None) -> GradedMap:
     """Δ(w) = Σ c·u⊗v over (u, v, c) in splits(syms of w), summed in place;
-    each c is ±1, so never zero.
+    each c is ±1, so never zero.  TT is space⊗space, built here if not
+    given.
 
     A term outside the window marks the degree of w inexact.
     """
     field = space.field
-    TT = tensor_space(space, space)
+    if TT is None:
+        TT = tensor_space(space, space)
     comult = GradedMap(space, TT, 0)
     inside = TT._degree_lookup()
     for n in space.degrees():
@@ -363,21 +372,97 @@ def _word_comult(space: GradedSpace, splits) -> GradedMap:
     return comult
 
 
-def _deconcat_map(space: GradedSpace) -> GradedMap:
+def _deconcat_map(space: GradedSpace,
+                  TT: TensorSpace | None = None) -> GradedMap:
     one = space.field.one()
     return _word_comult(space, lambda syms: (
-        (syms[:i], syms[i:], one) for i in range(len(syms) + 1)))
+        (syms[:i], syms[i:], one) for i in range(len(syms) + 1)), TT)
+
+
+def _split_leaves(syms: tuple, degree_of: dict, lo: int, hi: int) -> bool:
+    """Does a prefix degree of the word (the empty prefix included, the
+    whole word left out) fall outside lo..hi?"""
+    p = 0
+    for sym in syms:
+        if not lo <= p <= hi:
+            return True
+        p += degree_of[sym]
+    return False
+
+
+def _mark_split_degrees(space: GradedSpace, degree_of: dict) -> None:
+    """Mark inexact the degrees that `_deconcat_map` marks, without it.
+
+    A split u⊗v of a word of degree n leaves the window when |u| or
+    n - |u| does, so the prefix degrees must lie in
+    max(dmin, n - dmax)..min(dmax, n - dmin).  The whole word as prefix is
+    the empty prefix read backwards.  A degree stops at its first word
+    with a split outside; a degree already marked is skipped.
+    """
+    dmin, dmax = space.window.degree_min, space.window.degree_max
+    for n in space.degrees():
+        if not space.is_exact(n):
+            continue
+        lo, hi = max(dmin, n - dmax), min(dmax, n - dmin)
+        if any(_split_leaves(word_syms(w), degree_of, lo, hi)
+               for w in space.basis(n)):
+            space.mark_inexact(n)
+
+
+def _require_linear(field: Field, d_gen: dict) -> None:
+    """Refuse a d_gen whose derivation extension is no coderivation: on
+    T^c(X) and T^csh(X) that needs every image linear in the generators."""
+    for g, vec in d_gen.items():
+        for w, c in vec.items():
+            if len(word_syms(w)) != 1 and not field.is_zero(c):
+                raise CoalgebraError(
+                    f"d of generator {label_str(g)} is not linear: its term "
+                    f"{label_str(w)} is no single generator, so d would be "
+                    "no coderivation")
+
+
+class TensorCoalgebra(DgCoalgebra):
+    """T^c(X) on a word space: deconcatenation Δ, the length-0 projection
+    as counit and the empty word as atom.
+
+    Δ is built the first time something reads `comult`.  TT = C⊗C is
+    given with the coalgebra, and the caller marks the degrees where Δ
+    leaves the window (`_mark_split_degrees`) after building TT, as Δ
+    itself would; so neither `TT` nor the inexact degrees wait for Δ.
+    """
+
+    def __init__(self, dg: DgSpace, TT: TensorSpace, name: str = ""):
+        # DgCoalgebra.__init__ is skipped on purpose: it stores comult
+        self.dg = dg
+        self.counit = {UNIT_WORD: dg.field.one()}
+        self.atom = UNIT_WORD
+        self.name = name
+        self._TT = TT
+
+    @cached_property
+    def comult(self) -> GradedMap:
+        return _deconcat_map(self.space, self._TT)
+
+    @property
+    def TT(self) -> TensorSpace:
+        return self._TT
 
 
 def tensor_coalgebra(field: Field, generators: list[tuple], trunc: Truncation,
-                     d_gen: dict | None = None, name: str = "") -> DgCoalgebra:
-    """T^c(X): deconcatenation coproduct, counit = length-0 projection."""
+                     d_gen: dict | None = None,
+                     name: str = "") -> TensorCoalgebra:
+    """T^c(X): deconcatenation coproduct, counit = length-0 projection.
+
+    `d_gen` maps generators to vectors of single generators (default
+    zero); a longer or empty word raises CoalgebraError.
+    """
+    d_gen = d_gen or {}
+    _require_linear(field, d_gen)
     space = free_word_space(field, generators, trunc)
-    comult = _deconcat_map(space)
-    counit = {UNIT_WORD: field.one()}
-    D = extend_derivation(generators, d_gen or {}, space, -1)
-    return DgCoalgebra(DgSpace(space, D), comult, counit, atom=UNIT_WORD,
-                       name=name or "Tc(X)")
+    TT = tensor_space(space, space)     # before the marks, as in Δ
+    _mark_split_degrees(space, dict(generators))
+    D = extend_derivation(generators, d_gen, space, -1)
+    return TensorCoalgebra(DgSpace(space, D), TT, name=name or "Tc(X)")
 
 
 def odd_binomial(n: int, k: int) -> int:
@@ -416,11 +501,16 @@ def coshuffle_comult(space: GradedSpace, degree_of: dict) -> GradedMap:
 def coshuffle_coalgebra(field: Field, generators: list[tuple],
                         trunc: Truncation, d_gen: dict | None = None,
                         name: str = "") -> DgCoalgebra:
-    """T^csh(X): the unshuffle coproduct; odd binomials on one odd generator."""
+    """T^csh(X): the unshuffle coproduct; odd binomials on one odd generator.
+
+    `d_gen` is as for `tensor_coalgebra`.
+    """
+    d_gen = d_gen or {}
+    _require_linear(field, d_gen)
     space = free_word_space(field, generators, trunc)
     comult = coshuffle_comult(space, dict(generators))
     counit = {UNIT_WORD: field.one()}
-    D = extend_derivation(generators, d_gen or {}, space, -1)
+    D = extend_derivation(generators, d_gen, space, -1)
     return DgCoalgebra(DgSpace(space, D), comult, counit, atom=UNIT_WORD,
                        name=name or "Tcsh(X)")
 

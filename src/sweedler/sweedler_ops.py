@@ -26,9 +26,10 @@ from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
 from .complexes import DgSpace, dg_hom
 from .algebras import (DgAlgebra, PresentedAlgebra, normal_forms, word_label,
                        word_syms, UNIT_WORD, tensor_algebra, AlgebraError)
-from .coalgebras import (DgCoalgebra, tensor_coalgebra, coshuffle_coalgebra,
-                         coextend_coderivation, finite_dual, dual_algebra,
-                         check_cofree_regime, CoalgebraError)
+from .coalgebras import (DgCoalgebra, TensorCoalgebra, tensor_coalgebra,
+                         coshuffle_coalgebra, coextend_coderivation,
+                         finite_dual, dual_algebra, check_cofree_regime,
+                         CoalgebraError)
 from .presets import load_preset, matrix_label
 from .linalg import vaddmul_into, vscale
 
@@ -472,8 +473,7 @@ def sweedler_hom_free(field: Field, x_gens: list[tuple], B: DgAlgebra,
         if val:
             phi[w] = val
     D = coextend_coderivation(space, generators, phi, -1)
-    carrier = DgCoalgebra(DgSpace(space, D), base.comult, base.counit,
-                          atom=base.atom, name=base.name)
+    carrier = TensorCoalgebra(DgSpace(space, D), base.TT, name=base.name)
 
     # couniversal measuring ρ(h ⊗ x-word) = h♭(x-word)
     TX = tensor_algebra(field, x_gens, trunc, d_gen=phi_der, augmented=True,

@@ -4,10 +4,14 @@ from math import comb
 
 import pytest
 
+from sweedler import coalgebras
 from sweedler.scalars import QQ
 from sweedler.graded import (Truncation, tensor_label, identity_map,
                              strength_tensor)
-from sweedler.algebras import word_label, word_syms, UNIT_WORD
+from sweedler.complexes import check_square_zero, homology
+from sweedler.algebras import (word_label, word_syms, UNIT_WORD,
+                               PresentedAlgebra, normal_forms)
+from sweedler.barcobar import bar, anticommutator_issues
 from sweedler.coalgebras import (tensor_coalgebra,
                                  coshuffle_coalgebra, odd_binomial, radical,
                                  primitives, coextend_coderivation,
@@ -52,6 +56,54 @@ def test_tensor_coalgebra_with_differential():
     T = tensor_coalgebra(QQ, [("a", 1), ("b", 0)], Truncation(0, 8, 3),
                          d_gen={"a": {word_label(("b",)): QQ.one()}})
     assert T.verify() == []
+
+
+def test_tensor_coalgebra_refuses_a_nonlinear_differential():
+    # d(x) = y⊗z extends to a derivation of T(X) that fails co-Leibniz at x
+    gens = [("x", 3), ("y", 1), ("z", 1)]
+    yz = word_label(("y", "z"))
+    for make in (tensor_coalgebra, coshuffle_coalgebra):
+        with pytest.raises(CoalgebraError) as exc:
+            make(QQ, gens, Truncation(-1, 6, 3), d_gen={"x": {yz: 1}})
+        assert str(exc.value) == (
+            "d of generator x is not linear: its term y⊗z is no single "
+            "generator, so d would be no coderivation")
+        # the empty word is no generator either; a zero term is dropped
+        with pytest.raises(CoalgebraError, match="its term 1 is no single"):
+            make(QQ, [("u", 1)], Truncation(-1, 6, 3),
+                 d_gen={"u": {UNIT_WORD: 1}})
+        C = make(QQ, gens, Truncation(-1, 6, 3),
+                 d_gen={"x": {yz: 0, word_label(("y",)): 0}})
+        assert C.d.is_zero()
+
+
+def test_tensor_coalgebra_builds_its_coproduct_on_first_read(monkeypatch):
+    calls = []
+    build = coalgebras._deconcat_map
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(coalgebras, "_deconcat_map", counted)
+    # the bar-random job of perfbench: bar, d², [d_int, d_ext] and homology
+    P = PresentedAlgebra(
+        QQ, [("a", -1), ("b", -2), ("c", 1)],
+        [{word_label((g, h)): 1} for g in "abc" for h in "abc"],
+        {"a": {word_label(("b",)): 1}}, Truncation(-4, 6, 4),
+        aug_gen={"a": 0, "b": 0, "c": 0})
+    b = bar(normal_forms(P), Truncation(-4, 6, 4))
+    dg = b.coalgebra.dg
+    assert check_square_zero(dg).passed
+    assert not anticommutator_issues(b.d_int, b.d_ext, dg.space)
+    homology(dg)
+    TT = b.coalgebra.TT
+    assert TT.dims() and calls == []
+    comult = b.coalgebra.comult
+    assert b.coalgebra.comult is comult and len(calls) == 1
+    assert comult.target is TT
+    assert b.coalgebra.verify() == []
+    assert len(calls) == 1
 
 
 # -- odd binomials -----------------------------------------------------------

@@ -21,10 +21,11 @@ from sweedler.graded import (Truncation, GradedSpace, GradedMap,
                              uncurry1, uncurry2)
 from sweedler.complexes import DgSpace, dg_tensor, dg_hom
 from sweedler.algebras import (word_label, word_syms, free_word_space,
-                               tensor_algebra)
+                               tensor_algebra, WordSpace)
 from sweedler.coalgebras import (DgCoalgebra, tensor_coalgebra,
                                  coshuffle_coalgebra, coshuffle_comult,
-                                 _deconcat_map, finite_dual, dual_algebra,
+                                 _deconcat_map, _mark_split_degrees,
+                                 finite_dual, dual_algebra,
                                  ReducedCoalgebra, red_label)
 from sweedler.sweedler_ops import convolution_algebra, matrix_algebra
 from sweedler.barcobar import (cobar, cochain_to_algebra_map,
@@ -308,6 +309,48 @@ def test_word_coproducts_match_their_reference_loops():
                     assert tensor_label(x, x) not in comult.apply_label(lab)
                     cancelled += 1
     assert cancelled >= 6 and marked >= 6
+
+
+def test_lazy_deconcatenation_matches_its_reference_loop():
+    # tensor_coalgebra marks the split degrees before Δ exists and builds
+    # Δ on first read; windows without 0 and negative letters included
+    rng = random.Random(1919)
+    cases = [
+        ([("a", 1), ("b", 2)], Truncation(2, 6, 3)),    # 1 and a leave it
+        ([("a", -1), ("b", 2)], Truncation(-3, -1, 3)),  # 0 leaves it
+        ([("a", -2), ("b", 1)], Truncation(-2, 3, 4)),  # prefixes dip below
+        ([("a", 3), ("b", -1)], Truncation(-1, 4, 3)),
+    ]
+    for _ in range(60):
+        lo = rng.randint(-6, 4)
+        cases.append(([(f"g{i}", rng.randint(-3, 3))
+                       for i in range(rng.randint(1, 3))],
+                      Truncation(lo, lo + rng.randint(0, 5),
+                                 rng.randint(1, 4))))
+    marked = without_zero = split_only = 0
+    for trial, (gens, tr) in enumerate(cases):
+        field = (QQ, Field(5), Field(2))[trial % 3]
+        T = tensor_coalgebra(field, gens, tr)
+        marks, TT_marks = T.space.inexact_degrees(), T.TT.inexact_degrees()
+        S = free_word_space(field, gens, tr)
+        before = S.inexact_degrees()
+        ref = ref_deconcat(S)
+        assert marks == S.inexact_degrees()
+        assert TT_marks == ref.target.inexact_degrees()
+        assert columns(T.comult) == columns(ref)
+        assert T.comult.target is T.TT
+        assert T.space.inexact_degrees() == marks    # Δ marked nothing new
+        marked += marks != before
+        without_zero += not tr.contains(0) and bool(S.degrees())
+        # the split rule alone, on word spaces without the overflow marks
+        # that free_word_space adds, which cover every mixed-sign case
+        bare, ref_bare = (WordSpace(field, gens, tr) for _ in range(2))
+        _mark_split_degrees(bare, dict(gens))
+        ref_deconcat(ref_bare)
+        assert bare.inexact_degrees() == ref_bare.inexact_degrees()
+        split_only += bool(bare.inexact_degrees()) and tr.contains(0)
+    # most split marks repeat the overflow marks of free_word_space
+    assert marked >= 4 and without_zero >= 15 and split_only >= 4
 
 
 # -- (d) one multiplicative extension -------------------------------------------------
