@@ -506,9 +506,16 @@ def _parent_kind(p: int, n_p: int, letter: int, grow: dict,
     return 1 if lo <= letter <= hi else 2
 
 
-def _ideal_slices(free: GradedSpace, gen_degree: dict,
+def _ideal_slices(free: GradedSpace, index: dict, gen_degree: dict,
                   relations: list) -> dict[int, RowSpace]:
     """The ideal slices of `normal_forms`, one RowSpace per degree of `free`.
+
+    A slice is keyed by word ids, not words: `index` numbers the words of
+    `free` in the order of `free.labels()`, and the slice of degree n has
+    the ids of `free.basis(n)[::-1]` as its ambient order, so long words
+    are killed first.  Each term of u·r·v is then hashed once as a word,
+    to find its id, and the elimination hashes ints.  The caller maps
+    pivots and reduced vectors back to words.
 
     `relations` holds (relation, degree) pairs whose terms all lie in `free`.
     The slice I_n is spanned by the set S of triples (u, r, v) with u, v
@@ -538,14 +545,13 @@ def _ideal_slices(free: GradedSpace, gen_degree: dict,
     trunc = free.window
     cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
     # long words are killed first
-    reducers = {n: RowSpace(field, free.basis(n)[::-1])
+    reducers = {n: RowSpace(field, [index[w] for w in free.basis(n)[::-1]])
                 for n in free.degrees()}
-    # integer word ids; tail / init: the id without the first / last letter,
-    # -1 when that word leaves the window or the word is empty
-    labels = free.labels()
-    index = {w: i for i, w in enumerate(labels)}
+    labels = list(index)
     syms = [word_syms(w) for w in labels]
     degree = [free.degree_of(w) for w in labels]
+    # tail / init: the id without the first / last letter, -1 when that
+    # word leaves the window or the word is empty
     tail = [index.get(word_label(s[1:]), -1) if s else -1 for s in syms]
     init = [index.get(word_label(s[:-1]), -1) if s else -1 for s in syms]
     first = [gen_degree[s[0]] if s else 0 for s in syms]
@@ -600,7 +606,7 @@ def _ideal_slices(free: GradedSpace, gen_degree: dict,
                             and not (v_kind and u_key + pv in added):
                         continue
                     us_, vs_ = syms[u], syms[v]
-                    if rs.add({word_label(us_ + ws + vs_): c
+                    if rs.add({index[word_label(us_ + ws + vs_)]: c
                                for ws, c in terms}) is not None:
                         added.add(u_key + v)
                         u_degs.setdefault(n, set()).add(degree[u])
@@ -651,17 +657,21 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
                 free.mark_inexact(n)
         # else: the relation lives entirely outside the window
 
-    reducers = _ideal_slices(free, gen_degree, usable_relations)
+    # integer word ids, the keys of the ideal slices
+    index = {w: i for i, w in enumerate(free.labels())}
+    labels = list(index)
+    reducers = _ideal_slices(free, index, gen_degree, usable_relations)
 
     def reduce(vec: dict) -> dict:
         """Normal form of vec, its words in the quotient basis order."""
         out: dict = {}
         by_deg: dict[int, dict] = {}
         for w, c in vec.items():
-            by_deg.setdefault(free.degree_of(w), {})[w] = c
+            by_deg.setdefault(free.degree_of(w), {})[index[w]] = c
         for deg, part in by_deg.items():
             vaddmul_into(field, out, field.one(), reducers[deg].reduce(part))
-        return {w: out[w] for w in sorted(out, key=position.__getitem__)}
+        return {labels[i]: out[i]
+                for i in sorted(out, key=position.__getitem__)}
 
     # quotient carrier: non-pivot words
     space = GradedSpace(field, P.trunc)
@@ -671,11 +681,11 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
     for n in free.degrees():
         pivots = reducers[n].pivots()
         for w in free.basis(n):
-            if w not in pivots:
+            if index[w] not in pivots:
                 wt = sum(weight_of[s] for s in word_syms(w))
                 space.add(w, n, weight=wt)
-    # every non-pivot word of free is a quotient basis word
-    position = {w: i for i, w in enumerate(space.labels())}
+    # every non-pivot word of free is a quotient basis word; by word id
+    position = {index[w]: i for i, w in enumerate(space.labels())}
     for n in free.inexact_degrees():
         if P.trunc.contains(n):
             space.mark_inexact(n)

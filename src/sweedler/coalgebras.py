@@ -23,7 +23,7 @@ from functools import cached_property
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
                      tensor_label, tensor_sum_apply, target_index,
-                     koszul_sign_exponent, label_str, graded_dual, dual_label,
+                     label_str, graded_dual, dual_label,
                      not_homogeneous, TensorSpace)
 from .complexes import DgSpace, check_square_zero, dg_tensor
 from .linalg import RowSpace, vaddmul_into, kernel_basis
@@ -338,8 +338,7 @@ def primitives(C: DgCoalgebra) -> list:
 def _word_comult(space: GradedSpace, splits,
                  TT: TensorSpace | None = None) -> GradedMap:
     """Δ(w) = Σ c·u⊗v over (u, v, c) in splits(syms of w), summed in place;
-    each c is ±1, so never zero.  TT is space⊗space, built here if not
-    given.
+    each c is nonzero.  TT is space⊗space, built here if not given.
 
     A term outside the window marks the degree of w inexact.
     """
@@ -481,19 +480,94 @@ def odd_binomial(n: int, k: int) -> int:
     return row[k]
 
 
+def _unshuffles(syms: tuple, parity: list, p: int | None) -> list:
+    """The merged unshuffle terms (left, right, coefficient) of a word, the
+    coefficient an int, nonzero (mod p over F_p).
+
+    They are listed in the key order of summing the signed subsets one at
+    a time: by size, then the subsets in lexicographic order, each pair at
+    the subset where its running sum last left zero.  That is not always
+    its first subset: a sum that cancels on the way drops its key, and the
+    pair's next term keys it again.
+
+    The splits of the suffix syms[i:] are built letter by letter from the
+    end, merging equal pairs.  Putting the letter x = syms[i] on the left
+    costs no sign; putting it on the right moves every left letter after
+    it past x.  So a split (L, R) lists the subsets of its x-left child
+    (L[1:], R), then those of its x-right child (L, R[1:]) times
+    (-1)^{|x|·|L|}, and keeps their sum, the range of its running sums
+    before each subset, and the parity of |L|.  That range is an interval
+    (the terms are ±1), which is enough to walk each pair down to the
+    subset where its running sum last left zero.
+    """
+    k = len(syms)
+    # levels[i]: split (L, R) of syms[i:] -> (sum, lo, hi, parity of |L|)
+    levels = [{}] * k + [{((), ()): (1, 0, 0, 0)}]
+
+    def children(i, L, R):
+        below, x = levels[i + 1], syms[i]
+        return (below.get((L[1:], R)) if L and L[0] == x else None,
+                below.get((L, R[1:])) if R and R[0] == x else None)
+
+    for i in range(k - 1, -1, -1):
+        x, odd, level = syms[i], parity[i], {}
+        for L, R in [key for L, R in levels[i + 1]
+                     for key in (((x,) + L, R), (L, (x,) + R))]:
+            if (L, R) in level:
+                continue
+            a, b = children(i, L, R)
+            total, lo, hi, par = a if a else (0, 0, 0, None)
+            if b:
+                t, blo, bhi, par = b
+                if odd and par:
+                    t, blo, bhi = -t, -bhi, -blo
+                lo, hi = min(lo, total + blo), max(hi, total + bhi)
+                total += t
+            else:
+                par ^= odd
+            level[L, R] = (total, lo, hi, par)
+        levels[i] = level
+
+    def reached(state, v) -> bool:
+        lo, hi = state[1], state[2]
+        if p is None:
+            return lo <= v <= hi
+        return hi - lo + 1 >= p or (v - lo) % p <= hi - lo
+
+    def keyed_at(L, R) -> int:
+        """The subset, as a bit mask with syms[0] highest, where the
+        running sum of (L, R) last left zero."""
+        v = mask = 0
+        for i in range(k):
+            a, b = children(i, L, R)
+            if b:
+                w = v - (a[0] if a else 0)
+                if parity[i] and levels[i][L, R][3]:
+                    w = -w
+                if reached(b, w):
+                    v, R = w, R[1:]
+                    continue
+            mask |= 1 << (k - 1 - i)
+            L = L[1:]
+        return mask
+
+    terms = [(L, R, total) for (L, R), (total, *_) in levels[0].items()
+             if (total if p is None else total % p)]
+    terms.sort(key=lambda term: (len(term[0]), -keyed_at(term[0], term[1])))
+    return terms
+
+
 def coshuffle_comult(space: GradedSpace, degree_of: dict) -> GradedMap:
-    """Signed unshuffle coproduct on a word space."""
+    """Signed unshuffle coproduct on a word space: Δ(w) sums, over the
+    subsets S of the letters of w, ±(w|S)⊗(w|rest), the sign the Koszul
+    sign of moving S to the front.  `_unshuffles` merges the subsets with
+    equal halves and keeps the key order of summing them one by one."""
     field = space.field
 
     def unshuffles(syms):
-        k = len(syms)
-        degrees = [degree_of[s] for s in syms]
-        for size in range(k + 1):
-            for subset in itertools.combinations(range(k), size):
-                rest = [i for i in range(k) if i not in subset]
-                exp = koszul_sign_exponent(degrees, list(subset) + rest)
-                yield (tuple(syms[i] for i in subset),
-                       tuple(syms[i] for i in rest), field.sign(exp))
+        parity = [degree_of[s] % 2 for s in syms]
+        return [(u, v, field.of(c))
+                for u, v, c in _unshuffles(syms, parity, field.p)]
 
     return _word_comult(space, unshuffles)
 

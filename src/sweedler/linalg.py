@@ -9,9 +9,13 @@ reproducible across runs.
 `RowSpace` is the one elimination routine.  It works on integer column
 ids: a label's id is its position in the ambient order, so it is also its
 pivot priority (lower wins), and a row's pivot is the least id it holds.
-Labels become ids once, when a vector enters `reduce`, `add`, `insert` or
+Labels become ids once, when a vector enters `reduce`, `add` or
 `contains`, and ids become labels once, when a result leaves; hashing an
-int is several times cheaper than hashing a nested label tuple.  The rows
+int is several times cheaper than hashing a nested label tuple.  `add`
+hands back only the new row's pivot label (or None), so a vector that
+enters the span costs no label-keyed copy of its row; a caller whose
+labels are nested tuples can number them first and build the RowSpace
+over the numbers, as `algebras._ideal_slices` does.  The rows
 are kept in reduced row echelon form: each row has a leading 1 at its
 pivot and zeros at every other pivot.  Subtracting a row therefore never
 brings a pivot coordinate back, and a vector is reduced by one sweep over
@@ -32,7 +36,20 @@ from .scalars import Field
 # -- sparse vector helpers ----------------------------------------------------
 
 def vaddmul_into(field: Field, out: dict, coeff, v: dict) -> dict:
-    """out += coeff * v in place, dropping zero sums; returns out."""
+    """out += coeff * v in place, dropping zero sums; returns out.
+
+    Over Q the field operations are plain `+`, `*` and `== 0`, so that
+    branch skips the method calls; values and key order are the same.
+    """
+    if field.p is None:
+        get = out.get
+        for k, c in v.items():
+            s = get(k, 0) + coeff * c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return out
     zero = field.zero()
     for k, c in v.items():
         s = field.add(out.get(k, zero), field.mul(coeff, c))
@@ -63,10 +80,12 @@ class RowSpace:
     pivot priority (lower wins).  Internally rows map a pivot id to
     {id: coefficient} and the column index maps a non-pivot id to the set
     of pivot ids whose rows hold it.  `rows`, `cols` and `pivots()` are
-    label-keyed views built on request; `reduce`, `add` and `insert`
-    return label-keyed snapshots, not live rows.  Int dicts keep insertion
-    order, so a returned dict lists its labels in the order the
-    elimination wrote them.
+    label-keyed views built on request; `reduce` returns a label-keyed
+    snapshot of the residue, and `add` returns the pivot label of the row
+    it inserted, or None when the vector reduced to zero.  A pivot label
+    may be falsy (the int 0), so test the result with `is not None`.  Int
+    dicts keep insertion order, so a returned or viewed dict lists its
+    labels in the order the elimination wrote them.
     """
 
     def __init__(self, field: Field, order: list):
@@ -112,10 +131,10 @@ class RowSpace:
             vaddmul_into(field, out, field.neg(out[p]), rows[p])
         return out
 
-    def _insert(self, red: dict) -> dict:
+    def _insert(self, red: dict) -> int:
         """Insert the nonzero reduced id vector `red`: scale its pivot to 1
         and back-eliminate that pivot, in place, from the rows that hold
-        it.  `red` becomes the new row."""
+        it.  `red` becomes the new row; returns its pivot id."""
         field, rows, cols = self.field, self._rows, self._cols
         piv = min(red)
         inv = field.inv(red[piv])
@@ -137,20 +156,19 @@ class RowSpace:
             if k != piv:
                 cols.setdefault(k, set()).add(piv)
         rows[piv] = red
-        return red
+        return piv
 
     def reduce(self, v: dict) -> dict:
         """Fully reduce v against the span; the residue has no pivot coords."""
         return self._labels_of(self._reduce(self._ids_of(v)))
 
-    def insert(self, red: dict) -> dict:
-        """Insert a nonzero reduced vector; returns a snapshot of the row."""
-        return self._labels_of(self._insert(self._ids_of(red)))
-
-    def add(self, v: dict) -> dict | None:
-        """Reduce and insert v; returns a snapshot of the new row or None."""
+    def add(self, v: dict):
+        """Reduce and insert v; returns the new row's pivot label, or None
+        when v lies in the span already."""
         red = self._reduce(self._ids_of(v))
-        return self._labels_of(self._insert(red)) if red else None
+        if not red:
+            return None
+        return self._labels[self._insert(red)]
 
     def contains(self, v: dict) -> bool:
         return not self._reduce(self._ids_of(v))

@@ -490,7 +490,8 @@ def _ref_normal_forms(P):
 
 @pytest.fixture
 def made(monkeypatch):
-    """The RowSpaces normal_forms makes, in order; `adds` counts add calls."""
+    """The RowSpaces normal_forms makes, in order; `adds` counts add calls
+    and `added` lists each added vector with what add returned."""
     made = []
 
     class Recording(RowSpace):
@@ -498,11 +499,14 @@ def made(monkeypatch):
 
         def __init__(self, *args):
             super().__init__(*args)
+            self.added = []
             made.append(self)
 
         def add(self, v):
             self.adds += 1
-            return super().add(v)
+            pivot = super().add(v)
+            self.added.append((dict(v), pivot))
+            return pivot
 
     monkeypatch.setattr(algebras, "RowSpace", Recording)
     return made
@@ -514,9 +518,25 @@ def _check_against_reference(P, made):
     made.clear()
     A = normal_forms(P)
     reducers, basis, product, D = _ref_normal_forms(P)
+    free = free_word_space(P.field, P.generators, P.trunc)
+    words = free.labels()
     assert len(made) == len(reducers)
     for rs, n in zip(made, sorted(reducers)):
-        assert rs.rows == reducers[n].rows
+        # the slice is keyed by word ids; translated back to words it is
+        # the label-keyed slice: the same ambient order, the same pivots
+        # returned, and the same rows, values and key order
+        slice_ = RowSpace(P.field, [words[i] for i in rs.order])
+        assert list(slice_.order) == free.basis(n)[::-1]
+        for v, pivot in rs.added:
+            got = slice_.add({words[i]: c for i, c in v.items()})
+            assert got == (None if pivot is None else words[pivot])
+        rows = [(words[p], [(words[k], c) for k, c in row.items()])
+                for p, row in rs.rows.items()]
+        assert rows == [(p, list(row.items()))
+                        for p, row in slice_.rows.items()]
+        # the rows arrive in another order in the reference loop, so only
+        # its rows and values are compared, not its key order
+        assert {p: dict(row) for p, row in rows} == reducers[n].rows
     assert {n: A.space.basis(n) for n in A.space.degrees()} == \
         {n: ws for n, ws in basis.items() if ws}
     labels = A.space.labels()

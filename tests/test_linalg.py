@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 
+from sweedler import linalg
 from sweedler.scalars import QQ, Field
 from sweedler.linalg import (RowSpace, rank, kernel_basis, solve_membership,
                              vaddmul, vscale)
@@ -132,6 +134,11 @@ def _items(v):
     return None if v is None else list(v.items())
 
 
+def _pivot(order, row):
+    """The pivot label of a reference row: its least key in `order`."""
+    return None if row is None else min(row, key=order.__getitem__)
+
+
 def _random_vectors(rng, field, labels, count):
     """count sparse vectors over labels, many of them dependent."""
     base = [{lab: field.of(rng.randint(-4, 4))
@@ -186,7 +193,7 @@ def test_elimination_matches_reference_loop():
                 assert _items(rs.reduce(v)) == _items(red)
                 want = (_ref_insert(field, order, rows, tracked, red, {})
                         if red else None)
-                assert _items(rs.add(v)) == _items(want)
+                assert rs.add(v) == _pivot(order, want)
                 assert ([(k, _items(r)) for k, r in rs.rows.items()]
                         == [(k, _items(r)) for k, r in rows.items()])
             cases += 1
@@ -226,12 +233,13 @@ _TAG = object()     # tag of this test's tracking-column labels (_TAG, s)
 
 
 def test_rowspace_api_matches_reference_loop():
-    # reduce, add, insert and contains interleaved, some vectors carrying a
-    # tracking coordinate: after every step the label-keyed views and the
-    # returned dicts equal the reference loop's, key order included, and
-    # every dict returned earlier is a snapshot that later steps leave alone
+    # reduce, add and contains interleaved, some vectors carrying a
+    # tracking coordinate: after every step the label-keyed views equal the
+    # reference loop's, key order included, add returns the pivot of the
+    # reference row (None when the vector lies in the span), and every
+    # residue reduce returned earlier is a snapshot later steps leave alone
     rng = random.Random(1973)
-    ops = {"reduce": 0, "add": 0, "insert": 0, "contains": 0}
+    ops = {"reduce": 0, "add": 0, "contains": 0}
     for field in (QQ, Field(5), Field(2)):
         for _ in range(60):
             tgt = rng.sample(TGT_POOL, rng.randint(1, len(TGT_POOL)))
@@ -247,26 +255,17 @@ def test_rowspace_api_matches_reference_loop():
                 red, _ = _ref_reduce(field, order, rows, tracked, dict(v),
                                      None)
                 op = rng.choice(list(ops))
-                if op == "insert" and not red:
-                    op = "contains"
                 if op == "reduce":
-                    got, want = rs.reduce(v), red
+                    got = rs.reduce(v)
+                    assert _items(got) == _items(red)
+                    returned.append((got, _items(got)))
                 elif op == "contains":
                     assert rs.contains(v) == (not red)
-                    got = want = None
-                elif op == "add":
-                    got = rs.add(v)
+                else:
                     want = (_ref_insert(field, order, rows, tracked, red, {})
                             if red else None)
-                else:
-                    arg = dict(red)
-                    got = rs.insert(arg)
-                    assert _items(arg) == _items(red)    # left untouched
-                    want = _ref_insert(field, order, rows, tracked, red, {})
+                    assert rs.add(v) == _pivot(order, want)
                 ops[op] += 1
-                assert _items(got) == _items(want)
-                if got is not None:
-                    returned.append((got, _items(got)))
                 assert ([(k, _items(r)) for k, r in rs.rows.items()]
                         == [(k, _items(r)) for k, r in rows.items()])
                 assert rs.pivots() == set(rows)
@@ -275,3 +274,77 @@ def test_rowspace_api_matches_reference_loop():
                         == _fresh_index(rows))
                 assert all(_items(d) == items for d, items in returned)
     assert min(ops.values()) >= 150
+
+
+def test_add_returns_a_falsy_pivot_label():
+    # int labels whose first pivot is 0: add returns 0, not None, and
+    # the ambient order, not the label value, decides the pivot
+    rs = RowSpace(QQ, [0, 1, 2])
+    assert rs.add({1: QQ.of(1), 0: QQ.of(2)}) == 0
+    assert rs.add({0: QQ.of(4), 1: QQ.of(2)}) is None
+    assert rs.add({2: QQ.of(3), 1: QQ.of(1)}) == 1
+    assert rs.add({0: QQ.of(1), 2: QQ.of(1)}) == 2
+    assert rs.rank == 3 and rs.pivots() == {0, 1, 2}
+    assert rs.rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+
+    rs = RowSpace(Field(5), [2, 0, 1])
+    assert rs.add({0: 3, 1: 1}) == 0
+    assert rs.add({1: 4, 2: 1}) == 2
+    assert rs.add({0: 1, 1: 2}) is None
+    assert rs.pivots() == {2, 0}
+    assert list(rs.rows) == [0, 2]
+    assert rs.rows[0] == {0: 1, 1: 2}          # 3·0 + 1 scaled by 1/3 = 2
+    assert not rs.contains({1: 1})
+
+
+# -- the Q branch of vaddmul_into --------------------------------------------
+
+
+def _ref_vaddmul_into(field, out, coeff, v):
+    """out += coeff * v through the Field methods alone."""
+    zero = field.zero()
+    for k, c in v.items():
+        s = field.add(out.get(k, zero), field.mul(coeff, c))
+        if field.is_zero(s):
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def _typed_items(v):
+    return [(k, type(c), c) for k, c in v.items()]
+
+
+def test_vaddmul_into_matches_the_field_method_loop():
+    # over Q with int and Fraction coefficients, a zero coeff and sums that
+    # cancel, and over F_p: the same values, value types and key order
+    rng = random.Random(1850)
+    keys = ["a", "b", "c", "d", ("t", "a", "b"), 0, 1]
+    seen = {"cancelled": 0, "fraction": 0, "zero coeff": 0}
+    for field in (QQ, Field(2), Field(5), Field(7)):
+        for _ in range(300):
+            def scalar():
+                if field.p is None and rng.random() < 0.4:
+                    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                return field.of(rng.randint(-6, 6))
+
+            def vector():
+                return {k: c for k in rng.sample(keys, rng.randint(0, 6))
+                        if not field.is_zero(c := scalar())}
+
+            out, v, coeff = vector(), vector(), scalar()
+            if out and rng.random() < 0.4:
+                # v cancels some of out's terms
+                coeff = field.of(rng.choice([1, -1, 2])) or field.one()
+                for k in rng.sample(list(out), rng.randint(1, len(out))):
+                    v[k] = field.neg(field.div(out[k], coeff))
+            want = _ref_vaddmul_into(field, dict(out), coeff, v)
+            arg = dict(out)
+            got = linalg.vaddmul_into(field, arg, coeff, v)
+            assert got is arg
+            assert _typed_items(got) == _typed_items(want)
+            seen["cancelled"] += len(set(out) & set(v) - set(got))
+            seen["fraction"] += any(type(c) is Fraction for c in got.values())
+            seen["zero coeff"] += field.is_zero(coeff) and bool(v)
+    assert min(seen.values()) >= 20, seen

@@ -311,6 +311,49 @@ def test_word_coproducts_match_their_reference_loops():
     assert cancelled >= 6 and marked >= 6
 
 
+def first_keyed_order(syms):
+    """The pairs of the unshuffle sum in the order of their first subsets,
+    as if no running sum cancelled on the way."""
+    k, seen = len(syms), {}
+    for size in range(k + 1):
+        for subset in itertools.combinations(range(k), size):
+            rest = [i for i in range(k) if i not in subset]
+            seen.setdefault(tensor_label(
+                word_label(tuple(syms[i] for i in subset)),
+                word_label(tuple(syms[i] for i in rest))), None)
+    return list(seen)
+
+
+def test_letter_by_letter_coshuffle_matches_the_subset_loop():
+    # random words with repeated letters of odd, even, negative and zero
+    # degree, over Q and small primes: the merged unshuffles give the
+    # subset loop's values, key order and marks.  A pair whose running
+    # sum cancels on the way is keyed where it turns nonzero again, which
+    # for some words is not the order of first subsets
+    rng = random.Random(1812)
+    reordered = words = 0
+    for trial in range(48):
+        field = (QQ, Field(2), Field(3), Field(5))[trial % 4]
+        gens = [(name, rng.randint(-2, 2))
+                for name in "abc"[:rng.randint(1, 3)]]
+        cap = rng.randint(3, 7 if len(gens) == 1 else 6)
+        lo = rng.randint(-3 * cap, 0)
+        tr = Truncation(lo, lo + rng.randint(0, 4 * cap), cap)
+        degree_of = dict(gens)
+        S1 = free_word_space(field, gens, tr)
+        S2 = free_word_space(field, gens, tr)
+        got = coshuffle_comult(S1, degree_of)
+        want = ref_coshuffle(S2, degree_of)
+        assert columns(got) == columns(want)
+        assert S1.inexact_degrees() == S2.inexact_degrees()
+        for lab, img in want.columns.items():
+            first = [t for t in first_keyed_order(word_syms(lab))
+                     if t in img]
+            reordered += list(img) != first
+            words += 1
+    assert words >= 1000 and reordered >= 10, (words, reordered)
+
+
 def test_lazy_deconcatenation_matches_its_reference_loop():
     # tensor_coalgebra marks the split degrees before Δ exists and builds
     # Δ on first read; windows without 0 and negative letters included
