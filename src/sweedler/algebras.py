@@ -506,16 +506,17 @@ def _parent_kind(p: int, n_p: int, letter: int, grow: dict,
     return 1 if lo <= letter <= hi else 2
 
 
-def _ideal_slices(free: GradedSpace, index: dict, gen_degree: dict,
-                  relations: list) -> dict[int, RowSpace]:
-    """The ideal slices of `normal_forms`, one RowSpace per degree of `free`.
+def _ideal_slices(free: GradedSpace, gen_degree: dict, relations: list
+                  ) -> tuple[dict[int, RowSpace], dict, list]:
+    """The ideal slices of `normal_forms`, one RowSpace per degree of `free`,
+    with the word numbering they are keyed by: (slices, index, labels).
 
     A slice is keyed by word ids, not words: `index` numbers the words of
-    `free` in the order of `free.labels()`, and the slice of degree n has
-    the ids of `free.basis(n)[::-1]` as its ambient order, so long words
-    are killed first.  Each term of u·r·v is then hashed once as a word,
-    to find its id, and the elimination hashes ints.  The caller maps
-    pivots and reduced vectors back to words.
+    `free` in the order of `labels` = `free.labels()`, and the slice of
+    degree n has the ids of `free.basis(n)[::-1]` as its ambient order, so
+    long words are killed first.  Each term of u·r·v is then hashed once as
+    a word, to find its id, and the elimination hashes ints.  The caller
+    maps pivots and reduced vectors back to words through `labels`.
 
     `relations` holds (relation, degree) pairs whose terms all lie in `free`.
     The slice I_n is spanned by the set S of triples (u, r, v) with u, v
@@ -544,10 +545,12 @@ def _ideal_slices(free: GradedSpace, index: dict, gen_degree: dict,
     field = free.field
     trunc = free.window
     cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
+    # integer word ids, the keys of the slices
+    labels = free.labels()
+    index = {w: i for i, w in enumerate(labels)}
     # long words are killed first
     reducers = {n: RowSpace(field, [index[w] for w in free.basis(n)[::-1]])
                 for n in free.degrees()}
-    labels = list(index)
     syms = [word_syms(w) for w in labels]
     degree = [free.degree_of(w) for w in labels]
     # tail / init: the id without the first / last letter, -1 when that
@@ -611,7 +614,7 @@ def _ideal_slices(free: GradedSpace, index: dict, gen_degree: dict,
                         added.add(u_key + v)
                         u_degs.setdefault(n, set()).add(degree[u])
                         v_degs.setdefault(n, set()).add(degree[v])
-    return reducers
+    return reducers, index, labels
 
 
 def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
@@ -657,10 +660,8 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
                 free.mark_inexact(n)
         # else: the relation lives entirely outside the window
 
-    # integer word ids, the keys of the ideal slices
-    index = {w: i for i, w in enumerate(free.labels())}
-    labels = list(index)
-    reducers = _ideal_slices(free, index, gen_degree, usable_relations)
+    reducers, index, labels = _ideal_slices(free, gen_degree,
+                                            usable_relations)
 
     def reduce(vec: dict) -> dict:
         """Normal form of vec, its words in the quotient basis order."""

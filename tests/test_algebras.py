@@ -664,11 +664,21 @@ def test_closure_needs_the_safety_rule(made, monkeypatch):
                          [{word_label(("g0",)): QQ.one()}], {},
                          Truncation(-1, 2, 4))
     ref = _ref_normal_forms(P)[0]
+    words = free_word_space(QQ, P.generators, P.trunc).labels()
+
+    def slices():
+        # the recorded slices are keyed by word ids; the reference by words
+        return [({words[p]: {words[k]: c for k, c in row.items()}
+                  for p, row in rs.rows.items()}, ref[n].rows)
+                for rs, n in zip(made, sorted(ref))]
+
     _check_against_reference(P, made)
+    assert all(got == want for got, want in slices())
     _every_parent_safe(monkeypatch)
     made.clear()
     normal_forms(P)
-    assert any(rs.rows != ref[n].rows for rs, n in zip(made, sorted(ref)))
+    assert len(made) == len(ref)
+    assert any(got != want for got, want in slices())
 
 
 def _sweedler_product_presentations():
