@@ -687,20 +687,18 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
                 space.add(w, n, weight=wt)
     # every non-pivot word of free is a quotient basis word; by word id
     position = {index[w]: i for i, w in enumerate(space.labels())}
-    for n in free.inexact_degrees():
-        if P.trunc.contains(n):
-            space.mark_inexact(n)
     # stabilization certificate: when normal words are so short that any
     # product of two of them still leaves room for a relation application,
     # raising the cap cannot add new normal forms (desk-scale certificate,
-    # not a confluence proof)
-    if not dropped_partial:
-        max_norm = max((len(word_syms(w)) for w in space.labels()),
-                       default=0)
-        max_rel = max((len(word_syms(t)) for rel, _ in usable_relations
-                       for t in rel), default=1)
-        if usable_relations and 2 * max_norm + max_rel <= cap:
-            space._inexact.clear()
+    # not a confluence proof); a certified quotient takes none of free's marks
+    max_norm = max((len(word_syms(w)) for w in space.labels()), default=0)
+    max_rel = max((len(word_syms(t)) for rel, _ in usable_relations
+                   for t in rel), default=1)
+    if not (usable_relations and not dropped_partial
+            and 2 * max_norm + max_rel <= cap):
+        for n in free.inexact_degrees():
+            if P.trunc.contains(n):
+                space.mark_inexact(n)
 
     # differential: extend on the free algebra, check the ideal, induce
     D_free = extend_derivation(P.generators, P.d_gen, free, -1)

@@ -94,7 +94,9 @@ def mc_algebra(field: Field, trunc: Truncation) -> MaurerCartanAlgebra:
     alg = tensor_algebra(field, [(u, -1)], trunc, d_gen=d_gen,
                          augmented=True, name="mc")
     space = alg.space
-    comult = coshuffle_comult(space, {u: -1})
+    comult, leaves = coshuffle_comult(space, {u: -1})
+    for n in leaves:
+        space.mark_inexact(n)
     counit = {UNIT_WORD: field.one()}
     S = GradedMap(space, space, 0)
     for lab in space.labels():
@@ -251,16 +253,6 @@ def s_inv_label(c) -> tuple:
     return susp_label(-1, c)
 
 
-def _length_first(d: GradedMap) -> None:
-    """Reorder each column of d in place: terms that keep the word length
-    of their source first, the rest after them, each part in its order."""
-    for label, col in d.columns.items():
-        n = len(word_syms(label))
-        same = {k: c for k, c in col.items() if len(word_syms(k)) == n}
-        if len(same) < len(col):
-            d.columns[label] = same | col
-
-
 def _length_part(d: GradedMap, keep: bool, coeff) -> GradedMap:
     """coeff times the terms of each column of d that keep (or, with
     keep=False, change) the word length of their source.  A part is a
@@ -314,8 +306,7 @@ def bar(A: DgAlgebra, trunc: Truncation,
     s(ab) on words of length 2.
     d^int keeps the word length and d^ext lowers it by one, so the two never
     share a term: d^int is read off d as the terms of each column that keep
-    the length, and d^ext as sign times the rest, on first use.  Within a
-    column of d the length-keeping terms come first.
+    the length, and d^ext as sign times the rest, on first use.
     """
     if A.aug is None:
         raise AlgebraError("bar needs an augmented algebra")
@@ -343,8 +334,6 @@ def bar(A: DgAlgebra, trunc: Truncation,
             if val:
                 phi[w] = val
     d = coextend_coderivation(space, generators, phi, -1)
-    if len({len(word_syms(w)) for w in phi}) > 1:
-        _length_first(d)                              # both parts present
     # base's Δ is not read here: reading it would build it
     coalg = TensorCoalgebra(DgSpace(space, d), base.TT, name=f"B({A.name})")
     return BarConstruction(coalg, A, convention, generators)
@@ -373,8 +362,7 @@ def cobar(C: DgCoalgebra, trunc: Truncation,
     s⁻¹c¹⊗s⁻¹c².
     d^int keeps the word length and d^ext raises it by one, so the two never
     share a term: d^int is read off d as the terms of each column that keep
-    the length, and d^ext as sign times the rest, on first use.  Within a
-    column of d the length-keeping terms come first.
+    the length, and d^ext as sign times the rest, on first use.
     """
     field = C.field
     sign = _convention_sign(field, convention)
@@ -404,8 +392,6 @@ def cobar(C: DgCoalgebra, trunc: Truncation,
                           name=f"Ω({C.name})")
     space = base.space
     d = extend_derivation(gens, phi, space, -1)
-    if len({len(word_syms(w)) for v in phi.values() for w in v}) > 1:
-        _length_first(d)                              # both parts present
     dg = DgSpace(space, d, d_raises=1)
     alg = DgAlgebra(dg, base._pair, base.unit, base.aug,
                     name=f"Ω({C.name})")
@@ -741,7 +727,8 @@ def sign_convention_report(d_int: GradedMap, d_ext: GradedMap,
 
 
 def hopf_on_cobar(cob: CobarConstruction) -> tuple[GradedMap, list[str]]:
-    """Coshuffle coproduct on Ω C for cocommutative C; errors carry a witness."""
+    """Coshuffle coproduct on Ω C for cocommutative C, leaving the trust
+    flags of Ω C as they are; errors carry a witness."""
     C = cob.coalgebra
     witness = C.is_cocommutative()
     if witness is not None:
@@ -749,7 +736,7 @@ def hopf_on_cobar(cob: CobarConstruction) -> tuple[GradedMap, list[str]]:
             f"Δ not cocommutative at {label_str(witness)}")
     space = cob.algebra.space
     degree_of = {g: d for g, d in cob.generators}
-    comult = coshuffle_comult(space, degree_of)
+    comult, _ = coshuffle_comult(space, degree_of)
     counit = {UNIT_WORD: space.field.one()}
     co = DgCoalgebra(DgSpace(space, cob.algebra.d), comult, counit,
                      atom=UNIT_WORD, name="ΩC-coshuffle")

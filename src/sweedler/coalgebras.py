@@ -12,6 +12,9 @@ The deconcatenation coproduct of T^c(X), and so of B A, is fixed by the
 words alone, so a `TensorCoalgebra` builds it the first time something
 reads `comult`.  Its target C⊗C and the degrees where Δ leaves the window
 are fixed when the coalgebra is built.
+
+The unshuffle coproduct of T^csh(X) and of mc = T(u) hands back the degrees
+where it leaves the window; the builder of the coalgebra marks them.
 """
 
 from __future__ import annotations
@@ -110,14 +113,14 @@ class DgCoalgebra:
                 for t2, c2 in self.comult.apply_label(b).items():
                     _, b1, b2 = t2
                     acc(right, (a, b1, b2), field.mul(c, c2))
-            # only compare components representable on both sides
+            # compare only what both sides hold: |a2|+|b| left, |a|+|b1| right
             window = self.space.window
             left = {k: v for k, v in left.items() if not field.is_zero(v)
-                    and window.contains(self.space.degree_of(k[0])
-                                        + self.space.degree_of(k[1]))}
+                    and window.contains(self.space.degree_of(k[1])
+                                        + self.space.degree_of(k[2]))}
             right = {k: v for k, v in right.items() if not field.is_zero(v)
-                     and window.contains(self.space.degree_of(k[1])
-                                         + self.space.degree_of(k[2]))}
+                     and window.contains(self.space.degree_of(k[0])
+                                         + self.space.degree_of(k[1]))}
             if left != right:
                 issues.append(f"coassociativity fails at {label_str(x)}")
                 break
@@ -336,17 +339,18 @@ def primitives(C: DgCoalgebra) -> list:
 
 
 def _word_comult(space: GradedSpace, splits,
-                 TT: TensorSpace | None = None) -> GradedMap:
+                 TT: TensorSpace | None = None) -> tuple[GradedMap, set]:
     """Δ(w) = Σ c·u⊗v over (u, v, c) in splits(syms of w), summed in place;
     each c is nonzero.  TT is space⊗space, built here if not given.
 
-    A term outside the window marks the degree of w inexact.
+    Also returns the degrees where a term leaves the window, unmarked.
     """
     field = space.field
     if TT is None:
         TT = tensor_space(space, space)
     comult = GradedMap(space, TT, 0)
     inside = TT._degree_lookup()
+    leaves: set[int] = set()
     for n in space.degrees():
         for lab in space.basis(n):
             img: dict = {}
@@ -355,7 +359,7 @@ def _word_comult(space: GradedSpace, splits,
                 got = inside(t)
                 if got != n:
                     if got is None:
-                        space.mark_inexact(n)
+                        leaves.add(n)
                         continue
                     raise not_homogeneous(lab, t, got, n)
                 if t in img:
@@ -368,14 +372,18 @@ def _word_comult(space: GradedSpace, splits,
                     img[t] = c
             if img:
                 comult.columns[lab] = img
-    return comult
+    return comult, leaves
 
 
 def _deconcat_map(space: GradedSpace,
                   TT: TensorSpace | None = None) -> GradedMap:
+    """Deconcatenation Δ, its degrees outside the window marked inexact."""
     one = space.field.one()
-    return _word_comult(space, lambda syms: (
+    comult, leaves = _word_comult(space, lambda syms: (
         (syms[:i], syms[i:], one) for i in range(len(syms) + 1)), TT)
+    for n in leaves:
+        space.mark_inexact(n)
+    return comult
 
 
 def _split_leaves(syms: tuple, degree_of: dict, lo: int, hi: int) -> bool:
@@ -480,94 +488,29 @@ def odd_binomial(n: int, k: int) -> int:
     return row[k]
 
 
-def _unshuffles(syms: tuple, parity: list, p: int | None) -> list:
-    """The merged unshuffle terms (left, right, coefficient) of a word, the
-    coefficient an int, nonzero (mod p over F_p).
+def coshuffle_comult(space: GradedSpace,
+                     degree_of: dict) -> tuple[GradedMap, set]:
+    """Signed unshuffle coproduct on a word space, and the degrees where it
+    leaves the window, which the caller marks.
 
-    They are listed in the key order of summing the signed subsets one at
-    a time: by size, then the subsets in lexicographic order, each pair at
-    the subset where its running sum last left zero.  That is not always
-    its first subset: a sum that cancels on the way drops its key, and the
-    pair's next term keys it again.
-
-    The splits of the suffix syms[i:] are built letter by letter from the
-    end, merging equal pairs.  Putting the letter x = syms[i] on the left
-    costs no sign; putting it on the right moves every left letter after
-    it past x.  So a split (L, R) lists the subsets of its x-left child
-    (L[1:], R), then those of its x-right child (L, R[1:]) times
-    (-1)^{|x|·|L|}, and keeps their sum, the range of its running sums
-    before each subset, and the parity of |L|.  That range is an interval
-    (the terms are ±1), which is enough to walk each pair down to the
-    subset where its running sum last left zero.
+    Δ is the algebra map fixed by x ↦ x⊗1 + 1⊗x, so it is built letter by
+    letter, Δ(w·x) = Δ(w)·(x⊗1 + 1⊗x); putting x on the left moves it past
+    the right half R, at the sign (-1)^{|x|·|R|}.  Equal halves (L, R)
+    merge as integers; a total that is zero in the field is left out.
     """
-    k = len(syms)
-    # levels[i]: split (L, R) of syms[i:] -> (sum, lo, hi, parity of |L|)
-    levels = [{}] * k + [{((), ()): (1, 0, 0, 0)}]
-
-    def children(i, L, R):
-        below, x = levels[i + 1], syms[i]
-        return (below.get((L[1:], R)) if L and L[0] == x else None,
-                below.get((L, R[1:])) if R and R[0] == x else None)
-
-    for i in range(k - 1, -1, -1):
-        x, odd, level = syms[i], parity[i], {}
-        for L, R in [key for L, R in levels[i + 1]
-                     for key in (((x,) + L, R), (L, (x,) + R))]:
-            if (L, R) in level:
-                continue
-            a, b = children(i, L, R)
-            total, lo, hi, par = a if a else (0, 0, 0, None)
-            if b:
-                t, blo, bhi, par = b
-                if odd and par:
-                    t, blo, bhi = -t, -bhi, -blo
-                lo, hi = min(lo, total + blo), max(hi, total + bhi)
-                total += t
-            else:
-                par ^= odd
-            level[L, R] = (total, lo, hi, par)
-        levels[i] = level
-
-    def reached(state, v) -> bool:
-        lo, hi = state[1], state[2]
-        if p is None:
-            return lo <= v <= hi
-        return hi - lo + 1 >= p or (v - lo) % p <= hi - lo
-
-    def keyed_at(L, R) -> int:
-        """The subset, as a bit mask with syms[0] highest, where the
-        running sum of (L, R) last left zero."""
-        v = mask = 0
-        for i in range(k):
-            a, b = children(i, L, R)
-            if b:
-                w = v - (a[0] if a else 0)
-                if parity[i] and levels[i][L, R][3]:
-                    w = -w
-                if reached(b, w):
-                    v, R = w, R[1:]
-                    continue
-            mask |= 1 << (k - 1 - i)
-            L = L[1:]
-        return mask
-
-    terms = [(L, R, total) for (L, R), (total, *_) in levels[0].items()
-             if (total if p is None else total % p)]
-    terms.sort(key=lambda term: (len(term[0]), -keyed_at(term[0], term[1])))
-    return terms
-
-
-def coshuffle_comult(space: GradedSpace, degree_of: dict) -> GradedMap:
-    """Signed unshuffle coproduct on a word space: Δ(w) sums, over the
-    subsets S of the letters of w, ±(w|S)⊗(w|rest), the sign the Koszul
-    sign of moving S to the front.  `_unshuffles` merges the subsets with
-    equal halves and keeps the key order of summing them one by one."""
     field = space.field
 
     def unshuffles(syms):
-        parity = [degree_of[s] % 2 for s in syms]
-        return [(u, v, field.of(c))
-                for u, v, c in _unshuffles(syms, parity, field.p)]
+        halves = {((), (), 0): 1}          # (L, R, |R| mod 2) -> total
+        for x in syms:
+            odd, grown = degree_of[x] % 2, {}
+            for (L, R, r), c in halves.items():
+                left, right = (L + (x,), R, r), (L, R + (x,), r ^ odd)
+                grown[left] = grown.get(left, 0) + (-c if odd & r else c)
+                grown[right] = grown.get(right, 0) + c
+            halves = grown
+        terms = ((L, R, field.of(c)) for (L, R, _), c in halves.items())
+        return [t for t in terms if not field.is_zero(t[2])]
 
     return _word_comult(space, unshuffles)
 
@@ -582,7 +525,9 @@ def coshuffle_coalgebra(field: Field, generators: list[tuple],
     d_gen = d_gen or {}
     _require_linear(field, d_gen)
     space = free_word_space(field, generators, trunc)
-    comult = coshuffle_comult(space, dict(generators))
+    comult, leaves = coshuffle_comult(space, dict(generators))
+    for n in leaves:
+        space.mark_inexact(n)
     counit = {UNIT_WORD: field.one()}
     D = extend_derivation(generators, d_gen, space, -1)
     return DgCoalgebra(DgSpace(space, D), comult, counit, atom=UNIT_WORD,

@@ -54,7 +54,14 @@ def columns(f: GradedMap) -> list:
 
 
 def columns_by_label(f: GradedMap, space) -> list:
-    return [(k, list(f.columns.get(k, {}).items())) for k in space.labels()]
+    """The columns in label order, each compared as a dict."""
+    return [(k, f.columns.get(k, {})) for k in space.labels()]
+
+
+def column_dicts(f: GradedMap) -> list:
+    """The columns in order, each compared as a dict: its key order is
+    whatever the build wrote."""
+    return list(f.columns.items())
 
 
 def count_drops(space, degree_of, formal: dict, drops: dict) -> None:
@@ -428,8 +435,8 @@ def assert_same_parts(construction, d_new, space, ref):
     d, d_int, d_ext = ref
     assert columns_by_label(d_new, space) == columns_by_label(d, space)
     assert set(d_new.columns) == set(d.columns)
-    assert columns(construction.d_int) == columns(d_int)
-    assert columns(construction.d_ext) == columns(d_ext)
+    assert column_dicts(construction.d_int) == column_dicts(d_int)
+    assert column_dicts(construction.d_ext) == column_dicts(d_ext)
 
 
 def test_bar_matches_two_pass_reference():
@@ -901,9 +908,10 @@ def test_one_lookup_writes_match_set_loops():
         assert columns(new) == columns(
             ref_set_coextend_coderivation(space, gens, cophi, degree))
         assert reduced_and_nonzero(new)
-        assert columns(coshuffle_comult(space, degree_of)) == columns(
-            ref_set_word_comult(free_word_space(field, gens, tr),
-                                unshuffle_splits(field, degree_of)))
+        assert column_dicts(coshuffle_comult(space, degree_of)[0]) == \
+            column_dicts(ref_set_word_comult(
+                free_word_space(field, gens, tr),
+                unshuffle_splits(field, degree_of)))
 
 
 def test_one_lookup_word_comult_matches_set_loop():
@@ -922,7 +930,9 @@ def test_one_lookup_word_comult_matches_set_loop():
             mine = free_word_space(field, gens, tr)
             theirs = free_word_space(field, gens, tr)
             before = mine.inexact_degrees()
-            new = _word_comult(mine, splits)
+            new, leaves = _word_comult(mine, splits)
+            for n in leaves:
+                mine.mark_inexact(n)
             assert columns(new) == columns(ref_set_word_comult(theirs, splits))
             assert mine.inexact_degrees() == theirs.inexact_degrees()
             assert reduced_and_nonzero(new)

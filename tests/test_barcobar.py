@@ -491,6 +491,23 @@ def test_hopf_on_cobar_primitive():
         tensor_label(UNIT_WORD, g): one}
 
 
+def test_hopf_on_cobar_keeps_the_trust_flags_of_its_input():
+    # Δ of Ω C leaves the window 1..6 (the empty word lies below it); the
+    # degrees it leaves are not marked on Ω C's space
+    C = load_preset("primitive-coalgebra:3").build(QQ, Truncation(-1, 4, 3))
+    cb = cobar(C, Truncation(1, 6, 3))
+    space = cb.algebra.space
+
+    def flags():
+        return space.inexact_degrees(), {
+            n: (h.dim, h.trusted) for n, h in homology(cb.algebra.dg).items()}
+
+    before = flags()
+    assert before[0] == set() and before[1][2][1] and before[1][4][1]
+    hopf_on_cobar(cb)
+    assert flags() == before
+
+
 def test_hopf_on_bar_commutative():
     tr = Truncation(-1, 4, 4)
     A = dual_numbers(tr=tr)

@@ -436,6 +436,16 @@ def homology_table(out: str) -> dict:
 
 
 @pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: B T(V) is a complex, but the input product y·y lies "
+    "below the window, so d² looks nonzero on s[y]⊗s[y]⊗s[x]"))
+def test_bar_of_a_free_algebra_passes_d_squared_in_a_narrow_window():
+    code, out = run_cli(["bar", "--preset", "free-algebra:x=1,y=-1",
+                         "--trunc", "-1:2:3"])
+    assert "FAIL d² = 0" not in out
+    assert code == 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 1: the top window degree is trusted although it never "
     "sees the boundaries coming from degree dmax+1"))
 def test_trusted_bar_homology_survives_a_wider_window():

@@ -5,12 +5,13 @@ from math import comb
 import pytest
 
 from sweedler import coalgebras
-from sweedler.scalars import QQ
+from sweedler.scalars import QQ, Field
 from sweedler.graded import (Truncation, tensor_label, identity_map,
                              strength_tensor)
 from sweedler.complexes import check_square_zero, homology
 from sweedler.algebras import (word_label, word_syms, UNIT_WORD,
-                               PresentedAlgebra, normal_forms)
+                               PresentedAlgebra, normal_forms,
+                               free_word_space)
 from sweedler.barcobar import bar, anticommutator_issues
 from sweedler.coalgebras import (tensor_coalgebra,
                                  coshuffle_coalgebra, odd_binomial, radical,
@@ -56,6 +57,30 @@ def test_tensor_coalgebra_with_differential():
     T = tensor_coalgebra(QQ, [("a", 1), ("b", 0)], Truncation(0, 8, 3),
                          d_gen={"a": {word_label(("b",)): QQ.one()}})
     assert T.verify() == []
+
+
+def test_coassociativity_compares_only_what_both_sides_hold():
+    # |y| = -1 in the window -1..1: y⊗y lies below it, so x⊗y⊗y is no
+    # component of (1⊗Δ)Δ, and (Δ⊗1)Δ must leave it out too
+    T = tensor_coalgebra(QQ, [("x", 1), ("y", -1)], Truncation(-1, 1, 3))
+    assert T.verify() == []
+    rng = random.Random(2113)
+    for trial in range(60):
+        field = (QQ, Field(2), Field(3))[trial % 3]
+        gens = [("x", rng.randint(1, 2)), ("y", -rng.randint(1, 2))]
+        gens += [("z", rng.randint(-2, 2))] * rng.randint(0, 1)
+        tr = Truncation(-rng.randint(0, 3), rng.randint(0, 3),
+                        rng.randint(2, 4))
+        build = (tensor_coalgebra, coshuffle_coalgebra)[trial % 2]
+        issues = build(field, gens, tr).verify(check_d_squared=False)
+        assert not [i for i in issues if i.startswith("coassociativity")]
+    # a wider window holds y⊗y, and a term dropped from Δ is caught
+    T = tensor_coalgebra(QQ, [("x", 1), ("y", -1)], Truncation(-3, 3, 3))
+    xyy = word_label(("x", "y", "y"))
+    del T.comult.columns[xyy][tensor_label(word_label(("x",)),
+                                           word_label(("y", "y")))]
+    assert "coassociativity fails at x⊗y⊗y" in \
+        T.verify(check_d_squared=False)
 
 
 def test_tensor_coalgebra_refuses_a_nonlinear_differential():
@@ -154,6 +179,25 @@ def test_coshuffle_even_generator_uses_binomials():
     img = C.comult.apply_label(word_label(("x", "x")))
     mid = img[tensor_label(word_label(("x",)), word_label(("x",)))]
     assert mid == QQ.of(2)
+
+
+def test_coshuffle_coalgebra_marks_the_degrees_its_coproduct_leaves():
+    # coshuffle_comult hands the degrees back unmarked; the coalgebra
+    # marks them on its own space, next to the word space's own marks
+    rng = random.Random(2117)
+    marked = 0
+    for trial in range(30):
+        field = (QQ, Field(2), Field(3))[trial % 3]
+        gens = [("x", rng.randint(-2, 2)), ("y", rng.randint(-2, 2))]
+        lo = rng.randint(-4, 2)                 # sometimes without 0
+        tr = Truncation(lo, lo + rng.randint(0, 4), rng.randint(2, 4))
+        free = free_word_space(field, gens, tr)
+        _, leaves = coalgebras.coshuffle_comult(
+            free_word_space(field, gens, tr), dict(gens))
+        C = coshuffle_coalgebra(field, gens, tr)
+        assert C.space.inexact_degrees() == free.inexact_degrees() | leaves
+        marked += bool(leaves - free.inexact_degrees())
+    assert marked >= 3, marked
 
 
 def test_coshuffle_is_algebra_map_two_generators():
