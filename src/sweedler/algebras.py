@@ -214,12 +214,10 @@ def _mark_overflow_degrees(space: GradedSpace, gen_degrees: list[int],
     w = space.window
     if gmin > 0:
         low = (cap + 1) * gmin
-        for n in range(max(low, w.degree_min), w.degree_max + 1):
-            space.mark_inexact(n)
+        space.mark_inexact(*range(max(low, w.degree_min), w.degree_max + 1))
     elif gmax < 0:
         high = (cap + 1) * gmax
-        for n in range(w.degree_min, min(high, w.degree_max) + 1):
-            space.mark_inexact(n)
+        space.mark_inexact(*range(w.degree_min, min(high, w.degree_max) + 1))
     else:
         # generators of degree 0 (or mixed signs): every degree a long word
         # could reach is suspect
@@ -656,8 +654,7 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
             # partially representable: imposing only the visible part would
             # be wrong, so drop it and distrust every window degree
             dropped_partial = True
-            for n in free.degrees():
-                free.mark_inexact(n)
+            free.mark_inexact(*free.degrees())
         # else: the relation lives entirely outside the window
 
     reducers, index, labels = _ideal_slices(free, gen_degree,
@@ -696,9 +693,8 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
                    for t in rel), default=1)
     if not (usable_relations and not dropped_partial
             and 2 * max_norm + max_rel <= cap):
-        for n in free.inexact_degrees():
-            if P.trunc.contains(n):
-                space.mark_inexact(n)
+        space.mark_inexact(*(n for n in free.inexact_degrees()
+                             if P.trunc.contains(n)))
 
     # differential: extend on the free algebra, check the ideal, induce
     D_free = extend_derivation(P.generators, P.d_gen, free, -1)
@@ -839,9 +835,8 @@ class OmegaBimodule:
                 lab = omega_label(n, i)
                 space.add(lab, n)
                 self.embed[lab] = vec
-        for n in A.space.inexact_degrees():
-            if space.window.contains(n):
-                space.mark_inexact(n)
+        space.mark_inexact(*(n for n in A.space.inexact_degrees()
+                             if space.window.contains(n)))
         self.space = space
         self._member_cache: dict[int, list] = {}
 

@@ -95,8 +95,7 @@ def mc_algebra(field: Field, trunc: Truncation) -> MaurerCartanAlgebra:
                          augmented=True, name="mc")
     space = alg.space
     comult, leaves = coshuffle_comult(space, {u: -1})
-    for n in leaves:
-        space.mark_inexact(n)
+    space.mark_inexact(*leaves)
     counit = {UNIT_WORD: field.one()}
     S = GradedMap(space, space, 0)
     for lab in space.labels():
@@ -727,8 +726,8 @@ def sign_convention_report(d_int: GradedMap, d_ext: GradedMap,
 
 
 def hopf_on_cobar(cob: CobarConstruction) -> tuple[GradedMap, list[str]]:
-    """Coshuffle coproduct on Ω C for cocommutative C, leaving the trust
-    flags of Ω C as they are; errors carry a witness."""
+    """Coshuffle coproduct on Ω C for cocommutative C; errors carry a
+    witness.  Δ's leaves go to the coalgebra it verifies, not to Ω C."""
     C = cob.coalgebra
     witness = C.is_cocommutative()
     if witness is not None:
@@ -736,10 +735,11 @@ def hopf_on_cobar(cob: CobarConstruction) -> tuple[GradedMap, list[str]]:
             f"Δ not cocommutative at {label_str(witness)}")
     space = cob.algebra.space
     degree_of = {g: d for g, d in cob.generators}
-    comult, _ = coshuffle_comult(space, degree_of)
+    comult, leaves = coshuffle_comult(space, degree_of)
     counit = {UNIT_WORD: space.field.one()}
     co = DgCoalgebra(DgSpace(space, cob.algebra.d), comult, counit,
                      atom=UNIT_WORD, name="ΩC-coshuffle")
+    co.leaves = frozenset(leaves)
     issues = co.verify(check_d_squared=False)
     issues.extend(bialgebra_compat_issues(cob.algebra, comult, counit))
     return comult, issues

@@ -57,6 +57,8 @@ class NotGradedFinite(CoalgebraError):
 class DgCoalgebra:
     """Carrier + comultiplication + optional counit/atom + differential."""
 
+    leaves = frozenset()    # where Δ drops terms the space leaves unmarked
+
     def __init__(self, dg: DgSpace, comult: GradedMap, counit: dict | None,
                  atom=None, name: str = ""):
         self.dg = dg
@@ -101,7 +103,11 @@ class DgCoalgebra:
             out[key] = field.add(out.get(key, zero), coeff)
 
         # coassociativity, compared in flattened triple coordinates; sums
-        # grow in place and drop their zeros before the comparison
+        # grow in place and drop their zeros.  Where Δ drops terms, a side
+        # keeps only what the other can hold: |a2|+|b| in the window on
+        # the left, |a|+|b1| on the right; elsewhere all is compared
+        window, degree = self.space.window, self.space.degree_of
+        cut = self.space.inexact_degrees() | self.leaves
         for x in self.space.labels():
             left: dict = {}
             right: dict = {}
@@ -113,14 +119,13 @@ class DgCoalgebra:
                 for t2, c2 in self.comult.apply_label(b).items():
                     _, b1, b2 = t2
                     acc(right, (a, b1, b2), field.mul(c, c2))
-            # compare only what both sides hold: |a2|+|b| left, |a|+|b1| right
-            window = self.space.window
+            exact = degree(x) not in cut
             left = {k: v for k, v in left.items() if not field.is_zero(v)
-                    and window.contains(self.space.degree_of(k[1])
-                                        + self.space.degree_of(k[2]))}
+                    and (exact or window.contains(degree(k[1])
+                                                  + degree(k[2])))}
             right = {k: v for k, v in right.items() if not field.is_zero(v)
-                     and window.contains(self.space.degree_of(k[0])
-                                         + self.space.degree_of(k[1]))}
+                     and (exact or window.contains(degree(k[0])
+                                                   + degree(k[1])))}
             if left != right:
                 issues.append(f"coassociativity fails at {label_str(x)}")
                 break
@@ -204,8 +209,7 @@ class ReducedCoalgebra:
             if x != e:
                 space.add(red_label(x), C.space.degree_of(x),
                           weight=C.space.weight_of(x))
-        for n in C.space.inexact_degrees():
-            space.mark_inexact(n)
+        space.mark_inexact(*C.space.inexact_degrees())
         self.space = space
         self.RR = tensor_space(space, space)
 
@@ -381,8 +385,7 @@ def _deconcat_map(space: GradedSpace,
     one = space.field.one()
     comult, leaves = _word_comult(space, lambda syms: (
         (syms[:i], syms[i:], one) for i in range(len(syms) + 1)), TT)
-    for n in leaves:
-        space.mark_inexact(n)
+    space.mark_inexact(*leaves)
     return comult
 
 
@@ -526,8 +529,7 @@ def coshuffle_coalgebra(field: Field, generators: list[tuple],
     _require_linear(field, d_gen)
     space = free_word_space(field, generators, trunc)
     comult, leaves = coshuffle_comult(space, dict(generators))
-    for n in leaves:
-        space.mark_inexact(n)
+    space.mark_inexact(*leaves)
     counit = {UNIT_WORD: field.one()}
     D = extend_derivation(generators, d_gen, space, -1)
     return DgCoalgebra(DgSpace(space, D), comult, counit, atom=UNIT_WORD,

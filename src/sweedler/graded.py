@@ -112,8 +112,8 @@ class GradedSpace:
             self._weight_of[label] = weight
         return True
 
-    def mark_inexact(self, degree: int) -> None:
-        self._inexact.add(degree)
+    def mark_inexact(self, *degrees: int) -> None:
+        self._inexact.update(degrees)
 
     def is_exact(self, degree: int) -> bool:
         return degree not in self._inexact
@@ -577,8 +577,7 @@ def suspend(X: GradedSpace, n: int) -> GradedSpace:
             ok = S.add(susp_label(n, x), d + n, weight=X.weight_of(x))
             if not ok:
                 S.mark_inexact(d + n)
-    for d in X.inexact_degrees():
-        S.mark_inexact(d + n)
+    S.mark_inexact(*(d + n for d in X.inexact_degrees()))
     return S
 
 
@@ -592,8 +591,7 @@ def graded_dual(X: GradedSpace) -> GradedSpace:
     for d in X.degrees():
         for x in X.basis(d):
             D.add(dual_label(x), -d, weight=X.weight_of(x))
-    for d in X.inexact_degrees():
-        D.mark_inexact(-d)
+    D.mark_inexact(*(-d for d in X.inexact_degrees()))
     return D
 
 

@@ -931,8 +931,7 @@ def test_one_lookup_word_comult_matches_set_loop():
             theirs = free_word_space(field, gens, tr)
             before = mine.inexact_degrees()
             new, leaves = _word_comult(mine, splits)
-            for n in leaves:
-                mine.mark_inexact(n)
+            mine.mark_inexact(*leaves)
             assert columns(new) == columns(ref_set_word_comult(theirs, splits))
             assert mine.inexact_degrees() == theirs.inexact_degrees()
             assert reduced_and_nonzero(new)

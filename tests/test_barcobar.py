@@ -491,9 +491,18 @@ def test_hopf_on_cobar_primitive():
         tensor_label(UNIT_WORD, g): one}
 
 
-def test_hopf_on_cobar_keeps_the_trust_flags_of_its_input():
+def test_hopf_on_cobar_keeps_the_trust_flags_of_its_input(monkeypatch):
     # Δ of Ω C leaves the window 1..6 (the empty word lies below it); the
-    # degrees it leaves are not marked on Ω C's space
+    # degrees it leaves are not marked on Ω C's space but handed to the
+    # coalgebra that verifies Δ
+    seen = []
+    check = DgCoalgebra.verify
+
+    def verify(co, *args, **kwargs):
+        seen.append(co.leaves)
+        return check(co, *args, **kwargs)
+
+    monkeypatch.setattr(DgCoalgebra, "verify", verify)
     C = load_preset("primitive-coalgebra:3").build(QQ, Truncation(-1, 4, 3))
     cb = cobar(C, Truncation(1, 6, 3))
     space = cb.algebra.space
@@ -506,6 +515,7 @@ def test_hopf_on_cobar_keeps_the_trust_flags_of_its_input():
     assert before[0] == set() and before[1][2][1] and before[1][4][1]
     hopf_on_cobar(cb)
     assert flags() == before
+    assert seen == [{2, 4, 6}]
 
 
 def test_hopf_on_bar_commutative():

@@ -24,7 +24,7 @@ from sweedler.coalgebras import (tensor_coalgebra,
                                  NotGradedFinite, red_label)
 from sweedler.sweedler_ops import primitive_coalgebra, double_dual_compare
 from sweedler.presets import load_preset
-from sweedler.presentation import parse_file
+from sweedler.presentation import parse_file, parse_text
 from sweedler.linalg import vaddmul
 
 TR = Truncation(-6, 6, 6)
@@ -81,6 +81,39 @@ def test_coassociativity_compares_only_what_both_sides_hold():
                                            word_label(("y", "y")))]
     assert "coassociativity fails at x⊗y⊗y" in \
         T.verify(check_d_squared=False)
+
+
+NOT_COASSOCIATIVE = """sweedler-presentation v1
+field Q
+kind coalgebra
+trunc -1:2:3
+basis 1 0
+basis p -1
+basis q 2
+basis a 1
+basis b 1
+basis x 2
+delta 1 1/1 1,1
+delta p 1/1 p,1 1/1 1,p
+delta q 1/1 q,1 1/1 1,q
+delta b 1/1 b,1 1/1 1,b
+delta a 1/1 a,1 1/1 1,a 1/1 p,q
+delta x 1/1 x,1 1/1 1,x 1/1 a,b
+counit 1 1/1
+atom 1
+"""
+
+
+def test_coassociativity_compares_everything_where_nothing_is_cut():
+    # a finite coalgebra inside the window: (Δ⊗1)Δx holds p⊗q⊗b and
+    # (1⊗Δ)Δx does not, although |q|+|b| = 3 lies above the window
+    C = parse_text(NOT_COASSOCIATIVE).build()
+    assert not C.space.inexact_degrees()
+    assert "coassociativity fails at x" in C.verify()
+    # a degree where Δ is recorded to drop terms compares what both
+    # sides hold, as on a truncated T^c(X)
+    C.leaves = frozenset({2})
+    assert not [i for i in C.verify() if i.startswith("coassociativity")]
 
 
 def test_tensor_coalgebra_refuses_a_nonlinear_differential():

@@ -286,8 +286,7 @@ def marked_coshuffle(space, degree_of):
     """coshuffle_comult with the degrees it leaves marked on the space, as
     coshuffle_coalgebra marks them."""
     comult, leaves = coshuffle_comult(space, degree_of)
-    for n in leaves:
-        space.mark_inexact(n)
+    space.mark_inexact(*leaves)
     return comult
 
 
