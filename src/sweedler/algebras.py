@@ -7,18 +7,23 @@ cap return zero and mark the target degree truncation-affected.  The
 derivations of T(X) and the coderivations of T^c(X) share one word-splicing
 loop, `splice_map`.
 
-Quotients by two-sided ideals are computed degreewise by exact elimination:
-inside a window this always terminates and the deterministic pivot order
-makes the normal-form basis reproducible.  Each ideal slice is a per-degree
-Macaulay matrix, as in F4, but with no S-polynomials: its rows u·r·v are
-walked level by level (|u| + maxlen(r) + |v|) and built by one-letter
-closure, x·I and I·x.  A one-letter extension of an element that added no
-row is skipped when the rows it depends on stay inside the window after
-the extension; `_ideal_slices` gives the rule and why the span is unchanged.
+Quotients by two-sided ideals are computed degreewise: the ideal slice of
+a degree is spanned by the u·r·v of level |u| + maxlen(r) + |v| ≤ cap, and
+the deterministic pivot order (longer words first) makes the normal-form
+basis reproducible.  There are two ways to the same slice.  Where the
+window cuts no multiplier of a relation (`_cuts_no_multiplier`), the slice
+is that of the length-truncated ideal, and normal forms come from
+rewriting by a Gröbner basis of it, completed level by level through the
+overlaps of its tips (`_groebner_rules`).  Elsewhere each slice is a
+per-degree Macaulay matrix whose rows u·r·v are built by one-letter
+closure, x·I and I·x, skipping an extension of an element that added no
+row when the rows it depends on stay inside the window; `_ideal_slices`
+gives the rule and why the span is unchanged.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from dataclasses import dataclass, field as dc_field
@@ -615,75 +620,286 @@ def _ideal_slices(free: GradedSpace, gen_degree: dict, relations: list
     return reducers, index, labels
 
 
-def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
-    """Quotient of the free algebra by the two-sided ideal of the relations.
+def _cuts_no_multiplier(gen_degrees, relations: list, trunc: Truncation
+                        ) -> bool:
+    """Whether the window cuts no multiplier: every triple (u, r, v) of
+    words and a relation with |u| + maxlen(r) + |v| ≤ cap and deg u·r·v in
+    the window has u and v in the window and r usable.  Then each window
+    slice of `_ideal_slices` is that of the length-truncated ideal.
 
-    Per degree, the ideal slice is spanned by u·r·v over free words u,v and
-    relations r.  It is built by one-letter closure (`_ideal_slices`, which
-    gives the proof): the triples are walked by level |u| + maxlen(r) + |v|,
-    and x·p or p·x is skipped when p added no row and the rows p depends on
-    stay in the window after the extension.  The normal-form basis is the
-    set of non-pivot words under elimination that prefers killing long
-    words.  Reduced vectors list their words in the
-    quotient basis order.  The induced product and differential are
-    re-normalized; a differential that does not preserve the ideal inside
-    the window raises InconsistentDifferential.
+    `relations` holds (degree, maxlen) pairs; a relation with maxlen ≤ cap
+    is usable exactly when its degree lies in the window.  Two cases are
+    decided: generators of one sign with 0 in the window, where deg u and
+    deg r lie between 0 and deg u·r·v; and, per relation, a window that
+    holds every degree of a word of length ≤ cap − maxlen(r), where r is
+    usable or no such u·r·v lands in the window.
     """
-    field = P.field
-    free = free_word_space(field, P.generators, P.trunc)
-    cap = P.trunc.weight_cap
-    gen_degree = dict(P.generators)
-    dropped_partial = False
+    cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
+    lo, hi = min(0, *gen_degrees), max(0, *gen_degrees)
+    if (lo == 0 or hi == 0) and dmin <= 0 <= dmax:
+        return True
+    for rel_deg, maxlen in relations:
+        k = cap - maxlen
+        if k >= 0 and not (dmin <= k * lo and k * hi <= dmax and (
+                dmin <= rel_deg <= dmax or rel_deg + k * lo > dmax
+                or rel_deg + k * hi < dmin)):
+            return False
+    return True
 
-    def word_degree(w) -> int:
-        return sum(gen_degree[s] for s in word_syms(w))
 
-    usable_relations = []
-    for rel in P.relations:
-        if not rel:
-            continue
-        degs = {word_degree(w) for w in rel}
-        if len(degs) != 1:
-            raise AlgebraError("relation not degree-homogeneous")
-        rel_deg = degs.pop()
-        missing = [w for w in rel if w not in free]
-        if not missing:
-            usable_relations.append((rel, rel_deg))
-            continue
-        if P.trunc.contains(rel_deg):
-            # partially representable: imposing only the visible part would
-            # be wrong, so drop it and distrust every window degree
-            dropped_partial = True
-            free.mark_inexact(*free.degrees())
-        # else: the relation lives entirely outside the window
+def _groebner_rules(field: Field, letter_degree: dict, relations: list,
+                    trunc: Truncation) -> list:
+    """A Gröbner basis of the length-truncated ideal of `relations`, as
+    rewriting rules (tip, slack, tail): tip ≡ tail.
 
-    reducers, index, labels = _ideal_slices(free, gen_degree,
-                                            usable_relations)
+    Words are coded as strings, one character per generator, in generator
+    order, so (length, string) is the pivot order of `normal_forms`.  The
+    ideal is homogenized by level: u·r·v has level |u| + maxlen(r) + |v|,
+    and an element of level D is a vector whose word w stands for
+    w·t^(D − |w|) with t central.  A rule of level D has slack D − |tip|; it rewrites a
+    word w at level D' when tip is a factor of w and slack ≤ D' − |w|.
+    Elements are completed level by level up to the cap by the overlap
+    and inclusion ambiguities of the tips (Buchberger's criterion for the
+    homogeneous ideal); one whose u·g·v, |u| + |v| ≤ cap − level, cannot
+    reach the window is never needed there and is dropped.
+    """
+    cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
+    lo = min(0, *letter_degree.values())
+    hi = max(0, *letter_degree.values())
+    minus = field.sign(1)
 
-    def reduce(vec: dict) -> dict:
-        """Normal form of vec, its words in the quotient basis order."""
+    def reaches(w: str, level: int) -> bool:
+        n = sum(letter_degree[ch] for ch in w)
+        return n + (cap - level) * lo <= dmax and \
+            n + (cap - level) * hi >= dmin
+
+    rules: list = []
+
+    def rewrite(el: dict, level: int) -> str | None:
+        """Rewrite the leading words of `el` in place; its reduced leading
+        word, or None when `el` reduces to zero."""
+        while el:
+            w = max(el, key=lambda x: (len(x), x))
+            slack = level - len(w)
+            for tip, i, tail in rules:
+                if i <= slack and tip in w:
+                    c = el.pop(w)
+                    p = w.find(tip)
+                    u, v = w[:p], w[p + len(tip):]
+                    vaddmul_into(field, el, c,
+                                 {u + s + v: a for s, a in tail.items()})
+                    break
+            else:
+                return w
+        return None
+
+    todo: list[list] = [[] for _ in range(cap + 1)]
+    for rel in relations:
+        level = max(map(len, rel))
+        if reaches(next(iter(rel)), level):
+            todo[level].append(dict(rel))
+    for level in range(cap + 1):
+        for el in todo[level]:
+            tip = rewrite(el, level)
+            if tip is None:
+                continue
+            scale = field.mul(minus, field.inv(el.pop(tip)))
+            g = (tip, level - len(tip),
+                 {s: field.mul(scale, a) for s, a in el.items()})
+            rules.append(g)
+            for h in rules:
+                for w, at, s_poly in _ambiguities(field, g, h):
+                    if at <= cap and reaches(w, at):
+                        todo[at].append(s_poly)
+    return rules
+
+
+def _ambiguities(field: Field, g: tuple, h: tuple):
+    """(word, level, S-polynomial) of each overlap and inclusion of the
+    tips of two rules; the level is always above both rules' levels."""
+    minus = field.sign(1)
+    pairs = ((g, h), (h, g)) if g is not h else ((g, g),)
+    for (a, ia, ta), (b, ib, tb) in pairs:
+        # a = u·o, b = o·v: a·v − u·b is u·tb − ta·v
+        for n in range(1, min(len(a), len(b))):
+            if a[-n:] == b[:n]:
+                u, v = a[:-n], b[n:]
+                s_poly = {u + s: c for s, c in tb.items()}
+                vaddmul_into(field, s_poly, minus,
+                             {s + v: c for s, c in ta.items()})
+                yield a + v, len(a) + len(v) + max(ia, ib), s_poly
+        if b != a:
+            # a = u·b·v: a − u·b·v is u·tb·v − ta (then ib > ia)
+            p = a.find(b)
+            while p >= 0:
+                u, v = a[:p], a[p + len(b):]
+                s_poly = {u + s + v: c for s, c in tb.items()}
+                vaddmul_into(field, s_poly, minus, ta)
+                yield a, len(a) + max(ia, ib), s_poly
+                p = a.find(b, p + 1)
+
+
+def _rewriting(free: GradedSpace, generators: list, relations: list):
+    """(is_normal, residue) of `normal_forms` from `_groebner_rules`.
+
+    A word of `free` stands at level cap, so it is normal when no rule of
+    slack ≤ cap − |w| has its tip as a factor; a prefix that is rewritten
+    says nothing about the word.  A word's residue is the sum of its
+    rewrites' residues, computed once per word and kept.
+    """
+    field, cap = free.field, free.window.weight_cap
+    one = field.one()
+    code = {g: chr(i) for i, (g, _) in enumerate(generators)}
+
+    def encode(w) -> str:
+        return "".join([code[x] for x in word_syms(w)])
+
+    rules = _groebner_rules(
+        field, {code[g]: d for g, d in generators},
+        [{encode(w): c for w, c in rel.items() if not field.is_zero(c)}
+         for rel, _ in relations], free.window)
+    tails = {tip: tail for tip, _, tail in rules}
+    # finds[k]: the search for a tip whose rule rewrites a word of length
+    # cap - k, or None
+    finds = [re.compile("|".join(re.escape(tip) for tip, i, _ in rules
+                                 if i <= k)).search
+             if any(i <= k for _, i, _ in rules) else None
+             for k in range(cap + 1)]
+    coded: dict = {}    # label -> coded word, for the words of free
+    known: dict = {}    # coded word -> its residue over labels
+
+    def is_normal(w, n) -> bool:
+        s = coded[w] = encode(w)
+        find = finds[cap - len(s)]
+        if find is None or find(s) is None:
+            known[s] = {w: one}
+            return True
+        return False
+
+    def of_word(s: str) -> dict:
+        stack = [s]
+        while stack:
+            w = stack[-1]
+            if w in known:
+                stack.pop()
+                continue
+            m = finds[cap - len(w)](w)
+            u, v = w[:m.start()], w[m.end():]
+            terms = [(u + t + v, a) for t, a in tails[m.group()].items()]
+            missing = [t for t, _ in terms if t not in known]
+            if missing:
+                stack.extend(missing)
+                continue
+            out: dict = {}
+            for t, a in terms:
+                vaddmul_into(field, out, a, known[t])
+            known[w] = out
+            stack.pop()
+        return known[s]
+
+    def residue(vec: dict) -> dict:
+        out: dict = {}
+        for w, c in vec.items():
+            vaddmul_into(field, out, c, of_word(coded[w]))
+        return out
+
+    return is_normal, residue
+
+
+def _closure(free: GradedSpace, gen_degree: dict, relations: list):
+    """(is_normal, residue) of `normal_forms` from `_ideal_slices`."""
+    reducers, index, labels = _ideal_slices(free, gen_degree, relations)
+    field, one = free.field, free.field.one()
+    pivots = {n: rs.pivots() for n, rs in reducers.items()}
+
+    def residue(vec: dict) -> dict:
         out: dict = {}
         by_deg: dict[int, dict] = {}
         for w, c in vec.items():
             by_deg.setdefault(free.degree_of(w), {})[index[w]] = c
         for deg, part in by_deg.items():
-            vaddmul_into(field, out, field.one(), reducers[deg].reduce(part))
-        return {labels[i]: out[i]
-                for i in sorted(out, key=position.__getitem__)}
+            vaddmul_into(field, out, one, reducers[deg].reduce(part))
+        return {labels[i]: c for i, c in out.items()}
 
-    # quotient carrier: non-pivot words
+    return (lambda w, n: index[w] not in pivots[n]), residue
+
+
+def _screen_relations(free: GradedSpace, gen_degree: dict, relations: list
+                      ) -> tuple[list, list, bool]:
+    """(usable, shapes, dropped): the (relation, degree) pairs whose terms
+    all lie in `free`; the (degree, maxlen) of every nonempty relation,
+    maxlen over its nonzero terms; and whether a relation of a window
+    degree was dropped because some term lies past the cap."""
+    field, trunc = free.field, free.window
+    usable, shapes, dropped = [], [], False
+    for rel in relations:
+        if not rel:
+            continue
+        degs = {sum(gen_degree[s] for s in word_syms(w)) for w in rel}
+        if len(degs) != 1:
+            raise AlgebraError("relation not degree-homogeneous")
+        rel_deg = degs.pop()
+        shapes.append((rel_deg, max((len(word_syms(w)) for w, c in rel.items()
+                                     if not field.is_zero(c)), default=0)))
+        if all(w in free for w in rel):
+            usable.append((rel, rel_deg))
+        elif trunc.contains(rel_deg):
+            # partially representable: imposing only the visible part would
+            # be wrong, so drop it (the caller distrusts every degree)
+            dropped = True
+        # else: the relation lives entirely outside the window
+    return usable, shapes, dropped
+
+
+def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
+    """Quotient of the free algebra by the two-sided ideal of the relations.
+
+    Per degree, the ideal slice is spanned by u·r·v over free words u, v in
+    the window and usable relations r with |u| + maxlen(r) + |v| ≤ cap.
+    The normal-form basis is the set of non-pivot words under elimination
+    that prefers killing long words, and a vector's normal form is its
+    residue modulo the slice.  Both depend only on the slice and the pivot
+    order, so two ways to the same slice give the same algebra, values and
+    key order included:
+      - when the window cuts no multiplier (`_cuts_no_multiplier`), the
+        slice is that of the length-truncated ideal, and normal forms come
+        from rewriting by a truncated Gröbner basis (`_rewriting`);
+      - otherwise the slices are eliminated from their u·r·v elements by
+        one-letter closure (`_ideal_slices`, which gives the proof).
+    Reduced vectors list their words in the quotient basis order.  The
+    induced product and differential are re-normalized; a differential
+    that does not preserve the ideal inside the window raises
+    InconsistentDifferential.
+    """
+    field = P.field
+    free = free_word_space(field, P.generators, P.trunc)
+    cap = P.trunc.weight_cap
+    gen_degree = dict(P.generators)
+    usable_relations, shapes, dropped_partial = _screen_relations(
+        free, gen_degree, P.relations)
+    if dropped_partial:
+        free.mark_inexact(*free.degrees())
+    if _cuts_no_multiplier(gen_degree.values(), shapes, P.trunc):
+        is_normal, residue = _rewriting(free, P.generators, usable_relations)
+    else:
+        is_normal, residue = _closure(free, gen_degree, usable_relations)
+
+    def reduce(vec: dict) -> dict:
+        """Normal form of vec, its words in the quotient basis order."""
+        out = residue(vec)
+        return {w: out[w] for w in sorted(out, key=position.__getitem__)}
+
+    # quotient carrier: the normal words, in free's order
     space = GradedSpace(field, P.trunc)
     weight_of = {}
     for g, _ in P.generators:
         weight_of[g] = P.gen_weights.get(g, 1)
     for n in free.degrees():
-        pivots = reducers[n].pivots()
         for w in free.basis(n):
-            if index[w] not in pivots:
+            if is_normal(w, n):
                 wt = sum(weight_of[s] for s in word_syms(w))
                 space.add(w, n, weight=wt)
-    # every non-pivot word of free is a quotient basis word; by word id
-    position = {index[w]: i for i, w in enumerate(space.labels())}
+    position = {w: i for i, w in enumerate(space.labels())}
     # stabilization certificate: when normal words are so short that any
     # product of two of them still leaves room for a relation application,
     # raising the cap cannot add new normal forms (desk-scale certificate,

@@ -104,9 +104,9 @@ class DgCoalgebra:
 
         # coassociativity, compared in flattened triple coordinates; sums
         # grow in place and drop their zeros.  Where Δ drops terms, a side
-        # keeps only what the other can hold: |a2|+|b| in the window on
-        # the left, |a|+|b1| on the right; elsewhere all is compared
-        window, degree = self.space.window, self.space.degree_of
+        # keeps only what the other can hold (`joins`): a2 with b on the
+        # left, a with b1 on the right; elsewhere all is compared
+        joins, degree = self.joins, self.space.degree_of
         cut = self.space.inexact_degrees() | self.leaves
         for x in self.space.labels():
             left: dict = {}
@@ -121,16 +121,17 @@ class DgCoalgebra:
                     acc(right, (a, b1, b2), field.mul(c, c2))
             exact = degree(x) not in cut
             left = {k: v for k, v in left.items() if not field.is_zero(v)
-                    and (exact or window.contains(degree(k[1])
-                                                  + degree(k[2])))}
+                    and (exact or joins(k[1], k[2]))}
             right = {k: v for k, v in right.items() if not field.is_zero(v)
-                     and (exact or window.contains(degree(k[0])
-                                                   + degree(k[1])))}
+                     and (exact or joins(k[0], k[1]))}
             if left != right:
                 issues.append(f"coassociativity fails at {label_str(x)}")
                 break
-        # counit laws
-        if self.counit is not None:
+        # counit laws and atom axioms, where the space holds the counit's
+        # labels and the atom: Ω C above degree 0 holds no empty word, so Δ
+        # there has no component x⊗1 or 1⊗x for them to read
+        space = self.space
+        if self.counit is not None and all(k in space for k in self.counit):
             for x in self.space.labels():
                 lhs: dict = {}
                 rhs: dict = {}
@@ -156,7 +157,7 @@ class DgCoalgebra:
                 issues.append(f"co-Leibniz fails at {label_str(x)}")
                 break
         # atom axioms
-        if self.atom is not None:
+        if self.atom is not None and self.atom in space:
             e = self.atom
             if self.comult.apply_label(e) != \
                     {tensor_label(e, e): field.one()}:
@@ -171,6 +172,12 @@ class DgCoalgebra:
             if not report.passed:
                 issues.append(report.describe(self.space))
         return issues
+
+    def joins(self, a, b) -> bool:
+        """Whether the window can hold a label whose Δ has the term a⊗b:
+        here, whether |a| + |b| lies in the window."""
+        return self.space.window.contains(self.space.degree_of(a)
+                                          + self.space.degree_of(b))
 
     def is_cocommutative(self):
         """None if cocommutative; else a witness basis label."""
@@ -632,16 +639,38 @@ def coextend_map(C: DgCoalgebra, f: dict, target: DgCoalgebra,
 # -- (quasi-)shuffle products ---------------------------------------------------------
 
 
+class ProductCoalgebra(DgCoalgebra):
+    """C⊗D: a label joins another when its window holds the join and each
+    factor's window holds the join of its factors."""
+
+    def __init__(self, dg, comult, counit, atom, name, factors):
+        super().__init__(dg, comult, counit, atom, name)
+        self.factors = factors
+
+    def joins(self, a, b) -> bool:
+        C, D = self.factors
+        return super().joins(a, b) and C.joins(a[1], b[1]) \
+            and D.joins(a[2], b[2])
+
+
 def tensor_product_coalgebra(C: DgCoalgebra, D: DgCoalgebra,
                              name: str = "") -> DgCoalgebra:
-    """C⊗D with Δ(c⊗d) = (-1)^{|c2||d1|} (c1⊗d1)⊗(c2⊗d2)."""
+    """C⊗D with Δ(c⊗d) = (-1)^{|c2||d1|} (c1⊗d1)⊗(c2⊗d2).
+
+    A split whose factor lies outside that factor's window is dropped, and
+    so is every term where a factor's Δ dropped one; their degrees become
+    the coalgebra's `leaves`."""
     dg = dg_tensor(C.dg, D.dg)
     T = dg.space
     field = T.field
     TT = tensor_space(T, T)
     comult = GradedMap(T, TT, 0)
+    leaves = set()
     for lab in T.labels():
         _, c, d = lab
+        if C.space.degree_of(c) in C.leaves or \
+                D.space.degree_of(d) in D.leaves:
+            leaves.add(T.degree_of(lab))
         img: dict = {}
         for t1, c1 in C.comult.apply_label(c).items():
             _, ca, cb = t1
@@ -651,12 +680,13 @@ def tensor_product_coalgebra(C: DgCoalgebra, D: DgCoalgebra,
                                   * D.space.degree_of(da))
                 left = tensor_label(ca, da)
                 right = tensor_label(cb, db)
-                if left in T and right in T:
-                    t = tensor_label(left, right)
-                    if t in TT:
-                        vaddmul_into(field, img,
-                                     field.mul(sign, field.mul(c1, c2)),
-                                     {t: field.one()})
+                t = tensor_label(left, right)
+                if left in T and right in T and t in TT:
+                    vaddmul_into(field, img,
+                                 field.mul(sign, field.mul(c1, c2)),
+                                 {t: field.one()})
+                else:
+                    leaves.add(T.degree_of(lab))
         comult.set(lab, img)
     counit = None
     if C.counit is not None and D.counit is not None:
@@ -670,8 +700,10 @@ def tensor_product_coalgebra(C: DgCoalgebra, D: DgCoalgebra,
     atom = None
     if C.atom is not None and D.atom is not None:
         atom = tensor_label(C.atom, D.atom)
-    return DgCoalgebra(dg, comult, counit, atom,
-                       name=name or f"{C.name}⊗{D.name}")
+    CD = ProductCoalgebra(dg, comult, counit, atom,
+                          name or f"{C.name}⊗{D.name}", (C, D))
+    CD.leaves = frozenset(leaves)
+    return CD
 
 
 def quasi_shuffle_product(T: DgCoalgebra, mult: dict | None) -> GradedMap:

@@ -15,7 +15,8 @@ int is several times cheaper than hashing a nested label tuple.  `add`
 hands back only the new row's pivot label (or None), so a vector that
 enters the span costs no label-keyed copy of its row; a caller whose
 labels are nested tuples can number them first and build the RowSpace
-over the numbers, as `algebras._ideal_slices` does.  The rows
+over the numbers, as `algebras._ideal_slices` (the closure way of
+`normal_forms`, where the window cuts a multiplier) does.  The rows
 are kept in reduced row echelon form: each row has a leading 1 at its
 pivot and zeros at every other pivot.  Subtracting a row therefore never
 brings a pivot coordinate back, and a vector is reduced by one sweep over

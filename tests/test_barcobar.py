@@ -518,6 +518,24 @@ def test_hopf_on_cobar_keeps_the_trust_flags_of_its_input(monkeypatch):
     assert seen == [{2, 4, 6}]
 
 
+def test_hopf_on_cobar_skips_the_axioms_of_a_missing_empty_word():
+    # Ω C at 1..6 holds no empty word: the counit laws, the atom axioms and
+    # Δ's multiplicativity all need it, so they are skipped, not failed
+    C = load_preset("primitive-coalgebra:3").build(QQ, Truncation(-1, 4, 3))
+    cb = cobar(C, Truncation(1, 6, 3))
+    assert UNIT_WORD not in cb.algebra.space
+    assert hopf_on_cobar(cb)[1] == []
+    # where the window holds it, a wrong counit still fails
+    cb = cobar(C, Truncation(-1, 6, 3))
+    comult, issues = hopf_on_cobar(cb)
+    assert issues == []
+    co = DgCoalgebra(DgSpace(cb.algebra.space, cb.algebra.d), comult,
+                     {UNIT_WORD: QQ.of(2)}, atom=UNIT_WORD)
+    issues = co.verify(check_d_squared=False)
+    assert "counit law fails at 1" in issues
+    assert "counit of atom is not 1" in issues
+
+
 def test_hopf_on_bar_commutative():
     tr = Truncation(-1, 4, 4)
     A = dual_numbers(tr=tr)

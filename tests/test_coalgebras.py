@@ -116,6 +116,40 @@ def test_coassociativity_compares_everything_where_nothing_is_cut():
     assert not [i for i in C.verify() if i.startswith("coassociativity")]
 
 
+def test_tensor_product_coalgebra_drops_only_what_a_factor_cannot_hold():
+    # y⊗y (degree -2) is no label of the first factor at -1:1, although
+    # (y⊗y)⊗(z) has degree -1: Δ((x⊗y⊗y)⊗(z)) drops the term
+    # (x)⊗(1) | (y⊗y)⊗(z), records its degree and verify leaves it out
+    x, yy, z = (word_label(s) for s in (("x",), ("y", "y"), ("z",)))
+    xyy_z = tensor_label(word_label(("x", "y", "y")), z)
+    term = tensor_label(tensor_label(x, UNIT_WORD), tensor_label(yy, z))
+    tr = Truncation(-1, 1, 3)
+    CD = tensor_product_coalgebra(
+        tensor_coalgebra(QQ, [("x", 1), ("y", -1)], tr),
+        tensor_coalgebra(QQ, [("z", 1)], tr))
+    assert term not in CD.comult.apply_label(xyy_z)
+    assert 1 in CD.leaves
+    assert CD.verify() == []
+    rng = random.Random(2207)
+    for trial in range(30):
+        field = (QQ, Field(2), Field(3))[trial % 3]
+        tr = Truncation(-rng.randint(0, 2), rng.randint(0, 2),
+                        rng.randint(2, 3))
+        C, D = ((tensor_coalgebra, coshuffle_coalgebra)[rng.randint(0, 1)](
+            field, [(f"{g}{i}", rng.randint(-2, 2)) for i in range(k)], tr)
+            for g, k in (("a", 2), ("b", 1)))
+        issues = tensor_product_coalgebra(C, D).verify(check_d_squared=False)
+        assert not [i for i in issues if i.startswith("coassociativity")]
+    # a wider window holds y⊗y, and the same term dropped from Δ is caught
+    tr = Truncation(-3, 3, 3)
+    CD = tensor_product_coalgebra(
+        tensor_coalgebra(QQ, [("x", 1), ("y", -1)], tr),
+        tensor_coalgebra(QQ, [("z", 1)], tr))
+    del CD.comult.columns[xyy_z][term]
+    assert "coassociativity fails at (x⊗y⊗y)⊗(z)" in \
+        CD.verify(check_d_squared=False)
+
+
 def test_tensor_coalgebra_refuses_a_nonlinear_differential():
     # d(x) = y⊗z extends to a derivation of T(X) that fails co-Leibniz at x
     gens = [("x", 3), ("y", 1), ("z", 1)]
