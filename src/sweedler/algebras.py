@@ -656,8 +656,9 @@ def _groebner_rules(field: Field, letter_degree: dict, relations: list,
     order, so (length, string) is the pivot order of `normal_forms`.  The
     ideal is homogenized by level: u·r·v has level |u| + maxlen(r) + |v|,
     and an element of level D is a vector whose word w stands for
-    w·t^(D − |w|) with t central.  A rule of level D has slack D − |tip|; it rewrites a
-    word w at level D' when tip is a factor of w and slack ≤ D' − |w|.
+    w·t^(D − |w|) with t central.  A rule of level D has slack D − |tip|;
+    it rewrites a word w at level D' when tip is a factor of w and
+    slack ≤ D' − |w|.
     Elements are completed level by level up to the cap by the overlap
     and inclusion ambiguities of the tips (Buchberger's criterion for the
     homogeneous ideal); one whose u·g·v, |u| + |v| ≤ cap − level, cannot
@@ -765,11 +766,10 @@ def _rewriting(free: GradedSpace, generators: list, relations: list):
                                  if i <= k)).search
              if any(i <= k for _, i, _ in rules) else None
              for k in range(cap + 1)]
-    coded: dict = {}    # label -> coded word, for the words of free
     known: dict = {}    # coded word -> its residue over labels
 
     def is_normal(w, n) -> bool:
-        s = coded[w] = encode(w)
+        s = encode(w)
         find = finds[cap - len(s)]
         if find is None or find(s) is None:
             known[s] = {w: one}
@@ -800,7 +800,7 @@ def _rewriting(free: GradedSpace, generators: list, relations: list):
     def residue(vec: dict) -> dict:
         out: dict = {}
         for w, c in vec.items():
-            vaddmul_into(field, out, c, of_word(coded[w]))
+            vaddmul_into(field, out, c, of_word(encode(w)))
         return out
 
     return is_normal, residue

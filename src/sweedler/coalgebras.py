@@ -130,8 +130,8 @@ class DgCoalgebra:
         # counit laws and atom axioms, where the space holds the counit's
         # labels and the atom: Ω C above degree 0 holds no empty word, so Δ
         # there has no component x⊗1 or 1⊗x for them to read
-        space = self.space
-        if self.counit is not None and all(k in space for k in self.counit):
+        if self.counit is not None and \
+                all(k in self.space for k in self.counit):
             for x in self.space.labels():
                 lhs: dict = {}
                 rhs: dict = {}
@@ -157,7 +157,7 @@ class DgCoalgebra:
                 issues.append(f"co-Leibniz fails at {label_str(x)}")
                 break
         # atom axioms
-        if self.atom is not None and self.atom in space:
+        if self.atom is not None and self.atom in self.space:
             e = self.atom
             if self.comult.apply_label(e) != \
                     {tensor_label(e, e): field.one()}:
