@@ -3,9 +3,11 @@
 An algebra carrier is a GradedSpace; the product is kept as a pair-product
 on basis labels (bilinear extension), so quotients, convolution algebras and
 tensor products share one interface.  Products that would overflow the word
-cap return zero and mark the target degree truncation-affected.  The
-derivations of T(X) and the coderivations of T^c(X) share one word-splicing
-loop, `splice_map`.
+cap return zero and mark the target degree truncation-affected.  A free
+word space counts its words per (degree, length) when it is built and
+lists them only when asked (`WordSpace`).  The derivations of T(X) and the
+coderivations of T^c(X) share one word-splicing loop, `splice_map`, over
+a one-word splice that `normal_forms` also runs on the words it reads.
 
 Quotients by two-sided ideals are computed degreewise: the ideal slice of
 a degree is spanned by the u·r·v of level |u| + maxlen(r) + |v| ≤ cap, and
@@ -14,7 +16,9 @@ basis reproducible.  There are two ways to the same slice.  Where the
 window cuts no multiplier of a relation (`_cuts_no_multiplier`), the slice
 is that of the length-truncated ideal, and normal forms come from
 rewriting by a Gröbner basis of it, completed level by level through the
-overlaps of its tips (`_groebner_rules`).  Elsewhere each slice is a
+overlaps of its tips (`_groebner_rules`); the normal words are grown from
+prefixes free of the tips that rewrite every word holding them, and the
+free space is never listed.  Elsewhere each slice is a
 per-degree Macaulay matrix whose rows u·r·v are built by one-letter
 closure, x·I and I·x, skipping an extension of an element that added no
 row when the rows it depends on stay inside the window; `_ideal_slices`
@@ -270,17 +274,25 @@ def _word_counts(letters: list[tuple], trunc: Truncation) -> list[dict]:
 
 class WordSpace(GradedSpace):
     """The tensor words of length ≤ weight_cap over graded generators that
-    lie in the window; read-only.
+    lie in the window; read-only, listed on request.
 
-    Words are listed by length, and within a length in the lexicographic
-    order of the generator list; a word's weight is its length.  The number
-    of words of each (degree, length) is counted before any word is listed,
-    and a window that needs more than WORD_LIMIT words raises
-    EnumerationTooLarge instead.  The words of length L and their degrees
-    come from the listed words of length L-1; a prefix is listed only when
-    some completion within the cap lands in the window (`_word_counts`).
+    The number of words of each (degree, length) is counted when the space
+    is built (`_word_counts`), and a window that needs more than WORD_LIMIT
+    words raises EnumerationTooLarge then.  Degrees, dimensions, inexact
+    marks, membership and a word's degree and weight come from the counts
+    and the letters: ("w", syms) is a member when it has at most weight_cap
+    letters, each a generator, and its degree lies in the window.  A
+    word's weight is its length.
+
+    The words are listed on the first call of `basis`, `labels`,
+    `basis_within` or `_degree_lookup`: by length, and within a length in
+    the lexicographic order of the generator list.  The words of length L
+    and their degrees come from the listed words of length L-1; a prefix is
+    listed only when some completion within the cap lands in the window.
     Each length's window words go into the degree lists and the degree map
-    in one pass.
+    in one pass, and after listing every lookup reads the degree map.  A
+    generator name given twice spells words twice, so such a space is
+    listed when it is built, and raises there.
     """
 
     def __init__(self, field: Field, generators: list[tuple],
@@ -290,10 +302,10 @@ class WordSpace(GradedSpace):
         self.field = field
         self.window = trunc
         self._inexact: set[int] = set()
-        degree_of = dict(generators)
-        letters = [(g, degree_of[g]) for g, _ in generators]
+        self._letter_degree = degree_of = dict(generators)
+        self._letters = [(g, degree_of[g]) for g, _ in generators]
         cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
-        counts = _word_counts(letters, trunc)
+        self._counts = counts = _word_counts(self._letters, trunc)
         listed = sum(sum(c.values()) for c in counts)
         if listed > WORD_LIMIT:
             raise EnumerationTooLarge(
@@ -307,10 +319,21 @@ class WordSpace(GradedSpace):
         # degree -> number of its words of length at most L, for L = 0..cap
         self._upto = {n: list(accumulate(by_length[n]))
                       for n in sorted(by_length)}
+        # degree -> its words, and word -> degree, once listed
+        self._by_degree: dict[int, list] | None = None
+        self._degree_of: dict | None = None
+        if len(degree_of) < len(generators):
+            self._list()        # it raises at the first word spelled twice
+
+    def _list(self) -> dict[int, list]:
+        """The degree lists, listing the words on first call."""
+        if self._by_degree is not None:
+            return self._by_degree
+        letters, counts = self._letters, self._counts
+        cap, dmin, dmax = (self.window.weight_cap, self.window.degree_min,
+                           self.window.degree_max)
         lists = {n: [] for n in self._upto}
-        self._by_degree: dict[int, list] = lists
-        self._degree_of: dict = {}
-        where = self._degree_of
+        where: dict = {}
         if 0 in lists:
             lists[0].append(UNIT_WORD)
             where[UNIT_WORD] = 0
@@ -329,6 +352,8 @@ class WordSpace(GradedSpace):
             if len(where) < sum(upto[length] for upto in self._upto.values()):
                 self._raise_duplicate(level, letters, live)
             level = words
+        self._by_degree, self._degree_of = lists, where
+        return lists
 
     def _raise_duplicate(self, level, letters, live):
         """Raise at the first window word of this length listed twice: a
@@ -344,18 +369,71 @@ class WordSpace(GradedSpace):
                             f"duplicate basis label {label_str(word_label(word))}")
                     seen.add(word)
 
+    def _degree(self, label) -> int | None:
+        """Degree of a member label, None for anything else; from the
+        degree map once listed, from the letters before."""
+        if self._degree_of is not None:
+            return self._degree_of.get(label)
+        if type(label) is not tuple or len(label) != 2 or label[0] != "w" \
+                or type(label[1]) is not tuple \
+                or len(label[1]) > self.window.weight_cap:
+            return None
+        n = 0
+        degree_of = self._letter_degree
+        for sym in label[1]:
+            if sym not in degree_of:
+                return None
+            n += degree_of[sym]
+        return n if self.window.contains(n) else None
+
     def add(self, label, degree: int, weight: int | None = None) -> bool:
         raise GradedError("a word space is read-only")
 
+    def degrees(self) -> list[int]:
+        return list(self._upto)
+
+    def basis(self, degree: int) -> list:
+        return list(self._list().get(degree, []))
+
+    def labels(self) -> list:
+        out = []
+        for words in self._list().values():
+            out.extend(words)
+        return out
+
+    def __contains__(self, label) -> bool:
+        return self._degree(label) is not None
+
+    def _degree_lookup(self):
+        # the splice and tensor loops call it per term: the map's own get
+        self._list()
+        return self._degree_of.get
+
+    def degree_of(self, label) -> int:
+        n = self._degree(label)
+        if n is None:
+            raise GradedError(f"unknown basis label {label_str(label)}")
+        return n
+
     def weight_of(self, label, default=None):
-        return len(label[1]) if label in self._degree_of else default
+        return len(label[1]) if self._degree(label) is not None else default
 
     def basis_within(self, degree: int, weight_cap: int) -> list:
         # a degree's words are listed by length: a prefix of its basis
         upto = self._upto.get(degree)
         if upto is None or weight_cap < 0:
             return []
-        return self._by_degree[degree][:upto[min(weight_cap, len(upto) - 1)]]
+        return self._list()[degree][:upto[min(weight_cap, len(upto) - 1)]]
+
+    def dim(self, degree: int) -> int:
+        upto = self._upto.get(degree)
+        return upto[-1] if upto else 0
+
+    def dims(self) -> dict[int, int]:
+        return {n: upto[-1] for n, upto in self._upto.items()}
+
+    def total_dim(self) -> int:
+        return sum(upto[-1] for upto in self._upto.values())
 
 
 def free_word_space(field: Field, generators: list[tuple],
@@ -368,19 +446,13 @@ def free_word_space(field: Field, generators: list[tuple],
     return space
 
 
-def splice_map(space: GradedSpace, generators: list[tuple], chunks: dict,
-               degree: int) -> GradedMap:
-    """The map of `degree` on a word space that replaces each chunk of a word
-    by its image: x1⊗…⊗xk ↦ Σ_{i,n} (-1)^{degree·(|x1|+…+|xi|)}
-    x1…xi ⊗ image(x_{i+1}…x_{i+n}) ⊗ x_{i+n+1}…xk.
-
-    `chunks` maps each chunk, a tuple of n ≥ 1 letters, to its image, a
-    vector over word labels.  Components outside the window are dropped.
-    Each column is summed in place, in (i, n) order, and the one lookup of
-    each spliced word also checks its degree.
-    """
-    D = GradedMap(space, space, degree)
-    field = space.field
+def _splicer(field: Field, generators: list[tuple], chunks: dict,
+             degree: int):
+    """The one-word splice of `splice_map`, from its chunk tables:
+    splice(label, want, inside) is the image of the word `label`, whose
+    terms must have degree `want`; `inside` gives a term's degree, None
+    for a term outside the window, which is dropped.  None when no chunk
+    has a nonzero image."""
     add, is_zero, zero = field.add, field.is_zero, field.zero()
     one, minus = field.one(), field.sign(1)
     # each letter -> {n: what it starts}: for n = 1 its own image terms, for
@@ -398,42 +470,66 @@ def splice_map(space: GradedSpace, generators: list[tuple], chunks: dict,
             table[chunk] = terms
             starts.setdefault(chunk[0], {})[n] = terms if n == 1 else table
     if not starts:
-        return D
+        return None
     # each generator x -> (the Koszul sign's flip past x, degree·|x| mod 2;
     # what x starts, by increasing n)
     letters = {g: (degree * d % 2, sorted(starts.get(g, {}).items()))
                for g, d in generators}
+
+    def splice(label, want: int, inside) -> dict:
+        syms = word_syms(label)
+        img: dict = {}
+        odd = 0
+        for i, sym in enumerate(syms):
+            flip, found = letters[sym]
+            if found:
+                for n, terms in found:
+                    if n > 1:
+                        # a slice cut short by the word's end is no key
+                        terms = terms.get(syms[i:i + n])
+                        if not terms:
+                            continue
+                    head, tail = syms[:i], syms[i + n:]
+                    for tsyms, even_c, odd_c in terms:
+                        new = word_label(head + tsyms + tail)
+                        got = inside(new)
+                        if got != want:
+                            if got is None:
+                                continue
+                            raise not_homogeneous(label, new, got, want)
+                        s = add(img.get(new, zero), odd_c if odd else even_c)
+                        if is_zero(s):
+                            img.pop(new, None)
+                        else:
+                            img[new] = s
+            odd ^= flip
+        return img
+
+    return splice
+
+
+def splice_map(space: GradedSpace, generators: list[tuple], chunks: dict,
+               degree: int) -> GradedMap:
+    """The map of `degree` on a word space that replaces each chunk of a word
+    by its image: x1⊗…⊗xk ↦ Σ_{i,n} (-1)^{degree·(|x1|+…+|xi|)}
+    x1…xi ⊗ image(x_{i+1}…x_{i+n}) ⊗ x_{i+n+1}…xk.
+
+    `chunks` maps each chunk, a tuple of n ≥ 1 letters, to its image, a
+    vector over word labels.  Components outside the window are dropped.
+    The loop runs the one-word splice of `_splicer` over the basis: each
+    column is summed in place, in (i, n) order, and the one lookup of each
+    spliced word also checks its degree.  A space whose chunks have no
+    nonzero image gets the zero map, unlisted.
+    """
+    D = GradedMap(space, space, degree)
+    splice = _splicer(space.field, generators, chunks, degree)
+    if splice is None:
+        return D
     inside = space._degree_lookup()
     for m in space.degrees():
         want = m + degree
         for label in space.basis(m):
-            syms = word_syms(label)
-            img: dict = {}
-            odd = 0
-            for i, sym in enumerate(syms):
-                flip, found = letters[sym]
-                if found:
-                    for n, terms in found:
-                        if n > 1:
-                            # a slice cut short by the word's end is no key
-                            terms = terms.get(syms[i:i + n])
-                            if not terms:
-                                continue
-                        head, tail = syms[:i], syms[i + n:]
-                        for tsyms, even_c, odd_c in terms:
-                            new = word_label(head + tsyms + tail)
-                            got = inside(new)
-                            if got != want:
-                                if got is None:
-                                    continue
-                                raise not_homogeneous(label, new, got, want)
-                            s = add(img.get(new, zero),
-                                    odd_c if odd else even_c)
-                            if is_zero(s):
-                                img.pop(new, None)
-                            else:
-                                img[new] = s
-                odd ^= flip
+            img = splice(label, want, inside)
             if img:
                 D.columns[label] = img
     return D
@@ -717,7 +813,10 @@ def _groebner_rules(field: Field, letter_degree: dict, relations: list,
 
 def _ambiguities(field: Field, g: tuple, h: tuple):
     """(word, level, S-polynomial) of each overlap and inclusion of the
-    tips of two rules; the level is always above both rules' levels."""
+    tips of two rules; the level is always above both rules' levels.
+    Two monomial rules (both tails empty) have none but zero ones."""
+    if not g[2] and not h[2]:
+        return
     minus = field.sign(1)
     pairs = ((g, h), (h, g)) if g is not h else ((g, g),)
     for (a, ia, ta), (b, ib, tb) in pairs:
@@ -740,16 +839,21 @@ def _ambiguities(field: Field, g: tuple, h: tuple):
                 p = a.find(b, p + 1)
 
 
-def _rewriting(free: GradedSpace, generators: list, relations: list):
-    """(is_normal, residue) of `normal_forms` from `_groebner_rules`.
+def _rewriting(free: WordSpace, generators: list, relations: list):
+    """(normal, residue) of `normal_forms` from `_groebner_rules`.
 
     A word of `free` stands at level cap, so it is normal when no rule of
     slack ≤ cap − |w| has its tip as a factor; a prefix that is rewritten
-    says nothing about the word.  A word's residue is the sum of its
-    rewrites' residues, computed once per word and kept.
+    says nothing about the word, except by a tip of slack 0, which
+    rewrites every word that holds it.  So the normal words are listed as
+    `free` lists its words, by length and in generator order under the
+    same reach pruning (`_word_counts`), but a prefix that holds a slack-0
+    tip is never extended; the words of `free` are never listed.  A word's
+    residue is the sum of its rewrites' residues, computed once per word
+    and kept.
     """
-    field, cap = free.field, free.window.weight_cap
-    one = field.one()
+    field, trunc = free.field, free.window
+    cap, one = trunc.weight_cap, field.one()
     code = {g: chr(i) for i, (g, _) in enumerate(generators)}
 
     def encode(w) -> str:
@@ -758,7 +862,7 @@ def _rewriting(free: GradedSpace, generators: list, relations: list):
     rules = _groebner_rules(
         field, {code[g]: d for g, d in generators},
         [{encode(w): c for w, c in rel.items() if not field.is_zero(c)}
-         for rel, _ in relations], free.window)
+         for rel, _ in relations], trunc)
     tails = {tip: tail for tip, _, tail in rules}
     # finds[k]: the search for a tip whose rule rewrites a word of length
     # cap - k, or None
@@ -767,14 +871,25 @@ def _rewriting(free: GradedSpace, generators: list, relations: list):
              if any(i <= k for _, i, _ in rules) else None
              for k in range(cap + 1)]
     known: dict = {}    # coded word -> its residue over labels
-
-    def is_normal(w, n) -> bool:
-        s = encode(w)
-        find = finds[cap - len(s)]
-        if find is None or find(s) is None:
-            known[s] = {w: one}
-            return True
-        return False
+    # the normal words by degree: by length, then in generator order; a
+    # grown word holds a slack-0 tip only as a suffix
+    normal: dict = {n: [] for n in free.degrees()}
+    dead = tuple(tip for tip, i, _ in rules if i == 0)
+    names = [g for g, _ in generators]
+    letters = [(code[g], d) for g, d in generators]
+    level = [("", 0)]
+    for length in range(cap + 1):
+        find = finds[cap - length]
+        for s, n in level:
+            if n in normal and (find is None or find(s) is None):
+                w = word_label(tuple([names[ord(ch)] for ch in s]))
+                normal[n].append(w)
+                known[s] = {w: one}
+        if length < cap:
+            live = free._counts[length + 1]
+            level = [(s + ch, n + dg) for s, n in level
+                     if not s.endswith(dead)
+                     for ch, dg in letters if n + dg in live]
 
     def of_word(s: str) -> dict:
         stack = [s]
@@ -803,14 +918,13 @@ def _rewriting(free: GradedSpace, generators: list, relations: list):
             vaddmul_into(field, out, c, of_word(encode(w)))
         return out
 
-    return is_normal, residue
+    return normal, residue
 
 
 def _closure(free: GradedSpace, gen_degree: dict, relations: list):
-    """(is_normal, residue) of `normal_forms` from `_ideal_slices`."""
+    """(normal, residue) of `normal_forms` from `_ideal_slices`."""
     reducers, index, labels = _ideal_slices(free, gen_degree, relations)
     field, one = free.field, free.field.one()
-    pivots = {n: rs.pivots() for n, rs in reducers.items()}
 
     def residue(vec: dict) -> dict:
         out: dict = {}
@@ -821,7 +935,11 @@ def _closure(free: GradedSpace, gen_degree: dict, relations: list):
             vaddmul_into(field, out, one, reducers[deg].reduce(part))
         return {labels[i]: c for i, c in out.items()}
 
-    return (lambda w, n: index[w] not in pivots[n]), residue
+    normal = {}
+    for n, rs in reducers.items():
+        pivots = rs.pivots()
+        normal[n] = [w for w in free.basis(n) if index[w] not in pivots]
+    return normal, residue
 
 
 def _screen_relations(free: GradedSpace, gen_degree: dict, relations: list
@@ -863,13 +981,15 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
     key order included:
       - when the window cuts no multiplier (`_cuts_no_multiplier`), the
         slice is that of the length-truncated ideal, and normal forms come
-        from rewriting by a truncated Gröbner basis (`_rewriting`);
+        from rewriting by a truncated Gröbner basis (`_rewriting`), which
+        lists the normal words without listing the free space;
       - otherwise the slices are eliminated from their u·r·v elements by
         one-letter closure (`_ideal_slices`, which gives the proof).
     Reduced vectors list their words in the quotient basis order.  The
-    induced product and differential are re-normalized; a differential
-    that does not preserve the ideal inside the window raises
-    InconsistentDifferential.
+    induced product and differential are re-normalized.  d is spliced only
+    on the words it is read on: the terms of the relations, to check that
+    it preserves the ideal (InconsistentDifferential if not, rendered in
+    the quotient basis), and the quotient words.
     """
     field = P.field
     free = free_word_space(field, P.generators, P.trunc)
@@ -880,9 +1000,9 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
     if dropped_partial:
         free.mark_inexact(*free.degrees())
     if _cuts_no_multiplier(gen_degree.values(), shapes, P.trunc):
-        is_normal, residue = _rewriting(free, P.generators, usable_relations)
+        normal, residue = _rewriting(free, P.generators, usable_relations)
     else:
-        is_normal, residue = _closure(free, gen_degree, usable_relations)
+        normal, residue = _closure(free, gen_degree, usable_relations)
 
     def reduce(vec: dict) -> dict:
         """Normal form of vec, its words in the quotient basis order."""
@@ -894,11 +1014,10 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
     weight_of = {}
     for g, _ in P.generators:
         weight_of[g] = P.gen_weights.get(g, 1)
-    for n in free.degrees():
-        for w in free.basis(n):
-            if is_normal(w, n):
-                wt = sum(weight_of[s] for s in word_syms(w))
-                space.add(w, n, weight=wt)
+    for n, words in normal.items():
+        for w in words:
+            wt = sum(weight_of[s] for s in word_syms(w))
+            space.add(w, n, weight=wt)
     position = {w: i for i, w in enumerate(space.labels())}
     # stabilization certificate: when normal words are so short that any
     # product of two of them still leaves room for a relation application,
@@ -912,21 +1031,34 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
         space.mark_inexact(*(n for n in free.inexact_degrees()
                              if P.trunc.contains(n)))
 
-    # differential: extend on the free algebra, check the ideal, induce
-    D_free = extend_derivation(P.generators, P.d_gen, free, -1)
-    raises = _length_raise(P.d_gen)
-    for rel, _ in usable_relations:
-        if max(len(word_syms(w)) for w in rel) + raises > cap:
-            continue   # not checkable in this window
-        image = reduce(D_free(rel))
-        if image:
-            raise InconsistentDifferential(
-                f"d does not preserve the ideal: d(relation) ≡ "
-                f"{free.render(image)}")
-
+    # differential: spliced on the words read, the relation terms (to check
+    # the ideal) and the quotient words (to induce d), never on the rest
     D = GradedMap(space, space, -1)
-    for w in space.labels():
-        D.set(w, space.project(reduce(D_free.apply_label(w))))
+    raises = _length_raise(P.d_gen)
+    splice = _splicer(field, P.generators,
+                      {(g,): v for g, v in P.d_gen.items()}, -1)
+    if splice is not None:
+        if any(all(s in gen_degree for s in word_syms(t))
+               and sum(gen_degree[s] for s in word_syms(t)) != dg - 1
+               for g, dg in P.generators for t in P.d_gen.get(g, ())):
+            # a term of the wrong degree raises at the free word where the
+            # extension over every free word meets it first, if anywhere
+            extend_derivation(P.generators, P.d_gen, free, -1)
+        inside = free._degree
+        for rel, rel_deg in usable_relations:
+            if max(len(word_syms(w)) for w in rel) + raises > cap:
+                continue   # not checkable in this window
+            image: dict = {}
+            for w, c in rel.items():
+                vaddmul_into(field, image, c, splice(w, rel_deg - 1, inside))
+            image = reduce(image)
+            if image:
+                raise InconsistentDifferential(
+                    f"d does not preserve the ideal: d(relation) ≡ "
+                    f"{space.render(image)}")
+        for n, words in normal.items():
+            for w in words:
+                D.set(w, space.project(reduce(splice(w, n - 1, inside))))
 
     one = field.one()
 

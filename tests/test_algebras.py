@@ -785,6 +785,58 @@ def test_rewriting_matches_the_closure(monkeypatch):
     assert min(seen.values()) >= 3, seen
 
 
+def _ref_normal_words(P, usable):
+    """The normal words of the rewriting path as it found them before it
+    pruned by tips: every free word, coded as a string, searched for a tip
+    whose rule rewrites a word of its length."""
+    free = free_word_space(P.field, P.generators, P.trunc)
+    cap = P.trunc.weight_cap
+    code = {g: chr(i) for i, (g, _) in enumerate(P.generators)}
+
+    def encode(w):
+        return "".join(code[x] for x in word_syms(w))
+
+    rules = algebras._groebner_rules(
+        P.field, {code[g]: d for g, d in P.generators},
+        [{encode(w): c for w, c in rel.items() if not P.field.is_zero(c)}
+         for rel, _ in usable], P.trunc)
+    return {n: [w for w in free.basis(n)
+                if not any(i <= cap - len(word_syms(w)) and tip in encode(w)
+                           for tip, i, _ in rules)]
+            for n in free.degrees()}, rules
+
+
+def test_tip_pruned_listing_is_the_filter_of_every_free_word():
+    rng = random.Random(2311)
+    seen = {"scalar": 0, "killed 1": 0, "pruned": 0, "slack > 0": 0}
+    for field in (QQ, Field(2), Field(5)):
+        taken = 0
+        while taken < 110:
+            P = _random_presentation(rng, field)
+            scalar = rng.random() < 0.2
+            if scalar:
+                # 1 alone, or 1 plus a letter of degree 0
+                zero = [word_label((g,)) for g, d in P.generators
+                        if d == 0]
+                P.relations.append({UNIT_WORD: field.one(),
+                                    **{w: field.of(2) for w in zero[:1]}})
+            if not _cuts_no_multiplier(P):
+                continue
+            taken += 1
+            seen["scalar"] += scalar
+            free = free_word_space(field, P.generators, P.trunc)
+            usable = algebras._screen_relations(free, dict(P.generators),
+                                                P.relations)[0]
+            want, rules = _ref_normal_words(P, usable)
+            assert algebras._rewriting(free, P.generators, usable)[0] == want
+            seen["killed 1"] += 0 in want and UNIT_WORD not in want[0]
+            # a slack-0 tip shorter than the cap stops its prefixes
+            seen["pruned"] += any(i == 0 and len(tip) < P.trunc.weight_cap
+                                  for tip, i, _ in rules)
+            seen["slack > 0"] += any(i > 0 for _, i, _ in rules)
+    assert min(seen.values()) >= 10, seen
+
+
 def _narrow_window_presentation():
     # x·x and y·y lie in degrees ±2, outside -1:1; u·r·v lands back inside
     x, y = ("x",), ("y",)

@@ -849,15 +849,92 @@ def test_wide_window_lists_only_what_its_words_reach():
 
 
 def test_pruned_word_space_repeated_names_raise_as_before():
+    # at construction, although a word space lists its words on request
     for gens, tr in [([("x", 1), ("x", 2)], Truncation(0, 4, 3)),
                      ([("x", 5), ("x", 1)], Truncation(0, 4, 3)),
                      ([("x", 5), ("y", 1), ("x", -1)], Truncation(-2, 2, 2))]:
         with pytest.raises(GradedError) as new:
             free_word_space(QQ, gens, tr)
+        with pytest.raises(GradedError) as bare:
+            WordSpace(QQ, gens, tr)
         with pytest.raises(GradedError) as ref:
             ref_level_word_space(QQ, gens, tr)
-        assert str(new.value) == str(ref.value)
+        assert str(new.value) == str(bare.value) == str(ref.value)
         assert str(new.value).startswith("duplicate basis label ")
+
+
+@pytest.fixture
+def listings(monkeypatch):
+    """The word spaces whose words get listed, one entry per request."""
+    seen = []
+    listed = WordSpace._list
+
+    def spy(self):
+        seen.append(self)
+        return listed(self)
+
+    monkeypatch.setattr(WordSpace, "_list", spy)
+    return seen
+
+
+def counted_view(space, candidates):
+    """What a word space answers from its counts: degrees, dims, marks,
+    and the membership, degree and weight of each candidate label."""
+    return (space.degrees(), space.dims(), space.total_dim(),
+            [space.dim(n) for n in range(space.window.degree_min - 1,
+                                         space.window.degree_max + 2)],
+            space.inexact_degrees(),
+            [(w in space, space.weight_of(w),
+              space.degree_of(w) if w in space else None)
+             for w in candidates])
+
+
+def test_word_space_answers_from_its_counts_before_listing(listings):
+    # candidates: the window's words, words of a wider window, words one
+    # letter past the cap, an unknown letter and labels that are no words
+    rng = random.Random(53)
+    seen = {"listed": 0, "outside": 0, "raised": 0}
+    for trial in range(330):
+        field = FIELDS[trial % 3]
+        gens, tr = random_word_space_input(rng, trial)
+        ref = build_or_error(ref_level_word_space, field, gens, tr)
+        listings.clear()
+        space = build_or_error(free_word_space, field, gens, tr)
+        if len(dict(gens)) < len(gens):
+            # listed at construction, to raise there if a word repeats
+            assert len(listings) == 1
+            seen["raised"] += isinstance(ref, str)
+            assert space == ref if isinstance(ref, str) else \
+                space.labels() == ref.labels()
+            continue
+        assert listings == []
+        cap = tr.weight_cap
+        wide = ref_level_word_space(field, gens, Truncation(
+            tr.degree_min - 2, tr.degree_max + 2, min(cap, 4)))
+        candidates = [*ref.labels(), *wide.labels(), *NOT_WORDS,
+                      word_label(("unknown",)), ("w", "g0"),
+                      *[word_label(word_syms(w) + (gens[0][0],))
+                        for w in ref.labels()
+                        if len(word_syms(w)) == cap][:50]]
+        before = counted_view(space, candidates)
+        assert listings == []
+        assert space.labels() == ref.labels()
+        assert len(listings) == 1
+        assert counted_view(space, candidates) == before == \
+            counted_view(ref, candidates)
+        seen["listed"] += bool(ref.labels())
+        seen["outside"] += any(w not in ref for w in wide.labels())
+    assert min(seen.values()) >= 20, seen
+
+
+def test_an_oversized_window_raises_before_any_word_is_listed(listings):
+    # normal_forms counts the free space's words before it lists any
+    letters = [(f"a{i}", 1) for i in range(126)]
+    P = PresentedAlgebra(QQ, letters, [{word_label(("a0", "a1")): 1}], {},
+                         Truncation(-1, 6, 6))
+    with pytest.raises(EnumerationTooLarge, match="^4033516174507 words "):
+        normal_forms(P)
+    assert listings == []
 
 
 def with_coefficient_p(rng, field, space, degree, vec):

@@ -8,7 +8,9 @@ job reads dims, d², the d^int/d^ext anticommutator and homology, none of
 which needs Δ, and its digest must equal the recorded one.  The algebras
 of the bar-random shapes and the sweedler-product jobs are built with
 `algebras._ideal_slices` counted, so a fall back from rewriting to the
-closure cannot pass unseen.
+closure cannot pass unseen.  The rewriting path of `normal_forms` is
+spied on for the words it touches: it lists no word of the free space, and
+splices d only on the quotient words and the relation terms it reads.
 """
 
 import importlib.util
@@ -16,7 +18,9 @@ import json
 import os
 import sys
 
-from sweedler import algebras, coalgebras
+from sweedler import algebras, coalgebras, sweedler_ops
+from sweedler.graded import Truncation
+from sweedler.presets import load_preset
 from sweedler.scalars import QQ
 
 WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -79,3 +83,51 @@ def test_every_bench_algebra_but_one_is_built_by_rewriting(monkeypatch):
         job.run()
         assert len(calls) == (job.key == CLOSURE_JOB), job.key
         calls.clear()
+
+
+def test_rewriting_lists_no_free_word_and_splices_only_the_words_it_reads(
+        monkeypatch):
+    workloads = load_workloads()
+    dual6 = load_preset("dual-numbers").build(QQ, Truncation.parse("-6:6:6"))
+    diff_alg = sweedler_ops.example_construction(
+        "diff_alg", dual6, Truncation.parse("-6:6:5"), n=1).presentation
+    listed, spliced, built = [], [], []
+    list_words, make_splicer = algebras.WordSpace._list, algebras._splicer
+    normal_forms = algebras.normal_forms
+
+    def listing(space):
+        listed.append(space)
+        return list_words(space)
+
+    def splicer(*args):
+        splice = make_splicer(*args)
+
+        def recorded(label, want, inside):
+            spliced.append(label)
+            return splice(label, want, inside)
+
+        return None if splice is None else recorded
+
+    def building(P):
+        built.append(P)
+        return normal_forms(P)
+
+    monkeypatch.setattr(algebras.WordSpace, "_list", listing)
+    monkeypatch.setattr(algebras, "_splicer", splicer)
+    monkeypatch.setattr(algebras, "normal_forms", building)
+    monkeypatch.setattr(algebras, "_ideal_slices", None)   # no closure
+    shape = workloads.BAR_SHAPES[0]      # -1p,-1p: d on both generators
+    for build in (lambda: algebras.normal_forms(diff_alg),
+                  lambda: workloads.build_algebra(
+                      QQ, workloads.shape_spec(shape), 0,
+                      workloads.BAR_TRUNC)):
+        listed.clear(), spliced.clear(), built.clear()
+        A = build()
+        (P,) = built
+        assert listed == []
+        read = set(A.space.labels())
+        terms = [w for rel in P.relations for w in rel]
+        # diff_alg's d is zero, so it splices nothing at all
+        assert bool(spliced) == any(P.d_gen.values())
+        assert set(spliced) <= read | set(terms)
+        assert len(spliced) <= len(read) + len(terms)
