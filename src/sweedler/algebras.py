@@ -6,8 +6,8 @@ tensor products share one interface.  Products that would overflow the word
 cap return zero and mark the target degree truncation-affected.  A free
 word space counts its words per (degree, length) when it is built and
 lists them only when asked (`WordSpace`).  The derivations of T(X) and the
-coderivations of T^c(X) share one word-splicing loop, `splice_map`, over
-a one-word splice that `normal_forms` also runs on the words it reads.
+coderivations of T^c(X) share one word-splicing loop, `splice_map`, whose
+splice `normal_forms` also runs, on the words it reads.
 
 Quotients by two-sided ideals are computed degreewise: the ideal slice of
 a degree is spanned by the u·r·v of level |u| + maxlen(r) + |v| ≤ cap, and
@@ -448,11 +448,11 @@ def free_word_space(field: Field, generators: list[tuple],
 
 def _splicer(field: Field, generators: list[tuple], chunks: dict,
              degree: int):
-    """The one-word splice of `splice_map`, from its chunk tables:
-    splice(label, want, inside) is the image of the word `label`, whose
-    terms must have degree `want`; `inside` gives a term's degree, None
-    for a term outside the window, which is dropped.  None when no chunk
-    has a nonzero image."""
+    """The splice of `splice_map`, from its chunk tables: splice(words,
+    want, inside) maps each of `words` whose image is nonzero to that
+    image, in the order of `words`; each term must have degree `want`, and
+    `inside` gives a term's degree, None for a term outside the window,
+    which is dropped.  None when no chunk has a nonzero image."""
     add, is_zero, zero = field.add, field.is_zero, field.zero()
     one, minus = field.one(), field.sign(1)
     # each letter -> {n: what it starts}: for n = 1 its own image terms, for
@@ -476,34 +476,39 @@ def _splicer(field: Field, generators: list[tuple], chunks: dict,
     letters = {g: (degree * d % 2, sorted(starts.get(g, {}).items()))
                for g, d in generators}
 
-    def splice(label, want: int, inside) -> dict:
-        syms = word_syms(label)
-        img: dict = {}
-        odd = 0
-        for i, sym in enumerate(syms):
-            flip, found = letters[sym]
-            if found:
-                for n, terms in found:
-                    if n > 1:
-                        # a slice cut short by the word's end is no key
-                        terms = terms.get(syms[i:i + n])
-                        if not terms:
-                            continue
-                    head, tail = syms[:i], syms[i + n:]
-                    for tsyms, even_c, odd_c in terms:
-                        new = word_label(head + tsyms + tail)
-                        got = inside(new)
-                        if got != want:
-                            if got is None:
+    def splice(words, want: int, inside) -> dict:
+        images: dict = {}
+        for label in words:
+            syms = word_syms(label)
+            img: dict = {}
+            odd = 0
+            for i, sym in enumerate(syms):
+                flip, found = letters[sym]
+                if found:
+                    for n, terms in found:
+                        if n > 1:
+                            # a slice cut short by the word's end is no key
+                            terms = terms.get(syms[i:i + n])
+                            if not terms:
                                 continue
-                            raise not_homogeneous(label, new, got, want)
-                        s = add(img.get(new, zero), odd_c if odd else even_c)
-                        if is_zero(s):
-                            img.pop(new, None)
-                        else:
-                            img[new] = s
-            odd ^= flip
-        return img
+                        head, tail = syms[:i], syms[i + n:]
+                        for tsyms, even_c, odd_c in terms:
+                            new = word_label(head + tsyms + tail)
+                            got = inside(new)
+                            if got != want:
+                                if got is None:
+                                    continue
+                                raise not_homogeneous(label, new, got, want)
+                            s = add(img.get(new, zero),
+                                    odd_c if odd else even_c)
+                            if is_zero(s):
+                                img.pop(new, None)
+                            else:
+                                img[new] = s
+                odd ^= flip
+            if img:
+                images[label] = img
+        return images
 
     return splice
 
@@ -516,22 +521,17 @@ def splice_map(space: GradedSpace, generators: list[tuple], chunks: dict,
 
     `chunks` maps each chunk, a tuple of n ≥ 1 letters, to its image, a
     vector over word labels.  Components outside the window are dropped.
-    The loop runs the one-word splice of `_splicer` over the basis: each
-    column is summed in place, in (i, n) order, and the one lookup of each
-    spliced word also checks its degree.  A space whose chunks have no
-    nonzero image gets the zero map, unlisted.
+    The splice of `_splicer` runs over the basis, one degree at a time:
+    each column is summed in place, in (i, n) order, and the one lookup of
+    each spliced word also checks its degree.  When no chunk has a nonzero
+    image, the map is zero and the space is not listed.
     """
     D = GradedMap(space, space, degree)
     splice = _splicer(space.field, generators, chunks, degree)
-    if splice is None:
-        return D
-    inside = space._degree_lookup()
-    for m in space.degrees():
-        want = m + degree
-        for label in space.basis(m):
-            img = splice(label, want, inside)
-            if img:
-                D.columns[label] = img
+    if splice is not None:
+        inside = space._degree_lookup()
+        for m in space.degrees():
+            D.columns.update(splice(space.basis(m), m + degree, inside))
     return D
 
 
@@ -1048,17 +1048,19 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
         for rel, rel_deg in usable_relations:
             if max(len(word_syms(w)) for w in rel) + raises > cap:
                 continue   # not checkable in this window
+            images = splice(rel, rel_deg - 1, inside)
             image: dict = {}
             for w, c in rel.items():
-                vaddmul_into(field, image, c, splice(w, rel_deg - 1, inside))
+                vaddmul_into(field, image, c, images.get(w, {}))
             image = reduce(image)
             if image:
                 raise InconsistentDifferential(
                     f"d does not preserve the ideal: d(relation) ≡ "
                     f"{space.render(image)}")
         for n, words in normal.items():
+            images = splice(words, n - 1, inside)
             for w in words:
-                D.set(w, space.project(reduce(splice(w, n - 1, inside))))
+                D.set(w, space.project(reduce(images.get(w, {}))))
 
     one = field.one()
 

@@ -102,9 +102,9 @@ def test_rewriting_lists_no_free_word_and_splices_only_the_words_it_reads(
     def splicer(*args):
         splice = make_splicer(*args)
 
-        def recorded(label, want, inside):
-            spliced.append(label)
-            return splice(label, want, inside)
+        def recorded(words, want, inside):
+            spliced.extend(words)
+            return splice(words, want, inside)
 
         return None if splice is None else recorded
 
