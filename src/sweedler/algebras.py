@@ -323,7 +323,7 @@ class WordSpace(GradedSpace):
         self._by_degree: dict[int, list] | None = None
         self._degree_of: dict | None = None
         if len(degree_of) < len(generators):
-            self._list()        # it raises at the first word spelled twice
+            self._list()    # raises at the first window word spelled twice
 
     def _list(self) -> dict[int, list]:
         """The degree lists, listing the words on first call."""

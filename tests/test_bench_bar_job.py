@@ -121,7 +121,8 @@ def test_rewriting_lists_no_free_word_and_splices_only_the_words_it_reads(
                   lambda: workloads.build_algebra(
                       QQ, workloads.shape_spec(shape), 0,
                       workloads.BAR_TRUNC)):
-        listed.clear(), spliced.clear(), built.clear()
+        for log in (listed, spliced, built):
+            log.clear()
         A = build()
         (P,) = built
         assert listed == []
