@@ -4,10 +4,13 @@ An algebra carrier is a GradedSpace; the product is kept as a pair-product
 on basis labels (bilinear extension), so quotients, convolution algebras and
 tensor products share one interface.  Products that would overflow the word
 cap return zero and mark the target degree truncation-affected.  A free
-word space counts its words per (degree, length) when it is built and
-lists them only when asked (`WordSpace`).  The derivations of T(X) and the
-coderivations of T^c(X) share one word-splicing loop, `splice_map`, whose
-splice `normal_forms` also runs, on the words it reads.
+word space counts its words per (degree, length) when it is built, lists
+them by degree only when asked, and builds its word -> degree map only for
+a caller that looks words up (`WordSpace`).  The derivations of T(X) and
+the coderivations of T^c(X) share one word-splicing loop, `splice_map`,
+whose splice `normal_forms` also runs, on the words it reads.  The splice
+places each spliced word by the length change and degree shift of the
+chunk term it comes from, so it looks no word up.
 
 Quotients by two-sided ideals are computed degreewise: the ideal slice of
 a degree is spanned by the u·r·v of level |u| + maxlen(r) + |v| ≤ cap, and
@@ -289,10 +292,15 @@ class WordSpace(GradedSpace):
     the lexicographic order of the generator list.  The words of length L
     and their degrees come from the listed words of length L-1; a prefix is
     listed only when some completion within the cap lands in the window.
-    Each length's window words go into the degree lists and the degree map
-    in one pass, and after listing every lookup reads the degree map.  A
+    Listing fills only the degree lists.  The word -> degree map is built
+    from them on the first `_degree_lookup` (tensor spaces and
+    `GradedMap.set` call it) or the first question about a word once the
+    space is listed; from then on membership, degree and weight read it,
+    and before, the letters, with the same answers.  The splice of
+    `splice_map` reads the letter table and asks no question.  A
     generator name given twice spells words twice, so such a space is
-    listed when it is built, and raises there.
+    listed when it is built, and raises there at the first window word
+    spelled twice.
     """
 
     def __init__(self, field: Field, generators: list[tuple],
@@ -319,7 +327,7 @@ class WordSpace(GradedSpace):
         # degree -> number of its words of length at most L, for L = 0..cap
         self._upto = {n: list(accumulate(by_length[n]))
                       for n in sorted(by_length)}
-        # degree -> its words, and word -> degree, once listed
+        # degree -> its words, once listed; word -> degree, once asked for
         self._by_degree: dict[int, list] | None = None
         self._degree_of: dict | None = None
         if len(degree_of) < len(generators):
@@ -332,32 +340,29 @@ class WordSpace(GradedSpace):
         letters, counts = self._letters, self._counts
         cap, dmin, dmax = (self.window.weight_cap, self.window.degree_min,
                            self.window.degree_max)
+        repeated = len(self._letter_degree) < len(letters)
         lists = {n: [] for n in self._upto}
-        where: dict = {}
         if 0 in lists:
             lists[0].append(UNIT_WORD)
-            where[UNIT_WORD] = 0
         level = [((), 0)]
         for length in range(1, cap + 1):
             live = counts[length]
+            if repeated:
+                self._raise_duplicate(level, letters, live)
             words = ((syms + (g,), n + dg) for syms, n in level
                      for g, dg in letters if n + dg in live)
             if length < cap:    # words of length cap are not extended
                 words = list(words)
             for syms, n in words:
                 if dmin <= n <= dmax:
-                    label = ("w", syms)
-                    lists[n].append(label)
-                    where[label] = n
-            if len(where) < sum(upto[length] for upto in self._upto.values()):
-                self._raise_duplicate(level, letters, live)
+                    lists[n].append(("w", syms))
             level = words
-        self._by_degree, self._degree_of = lists, where
+        self._by_degree = lists
         return lists
 
     def _raise_duplicate(self, level, letters, live):
-        """Raise at the first window word of this length listed twice: a
-        generator name given twice spells the same words twice."""
+        """Raise at the first window word of the next length spelled twice:
+        a generator name given twice spells the same words twice."""
         seen = set()
         window = self.window
         for syms, n in level:
@@ -371,7 +376,11 @@ class WordSpace(GradedSpace):
 
     def _degree(self, label) -> int | None:
         """Degree of a member label, None for anything else; from the
-        degree map once listed, from the letters before."""
+        degree map once built, from the letters before.  A listed space
+        builds the map at its first question: a caller that lists the
+        words and then asks about them asks about many."""
+        if self._degree_of is None and self._by_degree is not None:
+            self._degree_lookup()
         if self._degree_of is not None:
             return self._degree_of.get(label)
         if type(label) is not tuple or len(label) != 2 or label[0] != "w" \
@@ -405,8 +414,11 @@ class WordSpace(GradedSpace):
         return self._degree(label) is not None
 
     def _degree_lookup(self):
-        # the splice and tensor loops call it per term: the map's own get
-        self._list()
+        # tensor spaces and GradedMap.set call it per term: the map's own
+        # get, the map built from the degree lists on first call
+        if self._degree_of is None:
+            self._degree_of = {w: n for n, words in self._list().items()
+                               for w in words}
         return self._degree_of.get
 
     def degree_of(self, label) -> int:
@@ -446,40 +458,68 @@ def free_word_space(field: Field, generators: list[tuple],
     return space
 
 
-def _splicer(field: Field, generators: list[tuple], chunks: dict,
+def _splicer(space: WordSpace, generators: list[tuple], chunks: dict,
              degree: int):
-    """The splice of `splice_map`, from its chunk tables: splice(words,
-    want, inside) maps each of `words` whose image is nonzero to that
-    image, in the order of `words`; each term must have degree `want`, and
-    `inside` gives a term's degree, None for a term outside the window,
-    which is dropped.  None when no chunk has a nonzero image."""
-    add, is_zero, zero = field.add, field.is_zero, field.zero()
-    one, minus = field.one(), field.sign(1)
+    """The splice of `splice_map`, from its chunk tables: splice(words, m)
+    maps each of `words`, words of `space` of degree m, whose image is
+    nonzero to that image, in the order of `words`.  None when no chunk has
+    a nonzero image.
+
+    A spliced word's place follows from its letters, so no spliced word is
+    looked up.  Each chunk term keeps its length change and its degree
+    shift, the letter degrees of the term minus those of the chunk, read
+    from the letter table of `space`; a term with a letter that is no
+    generator is dropped here.  From a word w of degree m a term lands in
+    the window when |w| + length change ≤ cap and m + shift lies in the
+    window, and it must then have shift = `degree`.
+    """
+    field, trunc = space.field, space.window
+    letter_degree = space._letter_degree
+    cap, dmin, dmax = trunc.weight_cap, trunc.degree_min, trunc.degree_max
+    one, minus, p = field.one(), field.sign(1), field.p
     # each letter -> {n: what it starts}: for n = 1 its own image terms, for
     # n > 1 the table of the chunks of length n, so a letter that is itself a
     # tuple never meets a chunk equal to it; each term nonzero in the field,
-    # with c and -c
+    # as (letters, c, -c, length change, degree shift)
     tables: dict = {}
     starts: dict = {}
+    shifts: set = set()
     for chunk, v in chunks.items():
-        terms = [(word_syms(t), c, field.mul(minus, c))
-                 for t, c in vaddmul(field, {}, one, v).items()]
+        if not all(x in letter_degree for x in chunk):
+            continue        # no word of the space holds it
+        n = len(chunk)
+        base = sum(letter_degree[x] for x in chunk)
+        terms = []
+        for t, c in vaddmul(field, {}, one, v).items():
+            tsyms = word_syms(t)
+            if all(x in letter_degree for x in tsyms):
+                shift = sum(letter_degree[x] for x in tsyms) - base
+                shifts.add(shift)
+                terms.append((tsyms, c, field.mul(minus, c),
+                              len(tsyms) - n, shift))
         if terms:
-            n = len(chunk)
             table = tables.setdefault(n, {})
             table[chunk] = terms
             starts.setdefault(chunk[0], {})[n] = terms if n == 1 else table
     if not starts:
         return None
+    heads = frozenset(starts)
     # each generator x -> (the Koszul sign's flip past x, degree·|x| mod 2;
     # what x starts, by increasing n)
     letters = {g: (degree * d % 2, sorted(starts.get(g, {}).items()))
                for g, d in generators}
 
-    def splice(words, want: int, inside) -> dict:
+    def splice(words, m: int) -> dict:
+        want = m + degree
+        lands = {s for s in shifts if dmin <= m + s <= dmax}
         images: dict = {}
+        if not lands:
+            return images
         for label in words:
-            syms = word_syms(label)
+            syms = label[1]
+            if heads.isdisjoint(syms):
+                continue
+            room = cap - len(syms)
             img: dict = {}
             odd = 0
             for i, sym in enumerate(syms):
@@ -492,19 +532,20 @@ def _splicer(field: Field, generators: list[tuple], chunks: dict,
                             if not terms:
                                 continue
                         head, tail = syms[:i], syms[i + n:]
-                        for tsyms, even_c, odd_c in terms:
-                            new = word_label(head + tsyms + tail)
-                            got = inside(new)
-                            if got != want:
-                                if got is None:
-                                    continue
-                                raise not_homogeneous(label, new, got, want)
-                            s = add(img.get(new, zero),
-                                    odd_c if odd else even_c)
-                            if is_zero(s):
-                                img.pop(new, None)
-                            else:
+                        for tsyms, even_c, odd_c, grow, shift in terms:
+                            if grow > room or shift not in lands:
+                                continue
+                            new = ("w", head + tsyms + tail)
+                            if shift != degree:
+                                raise not_homogeneous(label, new, m + shift,
+                                                      want)
+                            s = img.get(new, 0) + (odd_c if odd else even_c)
+                            if p is not None:
+                                s %= p
+                            if s:
                                 img[new] = s
+                            else:
+                                del img[new]
                 odd ^= flip
             if img:
                 images[label] = img
@@ -513,25 +554,26 @@ def _splicer(field: Field, generators: list[tuple], chunks: dict,
     return splice
 
 
-def splice_map(space: GradedSpace, generators: list[tuple], chunks: dict,
+def splice_map(space: WordSpace, generators: list[tuple], chunks: dict,
                degree: int) -> GradedMap:
     """The map of `degree` on a word space that replaces each chunk of a word
     by its image: x1⊗…⊗xk ↦ Σ_{i,n} (-1)^{degree·(|x1|+…+|xi|)}
     x1…xi ⊗ image(x_{i+1}…x_{i+n}) ⊗ x_{i+n+1}…xk.
 
+    `space` must be a `WordSpace`: the splice reads its letter table.
     `chunks` maps each chunk, a tuple of n ≥ 1 letters, to its image, a
     vector over word labels.  Components outside the window are dropped.
     The splice of `_splicer` runs over the basis, one degree at a time:
-    each column is summed in place, in (i, n) order, and the one lookup of
-    each spliced word also checks its degree.  When no chunk has a nonzero
-    image, the map is zero and the space is not listed.
+    each column is summed in place, in (i, n) order, and each spliced
+    word's degree and window membership come from its chunk term, not from
+    a lookup.  When no chunk has a nonzero image, the map is zero and the
+    space is not listed.
     """
     D = GradedMap(space, space, degree)
-    splice = _splicer(space.field, generators, chunks, degree)
+    splice = _splicer(space, generators, chunks, degree)
     if splice is not None:
-        inside = space._degree_lookup()
         for m in space.degrees():
-            D.columns.update(splice(space.basis(m), m + degree, inside))
+            D.columns.update(splice(space.basis(m), m))
     return D
 
 
@@ -617,7 +659,8 @@ def _ideal_slices(free: GradedSpace, gen_degree: dict, relations: list
     a word, to find its id, and the elimination hashes ints.  The caller
     maps pivots and reduced vectors back to words through `labels`.
 
-    `relations` holds (relation, degree) pairs whose terms all lie in `free`.
+    `relations` holds (relation, degree) pairs whose terms all lie in `free`,
+    each coefficient reduced and nonzero (`_screen_relations`).
     The slice I_n is spanned by the set S of triples (u, r, v) with u, v
     words of `free`, |u| + |v| + maxlen(r) ≤ cap and deg(u·r·v) = n; each
     triple stands for the element u·r·v.  S is walked level by level, the
@@ -663,9 +706,7 @@ def _ideal_slices(free: GradedSpace, gen_degree: dict, relations: list
         buckets[len(s)].setdefault(degree[i], []).append(i)
     rels = []
     for rel, rel_deg in relations:
-        # the terms of r as field elements, zero terms dropped
-        terms = [(word_syms(w), c)
-                 for w, c in vaddmul(field, {}, field.one(), rel).items()]
+        terms = [(word_syms(w), c) for w, c in rel.items()]
         rels.append((terms, rel_deg, max(len(s) for s, _ in terms)))
 
     def blocks(level: int):
@@ -861,8 +902,8 @@ def _rewriting(free: WordSpace, generators: list, relations: list):
 
     rules = _groebner_rules(
         field, {code[g]: d for g, d in generators},
-        [{encode(w): c for w, c in rel.items() if not field.is_zero(c)}
-         for rel, _ in relations], trunc)
+        [{encode(w): c for w, c in rel.items()} for rel, _ in relations],
+        trunc)
     tails = {tip: tail for tip, _, tail in rules}
     # finds[k]: the search for a tip whose rule rewrites a word of length
     # cap - k, or None
@@ -945,20 +986,24 @@ def _closure(free: GradedSpace, gen_degree: dict, relations: list):
 def _screen_relations(free: GradedSpace, gen_degree: dict, relations: list
                       ) -> tuple[list, list, bool]:
     """(usable, shapes, dropped): the (relation, degree) pairs whose terms
-    all lie in `free`; the (degree, maxlen) of every nonempty relation,
-    maxlen over its nonzero terms; and whether a relation of a window
-    degree was dropped because some term lies past the cap."""
+    all lie in `free`; the (degree, maxlen) of every nonempty relation; and
+    whether a relation of a window degree was dropped because some term
+    lies past the cap.  Each coefficient is first reduced into the field
+    and the terms that vanish there are dropped, so both ways to the ideal
+    read the same relation; one with no term left is dropped like an empty
+    one."""
     field, trunc = free.field, free.window
     usable, shapes, dropped = [], [], False
     for rel in relations:
+        rel = {w: r for w, c in rel.items()
+               if not field.is_zero(r := field.of(c))}
         if not rel:
             continue
         degs = {sum(gen_degree[s] for s in word_syms(w)) for w in rel}
         if len(degs) != 1:
             raise AlgebraError("relation not degree-homogeneous")
         rel_deg = degs.pop()
-        shapes.append((rel_deg, max((len(word_syms(w)) for w, c in rel.items()
-                                     if not field.is_zero(c)), default=0)))
+        shapes.append((rel_deg, max(len(word_syms(w)) for w in rel)))
         if all(w in free for w in rel):
             usable.append((rel, rel_deg))
         elif trunc.contains(rel_deg):
@@ -1035,7 +1080,7 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
     # the ideal) and the quotient words (to induce d), never on the rest
     D = GradedMap(space, space, -1)
     raises = _length_raise(P.d_gen)
-    splice = _splicer(field, P.generators,
+    splice = _splicer(free, P.generators,
                       {(g,): v for g, v in P.d_gen.items()}, -1)
     if splice is not None:
         if any(all(s in gen_degree for s in word_syms(t))
@@ -1044,11 +1089,10 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
             # a term of the wrong degree raises at the free word where the
             # extension over every free word meets it first, if anywhere
             extend_derivation(P.generators, P.d_gen, free, -1)
-        inside = free._degree
         for rel, rel_deg in usable_relations:
             if max(len(word_syms(w)) for w in rel) + raises > cap:
                 continue   # not checkable in this window
-            images = splice(rel, rel_deg - 1, inside)
+            images = splice(rel, rel_deg)
             image: dict = {}
             for w, c in rel.items():
                 vaddmul_into(field, image, c, images.get(w, {}))
@@ -1058,7 +1102,7 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
                     f"d does not preserve the ideal: d(relation) ≡ "
                     f"{space.render(image)}")
         for n, words in normal.items():
-            images = splice(words, n - 1, inside)
+            images = splice(words, n)
             for w in words:
                 D.set(w, space.project(reduce(images.get(w, {}))))
 

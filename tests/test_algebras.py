@@ -859,3 +859,28 @@ def test_a_relation_outside_the_window_still_kills_its_multiples():
     A = normal_forms(_narrow_window_presentation())
     for syms in (("y", "x", "x"), ("x", "y", "x"), ("x", "x", "y")):
         assert word_label(syms) not in A.space
+
+
+@pytest.mark.parametrize("cuts", [True, False], ids=["rewriting", "closure"])
+def test_a_coefficient_that_vanishes_in_the_field_imposes_nothing(
+        monkeypatch, cuts):
+    # 2·x⊗x is zero over F2 and 3·x⊗x over F3; each path must read the
+    # relation reduced into the field, with its vanishing terms dropped
+    monkeypatch.setattr(algebras, "_cuts_no_multiplier",
+                        lambda *args: cuts)
+    tr = Truncation(0, 4, 3)
+    xx, xy = word_label(("x", "x")), word_label(("x", "y"))
+    for field, gens, rels, want in (
+            (Field(2), [("x", 1)], [{xx: 2}], []),
+            (Field(2), [("x", 1), ("y", -1)], [{xx: 2}], []),
+            (Field(3), [("x", 1), ("y", 1)], [{xx: 3, xy: 1}], [{xy: 1}]),
+            (Field(3), [("x", 1), ("y", -1)], [{xx: 6}, {xy: 4}],
+             [{xy: 1}])):
+        A = normal_forms(PresentedAlgebra(field, gens, rels, {}, tr))
+        B = normal_forms(PresentedAlgebra(field, gens, want, {}, tr))
+        assert A.space.dims() == B.space.dims()
+        assert A.space.labels() == B.space.labels()
+        assert A.space.inexact_degrees() == B.space.inexact_degrees()
+    assert normal_forms(PresentedAlgebra(
+        Field(2), [("x", 1)], [{xx: 2}], {}, tr)).space.dims() == {
+            0: 1, 1: 1, 2: 1, 3: 1}

@@ -29,7 +29,7 @@ import pytest
 from sweedler.scalars import QQ, Field
 from sweedler.graded import (Truncation, GradedSpace, GradedMap, GradedError,
                              EnumerationTooLarge, tensor_label, tensor_space,
-                             koszul_sign_exponent, suspend)
+                             koszul_sign_exponent, suspend, not_homogeneous)
 from sweedler.complexes import DgSpace, SquareZeroReport, check_square_zero
 from sweedler.algebras import (word_label, word_syms, free_word_space,
                                extend_derivation, tensor_algebra,
@@ -920,7 +920,15 @@ def test_word_space_answers_from_its_counts_before_listing(listings):
         assert listings == []
         assert space.labels() == ref.labels()
         assert len(listings) == 1
-        assert counted_view(space, candidates) == before == \
+        # listing fills the degree lists only; the word -> degree map is
+        # built from them at the first question after listing
+        assert space._degree_of is None
+        listed = counted_view(space, candidates)
+        assert space._degree_of is not None
+        lookup = space._degree_lookup()
+        assert [lookup(w) for w in candidates] == \
+            [ref.degree_of(w) if w in ref else None for w in candidates]
+        assert counted_view(space, candidates) == listed == before == \
             counted_view(ref, candidates)
         seen["listed"] += bool(ref.labels())
         seen["outside"] += any(w not in ref for w in wide.labels())
@@ -1051,3 +1059,161 @@ def test_one_lookup_writes_refuse_non_homogeneous_images():
                      twice)
             assert str(exc.value) == (
                 "image of x not homogeneous: (x)⊗(x) has degree 2, want 1")
+
+
+# -- the splice at the window's edges -----------------------------------------
+#
+# The splice decides where a spliced word lands from its chunk term's length
+# change and degree shift, without looking the word up.  These inputs reach
+# every edge of that rule, against the set loops above, which look up each
+# spliced word.  The set loops leave the degree check to `GradedMap.set`,
+# on the summed column, so they miss a wrong-degree term that cancels in
+# its column (2·t over F2); the splice refuses each such term as it meets
+# it, so its error is the first that `first_wrong_term` finds.
+
+EDGE_FIELDS = (QQ, Field(2), Field(3))
+
+
+def splice_or_error(make, *args):
+    """The columns of a splice, or the text of the GradedError it raises."""
+    try:
+        return columns(make(*args))
+    except GradedError as exc:
+        return str(exc)
+
+
+def random_edge_window(rng):
+    """A window with or without 0, with a cap of 1-4."""
+    if rng.random() < 0.3:
+        lo = rng.randint(1, 3)
+        dmin, dmax = rng.choice([(lo, lo + rng.randint(0, 3)),
+                                 (-lo - rng.randint(0, 3), -lo)])
+    else:
+        dmin, dmax = rng.randint(-4, 0), rng.randint(0, 4)
+    return Truncation(dmin, dmax, rng.randint(1, 4))
+
+
+def random_edge_syms(rng, names, max_len):
+    """A random letter tuple of length 0..max_len, now and then holding the
+    letter q, which is no generator."""
+    return tuple(rng.choice(names + ["q"] if rng.random() < 0.15 else names)
+                 for _ in range(rng.randint(0, max_len)))
+
+
+def first_wrong_term(space, chunks: dict, degree):
+    """The error text for the first term of the wrong degree that lands in
+    the window, in the splice's order: words in label order, then chunk
+    start, chunk length and term; None when there is none.  `chunks` maps
+    letter tuples to vectors over word labels."""
+    field = space.field
+    lengths = sorted({len(chunk) for chunk in chunks})
+    for label in space.labels():
+        syms = word_syms(label)
+        want = space.degree_of(label) + degree
+        for i in range(len(syms)):
+            for n in lengths:
+                if i + n > len(syms):
+                    break
+                for t, c in chunks.get(syms[i:i + n], {}).items():
+                    if field.is_zero(field.mul(field.one(), c)):
+                        continue
+                    new = word_label(syms[:i] + word_syms(t) + syms[i + n:])
+                    if new in space and space.degree_of(new) != want:
+                        return str(not_homogeneous(
+                            label, new, space.degree_of(new), want))
+    return None
+
+
+def edge_landings(space, degree_of: dict, chunks: dict, degree) -> dict:
+    """Over every word w of `space` and every nonzero term of `chunks`
+    (letter tuples to vectors over word labels) whose letters are
+    generators and whose chunk w holds, where the spliced word lands when
+    it fits under the cap: in the window with the right degree, in it with
+    a wrong one, or outside by a wrong degree."""
+    field, cap = space.field, space.window.weight_cap
+    seen = {"right": 0, "wrong inside": 0, "wrong outside": 0}
+    for m in space.degrees():
+        for w in space.basis(m):
+            syms = word_syms(w)
+            for chunk, vec in chunks.items():
+                n = len(chunk)
+                if not any(syms[i:i + n] == chunk
+                           for i in range(len(syms) - n + 1)):
+                    continue
+                for t, c in vec.items():
+                    tsyms = word_syms(t)
+                    if field.is_zero(field.of(c)) or len(tsyms) - n + \
+                            len(syms) > cap or not all(
+                                s in degree_of for s in tsyms):
+                        continue
+                    shift = sum(degree_of[s] for s in tsyms) - sum(
+                        degree_of[s] for s in chunk)
+                    if not space.window.contains(m + shift):
+                        seen["wrong outside"] += shift != degree
+                    elif shift == degree:
+                        seen["right"] += 1
+                    else:
+                        seen["wrong inside"] += 1
+    return seen
+
+
+def test_splice_matches_the_set_loops_at_the_window_edges():
+    rng = random.Random(61)
+    seen = {"raised": 0, "wrong outside only": 0, "not generators": 0,
+            "empty term, 0 in window": 0, "empty term, no 0": 0,
+            "past the cap": 0, "chunk past the cap": 0, "zero coefficient": 0}
+    cancelled = 0
+    for trial in range(360):
+        field = EDGE_FIELDS[trial % 3]
+        gens = random_generators(rng, "g", (-2, -1, 0, 1, 2))
+        names = [g for g, _ in gens]
+        degree_of = dict(gens)
+        tr = random_edge_window(rng)
+        cap = tr.weight_cap
+        space = free_word_space(field, gens, tr)
+        degree = rng.choice([-2, -1, 0, 1, 2])
+
+        def term(chunk, tsyms):
+            """A random coefficient for the term tsyms of chunk, tallied."""
+            c = field.of(rng.choice([-2, -1, 1, 2, 3]))
+            seen["zero coefficient"] += field.is_zero(c)
+            seen["not generators"] += not all(s in degree_of for s in tsyms)
+            seen["past the cap"] += len(tsyms) - len(chunk) >= cap
+            if not tsyms:
+                seen["empty term, 0 in window" if tr.contains(0)
+                     else "empty term, no 0"] += 1
+            return c
+
+        # a derivation: images over random letter tuples, up to cap + 1
+        # long, the empty word and wrong degrees included; and a
+        # coderivation: chunks up to cap + 1 long, images over letters
+        phi = {g: {word_label(tsyms): term((g,), tsyms)
+                   for tsyms in (random_edge_syms(rng, names, cap + 1)
+                                 for _ in range(rng.randint(0, 4)))}
+               for g in names}
+        cophi = {}
+        for _ in range(rng.randint(1, 6)):
+            chunk = random_edge_syms(rng, names, cap + 1) or (names[0],)
+            seen["chunk past the cap"] += len(chunk) > cap
+            cophi[word_label(chunk)] = {
+                sym: term(chunk, (sym,))
+                for sym in rng.sample(names + ["q"], rng.randint(1, 2))}
+        cases = [
+            (extend_derivation, ref_set_extend_derivation,
+             (gens, phi, space, degree),
+             {(g,): v for g, v in phi.items()}),
+            (coextend_coderivation, ref_set_coextend_coderivation,
+             (space, gens, cophi, degree),
+             {word_syms(w): {word_label((sym,)): c for sym, c in v.items()}
+              for w, v in cophi.items()})]
+        for make, make_ref, args, chunks in cases:
+            new = splice_or_error(make, *args)
+            ref = splice_or_error(make_ref, *args)
+            assert new == (first_wrong_term(space, chunks, degree) or ref)
+            landed = edge_landings(space, degree_of, chunks, degree)
+            assert isinstance(new, str) == (landed["wrong inside"] > 0)
+            seen["raised"] += new == ref and isinstance(ref, str)
+            cancelled += new != ref
+            seen["wrong outside only"] += landed["wrong outside"] > 0 and \
+                not landed["wrong inside"]
+    assert min(seen.values()) >= 20 and cancelled >= 5, (seen, cancelled)

@@ -11,6 +11,9 @@ of the bar-random shapes and the sweedler-product jobs are built with
 closure cannot pass unseen.  The rewriting path of `normal_forms` is
 spied on for the words it touches: it lists no word of the free space, and
 splices d only on the quotient words and the relation terms it reads.
+Every cobar-hom-qq job builds Ω C, checks d² and takes homology without
+building the word -> degree map of any word space: the splice places each
+spliced word by its letters.
 """
 
 import importlib.util
@@ -102,9 +105,9 @@ def test_rewriting_lists_no_free_word_and_splices_only_the_words_it_reads(
     def splicer(*args):
         splice = make_splicer(*args)
 
-        def recorded(words, want, inside):
+        def recorded(words, m):
             spliced.extend(words)
-            return splice(words, want, inside)
+            return splice(words, m)
 
         return None if splice is None else recorded
 
@@ -132,3 +135,23 @@ def test_rewriting_lists_no_free_word_and_splices_only_the_words_it_reads(
         assert bool(spliced) == any(P.d_gen.values())
         assert set(spliced) <= read | set(terms)
         assert len(spliced) <= len(read) + len(terms)
+
+
+def test_cobar_jobs_build_no_word_degree_map(monkeypatch):
+    workloads = load_workloads()
+    asked = []
+    lookup = algebras.WordSpace._degree_lookup
+
+    def spy(space):
+        asked.append(space)
+        return lookup(space)
+
+    monkeypatch.setattr(algebras.WordSpace, "_degree_lookup", spy)
+    with open(workloads.EXPECTED_PATH, encoding="utf-8") as fh:
+        expected = json.load(fh)["cobar-hom-qq"]
+    for shape in workloads.COBAR_SHAPES:
+        C = workloads.build_coalgebra(QQ, workloads.shape_spec(shape), 0,
+                                      workloads.COBAR_TRUNC)
+        digest = workloads.cobar_job(C)
+        assert asked == [], workloads.shape_key(shape)
+        assert digest == expected[workloads.shape_key(shape)]
