@@ -680,9 +680,10 @@ def _ideal_slices(free: GradedSpace, gen_degree: dict, relations: list
     row-adding parent gᵢ, so it is built; hence x·p = Σ cᵢ x·gᵢ is in the
     span already.  Skip decisions at level ℓ read only levels < ℓ.  When
     mixed-sign letters take an intermediate x·uᵢ out of the window, the
-    safety test fails and the triple is built as before.  Since a fully
-    reduced echelon form depends only on the span and the pivot order, the
-    rows are those of building every triple.
+    safety test fails and the triple is built as before.  The pivots and
+    the residue of a vector depend only on the span and the pivot order,
+    so they are those of building every triple; the echelon rows
+    themselves may differ, and nothing reads them.
     """
     field = free.field
     trunc = free.window
@@ -1014,6 +1015,26 @@ def _screen_relations(free: GradedSpace, gen_degree: dict, relations: list
     return usable, shapes, dropped
 
 
+def _check_letters(P: PresentedAlgebra) -> None:
+    """Raise AlgebraError at the first letter of a relation, or of d on a
+    generator, that is no generator of P, naming the letter and where it
+    appeared: relations count from 1, in the order given.  d given on a
+    letter that is no generator raises too."""
+    gens = {g for g, _ in P.generators}
+    for g in P.d_gen:
+        if g not in gens:
+            raise AlgebraError(f"d is given on {g!r}, which is no generator")
+    places = [(f"relation {i}", rel)
+              for i, rel in enumerate(P.relations, start=1)]
+    places += [(f"d({g})", vec) for g, vec in P.d_gen.items()]
+    for place, vec in places:
+        for w in vec:
+            for s in word_syms(w):
+                if s not in gens:
+                    raise AlgebraError(
+                        f"{place} uses {s!r}, which is no generator")
+
+
 def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
     """Quotient of the free algebra by the two-sided ideal of the relations.
 
@@ -1034,8 +1055,10 @@ def normal_forms(P: PresentedAlgebra) -> DgAlgebra:
     induced product and differential are re-normalized.  d is spliced only
     on the words it is read on: the terms of the relations, to check that
     it preserves the ideal (InconsistentDifferential if not, rendered in
-    the quotient basis), and the quotient words.
+    the quotient basis), and the quotient words.  A letter of a relation or
+    of d that is no generator raises AlgebraError first (`_check_letters`).
     """
+    _check_letters(P)
     field = P.field
     free = free_word_space(field, P.generators, P.trunc)
     cap = P.trunc.weight_cap

@@ -16,20 +16,31 @@ hands back only the new row's pivot label (or None), so a vector that
 enters the span costs no label-keyed copy of its row; a caller whose
 labels are nested tuples can number them first and build the RowSpace
 over the numbers, as `algebras._ideal_slices` (the closure way of
-`normal_forms`, where the window cuts a multiplier) does.  The rows
-are kept in reduced row echelon form: each row has a leading 1 at its
-pivot and zeros at every other pivot.  Subtracting a row therefore never
-brings a pivot coordinate back, and a vector is reduced by one sweep over
-its pivot coordinates in pivot order.  A column index maps each non-pivot
-id to the pivots of the rows that hold it, so inserting a row
-back-eliminates its pivot from exactly the rows that hold that column,
-editing them in place.  Kernels and membership combinations are tracked
-by extra tracking columns, one per source vector, whose ids follow every
-ambient id so they are never pivots; the tracked combination of a reduced
-vector is its tracking part.
+`normal_forms`, where the window cuts a multiplier) does.
+
+The rows are kept in row echelon form, not reduced: each row has a
+leading 1 at its pivot, its least id, and every other id it holds is
+larger.  A vector is reduced by clearing its pivot coordinates least
+first; a subtraction may bring in a larger pivot, which is cleared in its
+turn.  Inserting a row only scales it: there is no back-elimination and
+no column index to keep.  The residue is unique all the same.  The pivots
+are distinct, so the ids that are no pivot span a complement of the span,
+and a vector has one residue there whichever echelon rows span the space.
+So `reduce`, `contains`, kernels and membership combinations give the
+values a reduced echelon form gives; only the key order of a residue
+follows the rows.  `rank` inserts its vectors through `add` as well, with
+no loop of its own, so one routine does all the elimination, and the
+benchmark's traced runs, which require `RowSpace.add` to be called, see
+the ranks of homology there.
+
+Kernels and membership combinations are tracked by extra tracking columns,
+one per source vector, whose ids follow every ambient id so they are never
+pivots; the tracked combination of a reduced vector is its tracking part.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .scalars import Field
 
@@ -75,12 +86,16 @@ def vscale(field: Field, coeff, v: dict) -> dict:
 
 
 class RowSpace:
-    """Incrementally built reduced row echelon span of sparse vectors.
+    """Incrementally built row echelon span of sparse vectors.
 
     `order` maps each ambient basis label to its id, which is also its
     pivot priority (lower wins).  Internally rows map a pivot id to
-    {id: coefficient} and the column index maps a non-pivot id to the set
-    of pivot ids whose rows hold it.  `rows`, `cols` and `pivots()` are
+    {id: coefficient}: the row has a 1 at its pivot, its least id, and
+    every other id it holds is larger.  The rows are not reduced: a row
+    may hold the pivot of a later one.  They depend on the order the
+    vectors arrived in, but the pivots, the span and the residue of a
+    vector depend only on the span and the ambient order (see the module
+    docstring); ranks, too, are built by `add`.  `rows` and `pivots()` are
     label-keyed views built on request; `reduce` returns a label-keyed
     snapshot of the residue, and `add` returns the pivot label of the row
     it inserted, or None when the vector reduced to zero.  A pivot label
@@ -93,8 +108,7 @@ class RowSpace:
         self.field = field
         self._labels = list(order)    # id -> label
         self.order = {label: i for i, label in enumerate(self._labels)}
-        self._rows: dict = {}         # pivot id -> reduced row (leading 1)
-        self._cols: dict = {}         # non-pivot id -> pivot ids holding it
+        self._rows: dict = {}         # pivot id -> echelon row (leading 1)
 
     @property
     def rank(self) -> int:
@@ -102,16 +116,9 @@ class RowSpace:
 
     @property
     def rows(self) -> dict:
-        """pivot label -> reduced row, over labels."""
+        """pivot label -> echelon row, over labels."""
         return {self._labels[p]: self._labels_of(row)
                 for p, row in self._rows.items()}
-
-    @property
-    def cols(self) -> dict:
-        """non-pivot label -> the pivot labels of the rows that hold it."""
-        labels = self._labels
-        return {labels[k]: {labels[q] for q in qs}
-                for k, qs in self._cols.items()}
 
     def pivots(self) -> set:
         labels = self._labels
@@ -126,41 +133,62 @@ class RowSpace:
         return {labels[k]: c for k, c in v.items()}
 
     def _reduce(self, out: dict) -> dict:
-        """Fully reduce the id vector `out` in place; returns it."""
-        field, rows = self.field, self._rows
-        for p in sorted([k for k in out if k in rows]):
-            vaddmul_into(field, out, field.neg(out[p]), rows[p])
+        """Clear every pivot coordinate of the id vector `out` in place,
+        least pivot first; returns it.
+
+        A heap holds the pivots met so far.  Subtracting row q brings in
+        only ids larger than q, so each pivot is cleared at most once, and
+        a pivot that a subtraction brings in joins the heap as it appears.
+        The subtraction is `vaddmul_into`'s loop with that test added where
+        a coordinate appears, so the row is walked once."""
+        rows = self._rows
+        heap = [k for k in out if k in rows]
+        if not heap:
+            return out
+        heapify(heap)
+        get, p = out.get, self.field.p
+        while heap:
+            q = heappop(heap)
+            c = get(q)
+            if c is None:           # cancelled by an earlier subtraction
+                continue
+            c = -c if p is None else -c % p
+            if not c:               # an F_p entry that is 0 mod p
+                del out[q]
+                continue
+            for k, a in rows[q].items():
+                s = get(k)
+                if s is None:
+                    out[k] = c * a if p is None else c * a % p
+                    if k in rows:
+                        heappush(heap, k)
+                    continue
+                s += c * a
+                if p is not None:
+                    s %= p
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
         return out
 
     def _insert(self, red: dict) -> int:
-        """Insert the nonzero reduced id vector `red`: scale its pivot to 1
-        and back-eliminate that pivot, in place, from the rows that hold
-        it.  `red` becomes the new row; returns its pivot id."""
-        field, rows, cols = self.field, self._rows, self._cols
+        """Scale the nonzero reduced id vector `red` to a leading 1 at its
+        pivot, its least id, and store it as a row; returns that id."""
+        field = self.field
         piv = min(red)
-        inv = field.inv(red[piv])
-        # over Q a product with 1 is the value itself; over F_p it also
+        c = red[piv]
+        # over Q a row led by 1 is kept as it is; over F_p scaling also
         # reduces mod p, so it is never skipped there
-        if field.p is not None or not field.is_one(inv):
-            mul = field.mul
-            for k, c in red.items():
-                red[k] = mul(inv, c)
-        for q in cols.pop(piv, ()):
-            row = rows[q]
-            vaddmul_into(field, row, field.neg(row[piv]), red)
-            for k in red:
-                if k in row:
-                    cols.setdefault(k, set()).add(q)
-                elif k in cols:
-                    cols[k].discard(q)
-        for k in red:
-            if k != piv:
-                cols.setdefault(k, set()).add(piv)
-        rows[piv] = red
+        if field.p is not None or c != 1:
+            inv, mul = field.inv(c), field.mul
+            for k, a in red.items():
+                red[k] = mul(inv, a)
+        self._rows[piv] = red
         return piv
 
     def reduce(self, v: dict) -> dict:
-        """Fully reduce v against the span; the residue has no pivot coords."""
+        """Reduce v against the span; the residue has no pivot coords."""
         return self._labels_of(self._reduce(self._ids_of(v)))
 
     def add(self, v: dict):
@@ -176,10 +204,11 @@ class RowSpace:
 
 
 def rank(field: Field, vectors, ambient_order: list) -> int:
+    """The rank of the nonzero vectors, added one by one through `add`."""
     rs = RowSpace(field, ambient_order)
-    for v in vectors:
-        if v:
-            rs.add(v)
+    add = rs.add
+    for v in filter(None, vectors):
+        add(v)
     return rs.rank
 
 
@@ -222,7 +251,7 @@ def kernel_basis(field: Field, columns: dict, src_order: list,
 
 def rank_of_columns(field: Field, columns: dict, src_order: list,
                     tgt_order: list) -> int:
-    return rank(field, (columns.get(s, {}) for s in src_order), tgt_order)
+    return rank(field, map(columns.get, src_order), tgt_order)
 
 
 def solve_membership(field: Field, target: dict, vectors: list[dict],

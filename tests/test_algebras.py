@@ -12,7 +12,8 @@ from sweedler.algebras import (DgAlgebra, tensor_algebra, extend_derivation,
                                free_word_space, PresentedAlgebra,
                                normal_forms, algebra_tensor, opposite,
                                omega_bimodule, word_label, word_syms,
-                               UNIT_WORD, InconsistentDifferential)
+                               UNIT_WORD, InconsistentDifferential,
+                               AlgebraError)
 from sweedler.presets import load_preset
 
 TR = Truncation(-6, 6, 6)
@@ -361,17 +362,18 @@ def test_leibniz_and_d_squared_on_constructed_algebras():
 # words and before it built the ideal slices by one-letter closure: every
 # pair (u, v) of free words is tested against the word cap, every u·r·v in
 # the window is reduced, each element grows by one vaddmul copy per term,
-# each insertion scans every row, and the derivation is extended by vaddmul
-# copies.  The library must give the same pivot → row mapping per degree
-# (the key order of a row depends on the order the rows arrived in), the
-# same quotient basis, and the same product table and differential, whose
+# each reduction scans the whole vector for its least pivot after every
+# step, and the derivation is extended by vaddmul copies.  The library must
+# give the same span per degree (compared through its reduced echelon rows,
+# since echelon rows depend on the order the vectors arrived in), the same
+# quotient basis, and the same product table and differential, whose
 # vectors list their words in the quotient basis order.
 
 
 class _ScanRowSpace:
-    """A label-keyed span on its own: reduce sweeps the vector's pivots in
-    pivot order, add scans every row and copies each one it edits;
-    `adds` counts the calls of add."""
+    """A label-keyed echelon span on its own: reduce scans the vector for
+    its least pivot, clears it and scans again; add scales the residue to
+    a leading 1 and stores it; `adds` counts the calls of add."""
 
     def __init__(self, field, order):
         self.field = field
@@ -381,8 +383,8 @@ class _ScanRowSpace:
 
     def reduce(self, v):
         field, out = self.field, dict(v)
-        for p in sorted([k for k in v if k in self.rows],
-                        key=self.order.__getitem__):
+        while pivots := [k for k in out if k in self.rows]:
+            p = min(pivots, key=self.order.__getitem__)
             out = vaddmul(field, out, field.neg(out[p]), self.rows[p])
         return out
 
@@ -393,12 +395,18 @@ class _ScanRowSpace:
             return None
         field = self.field
         piv = min(red, key=self.order.__getitem__)
-        red = vscale(field, field.inv(red[piv]), red)
-        for k, row in list(self.rows.items()):
-            if piv in row:
-                self.rows[k] = vaddmul(field, row, field.neg(row[piv]), red)
-        self.rows[piv] = red
-        return red
+        self.rows[piv] = vscale(field, field.inv(red[piv]), red)
+        return piv
+
+
+def _reduced_rows(space):
+    """The reduced echelon rows of a span, from its echelon rows and its
+    own reduce: the pivot p's row is p plus the residue of the rest of its
+    echelon row, which lies in the span and clears every other pivot."""
+    field = space.field
+    return {p: {p: field.one(), **space.reduce(
+                {k: c for k, c in row.items() if k != p})}
+            for p, row in space.rows.items()}
 
 
 def _ref_extend_derivation(generators, phi, space, degree):
@@ -545,9 +553,10 @@ def _check_against_reference(P, made):
                 for p, row in rs.rows.items()]
         assert rows == [(p, list(row.items()))
                         for p, row in slice_.rows.items()]
-        # the rows arrive in another order in the reference loop, so only
-        # its rows and values are compared, not its key order
-        assert {p: dict(row) for p, row in rows} == reducers[n].rows
+        # the reference loop adds other vectors in another order, so its
+        # echelon rows differ; the span is compared through the reduced
+        # echelon rows, by values, not key order
+        assert _reduced_rows(slice_) == _reduced_rows(reducers[n])
     assert {n: A.space.basis(n) for n in A.space.degrees()} == \
         {n: ws for n, ws in basis.items() if ws}
     labels = A.space.labels()
@@ -684,9 +693,10 @@ def test_closure_needs_the_safety_rule(made, monkeypatch):
     words = free_word_space(QQ, P.generators, P.trunc).labels()
 
     def slices():
-        # the recorded slices are keyed by word ids; the reference by words
+        # the recorded slices are keyed by word ids, the reference by words
         return [({words[p]: {words[k]: c for k, c in row.items()}
-                  for p, row in rs.rows.items()}, ref[n].rows)
+                  for p, row in _reduced_rows(rs).items()},
+                 _reduced_rows(ref[n]))
                 for rs, n in zip(made, sorted(ref))]
 
     _check_against_reference(P, made)
@@ -859,6 +869,25 @@ def test_a_relation_outside_the_window_still_kills_its_multiples():
     A = normal_forms(_narrow_window_presentation())
     for syms in (("y", "x", "x"), ("x", "y", "x"), ("x", "x", "y")):
         assert word_label(syms) not in A.space
+
+
+@pytest.mark.parametrize("relations, d_gen, message", [
+    ([{word_label(("q",)): 1}], {}, "relation 1 uses 'q'"),
+    ([{word_label(("x", "x")): 1}, {word_label(("y", "q", "y")): 2}], {},
+     "relation 2 uses 'q'"),
+    ([], {"x": {word_label(("y", "q")): 1}}, "d(x) uses 'q'"),
+    ([], {"q": {word_label(("y",)): 1}}, "d is given on 'q'"),
+], ids=["relation", "second relation", "d on a generator", "d on q"])
+def test_a_letter_that_is_no_generator_raises_one_error(relations, d_gen,
+                                                        message):
+    # a letter that is no generator ends in one AlgebraError naming it and
+    # where it appeared, in a relation and in d alike: no KeyError from
+    # the relation's degree, and no d term dropped without a word
+    P = PresentedAlgebra(QQ, [("x", 1), ("y", 0)], relations, d_gen,
+                         Truncation.parse("0:4:3"))
+    with pytest.raises(AlgebraError) as err:
+        normal_forms(P)
+    assert str(err.value) == message + ", which is no generator"
 
 
 @pytest.mark.parametrize("cuts", [True, False], ids=["rewriting", "closure"])

@@ -13,7 +13,9 @@ spied on for the words it touches: it lists no word of the free space, and
 splices d only on the quotient words and the relation terms it reads.
 Every cobar-hom-qq job builds Ω C, checks d² and takes homology without
 building the word -> degree map of any word space: the splice places each
-spliced word by its letters.
+spliced word by its letters.  Homology takes its ranks through
+`RowSpace.add`, once per nonzero column of d, which is the boundary the
+traced bench run requires to be called.
 """
 
 import importlib.util
@@ -21,7 +23,8 @@ import json
 import os
 import sys
 
-from sweedler import algebras, coalgebras, sweedler_ops
+from sweedler import (algebras, barcobar, coalgebras, complexes, linalg,
+                      sweedler_ops)
 from sweedler.graded import Truncation
 from sweedler.presets import load_preset
 from sweedler.scalars import QQ
@@ -155,3 +158,30 @@ def test_cobar_jobs_build_no_word_degree_map(monkeypatch):
         digest = workloads.cobar_job(C)
         assert asked == [], workloads.shape_key(shape)
         assert digest == expected[workloads.shape_key(shape)]
+
+
+def test_homology_adds_each_nonzero_column_of_d_once(monkeypatch):
+    # the traced cobar-hom-qq run fails when RowSpace.add is never called;
+    # a rank that skipped add would fail here first
+    workloads = load_workloads()
+    shape = workloads.COBAR_SHAPES[0]
+    C = workloads.build_coalgebra(QQ, workloads.shape_spec(shape), 0,
+                                  workloads.COBAR_TRUNC)
+    dg = barcobar.cobar(C, workloads.COBAR_TRUNC).algebra.dg
+    added = []
+    add = linalg.RowSpace.add
+
+    def counted(self, v):
+        added.append(v)
+        return add(self, v)
+
+    monkeypatch.setattr(linalg.RowSpace, "add", counted)
+    H = complexes.homology(dg)
+    space, columns = dg.space, dg.d.columns
+    nonzero = [columns[w] for n in space.degrees() for w in space.basis(n)
+               if columns.get(w)]
+    assert len(added) == len(nonzero) > 900
+    assert all(got is want for got, want in zip(added, nonzero))
+    with open(workloads.EXPECTED_PATH, encoding="utf-8") as fh:
+        expected = json.load(fh)["cobar-hom-qq"][workloads.shape_key(shape)]
+    assert {str(n): e.dim for n, e in H.items()} == expected["H"]

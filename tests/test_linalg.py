@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from sweedler import linalg
 from sweedler.scalars import QQ, Field
 from sweedler.linalg import (RowSpace, rank, kernel_basis, solve_membership,
@@ -62,9 +64,11 @@ def test_rank_plus_kernel_dim_random():
 
 # -- reference elimination ------------------------------------------------------
 #
-# The tracked-reduction loop that kernel_basis, solve_membership and RowSpace
-# each ran before they shared one RowSpace sweep: sort the vector, eliminate
-# its first pivot coordinate, restart.  The library must give the same
+# A tracked-reduction loop of its own over label-keyed echelon rows: sort the
+# vector, eliminate its first pivot coordinate, restart; a new row is scaled
+# to a leading 1 and stored, and no other row changes.  So the least pivot is
+# cleared first, as in RowSpace, but found by sorting the whole vector again
+# after each step instead of by a heap.  The library must give the same
 # kernel vectors, combinations, rows and residues, dict key order included.
 
 
@@ -89,11 +93,6 @@ def _ref_insert(field, order, rows, tracked, v, combo):
     scale = field.inv(v[piv])
     v = vscale(field, scale, v)
     combo = vscale(field, scale, combo)
-    for k, row in list(rows.items()):
-        if piv in row:
-            c = field.neg(row[piv])
-            rows[k] = vaddmul(field, row, c, v)
-            tracked[k] = vaddmul(field, tracked[k], c, combo)
     rows[piv] = v
     tracked[piv] = combo
     return v
@@ -200,33 +199,49 @@ def test_elimination_matches_reference_loop():
     assert cases >= 500
 
 
-def _fresh_index(rows):
-    """Non-pivot label -> pivots of the rows that hold it, from scratch."""
-    index = {}
-    for q, row in rows.items():
-        for k in row:
-            if k not in rows:
-                index.setdefault(k, set()).add(q)
-    return index
+def _check_echelon(field, order, rows):
+    """The echelon invariant of a RowSpace's label-keyed rows: each row
+    has a 1 at its pivot, its least label in `order`, every other entry a
+    later label, and every value nonzero (over F_p, reduced mod p).
+    Returns how many entries sit at another row's pivot, which a reduced
+    echelon form would have cleared."""
+    held = 0
+    for p, row in rows.items():
+        assert min(row, key=order.__getitem__) == p
+        assert field.is_one(row[p])
+        for k, c in row.items():
+            assert not field.is_zero(c)
+            assert field.p is None or 0 <= c < field.p
+            held += k != p and k in rows
+    return held
 
 
-def test_rowspace_column_index_invariant():
+def test_rowspace_echelon_invariant():
+    # after every add the rows are in echelon form, span exactly the vectors
+    # added so far, and leave a residue with no pivot coordinate; rows keep
+    # the pivots of later rows, since nothing back-eliminates them
     rng = random.Random(1968)
-    adds = 0
+    adds = held = 0
     for field in (QQ, Field(5), Field(2)):
         for _ in range(60):
             tgt = rng.sample(TGT_POOL, rng.randint(1, len(TGT_POOL)))
             rs = RowSpace(field, tgt)
+            added = []
             for v in _random_vectors(rng, field, tgt, rng.randint(1, 8)):
-                rs.add(v)
+                was = rs.rows
+                pivot = rs.add(v)
                 adds += 1
-                # emptied index entries may linger; they hold no row
-                assert ({k: q for k, q in rs.cols.items() if q}
-                        == _fresh_index(rs.rows))
-                for p, row in rs.rows.items():
-                    assert field.is_one(row[p])
-                    assert all(k == p or k not in rs.rows for k in row)
-    assert adds >= 500
+                added.append(v)
+                rows = rs.rows
+                held += _check_echelon(field, rs.order, rows)
+                # an add stores at most one row and edits no other
+                assert {p: r for p, r in rows.items() if p != pivot} == was
+                assert (pivot is None) == (len(rows) == len(was))
+                assert rs.rank == len(rows) == rank(field, added, tgt)
+                assert all(rs.contains(u) for u in added)
+                for u in (v, *_random_vectors(rng, field, tgt, 2)):
+                    assert not set(rs.reduce(u)) & set(rows)
+    assert adds >= 500 and held >= 100
 
 
 _TAG = object()     # tag of this test's tracking-column labels (_TAG, s)
@@ -270,8 +285,7 @@ def test_rowspace_api_matches_reference_loop():
                         == [(k, _items(r)) for k, r in rows.items()])
                 assert rs.pivots() == set(rows)
                 assert rs.rank == len(rows)
-                assert ({k: q for k, q in rs.cols.items() if q}
-                        == _fresh_index(rows))
+                _check_echelon(field, order, rs.rows)
                 assert all(_items(d) == items for d, items in returned)
     assert min(ops.values()) >= 150
 
@@ -285,7 +299,12 @@ def test_add_returns_a_falsy_pivot_label():
     assert rs.add({2: QQ.of(3), 1: QQ.of(1)}) == 1
     assert rs.add({0: QQ.of(1), 2: QQ.of(1)}) == 2
     assert rs.rank == 3 and rs.pivots() == {0, 1, 2}
-    assert rs.rows == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+    # echelon rows, in the key order the elimination wrote: row 0 keeps
+    # the pivot 1, and the last add cleared the pivot 1 that subtracting
+    # row 0 brought in
+    assert ({p: list(row.items()) for p, row in rs.rows.items()}
+            == {0: [(1, Fraction(1, 2)), (0, 1)], 1: [(2, 3), (1, 1)],
+                2: [(2, 1)]})
 
     rs = RowSpace(Field(5), [2, 0, 1])
     assert rs.add({0: 3, 1: 1}) == 0
@@ -294,7 +313,150 @@ def test_add_returns_a_falsy_pivot_label():
     assert rs.pivots() == {2, 0}
     assert list(rs.rows) == [0, 2]
     assert rs.rows[0] == {0: 1, 1: 2}          # 3·0 + 1 scaled by 1/3 = 2
+    assert rs.rows[2] == {1: 4, 2: 1}
     assert not rs.contains({1: 1})
+
+    # over F_p a row led by 1 is scaled all the same, which reduces the
+    # entries of an input not reduced mod p
+    rs = RowSpace(Field(5), ["a", "b", "c"])
+    assert rs.add({"a": 1, "b": -1, "c": 6}) == "a"
+    assert list(rs.rows["a"].items()) == [("a", 1), ("b", 4), ("c", 1)]
+    # an entry that vanishes mod p at a pivot is cleared and brings in no
+    # zero entries from that row
+    assert rs.reduce({"a": 5, "c": 2}) == {"c": 2}
+
+
+# -- dense Gaussian elimination ---------------------------------------------------
+#
+# Independent of RowSpace: dense lists, Gauss-Jordan to the reduced row
+# echelon form, and a linear system solved on its equations.  Over F_p the
+# inputs hold entries not reduced mod p (-1, p + 1), so every row RowSpace
+# stores must have been scaled even when it is led by 1.
+
+
+def _rref(field, matrix):
+    """(pivot columns, rows) of the reduced row echelon form of the dense
+    rows `matrix`, each entry reduced by `field.of`."""
+    rows = [[field.of(c) for c in row] for row in matrix]
+    pivots, r = [], 0
+    for col in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(r, len(rows))
+                  if not field.is_zero(rows[i][col])), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = field.inv(rows[r][col])
+        rows[r] = [field.mul(inv, c) for c in rows[r]]
+        for j, row in enumerate(rows):
+            if j != r and not field.is_zero(row[col]):
+                f = row[col]
+                rows[j] = [field.sub(c, field.mul(f, e))
+                           for c, e in zip(row, rows[r])]
+        pivots.append(col)
+        r += 1
+    return pivots, rows[:r]
+
+
+def _dense_residue(field, order, pivots, rows, v):
+    """v minus, for each pivot column, its entry there times that row."""
+    dense = [field.of(v.get(lab, 0)) for lab in order]
+    for col, row in zip(pivots, rows):
+        f = dense[col]
+        dense = [field.sub(c, field.mul(f, e)) for c, e in zip(dense, row)]
+    return {lab: c for lab, c in zip(order, dense) if not field.is_zero(c)}
+
+
+def _dense_solve(field, order, vectors, target):
+    """The coefficients x with Σ x_j vectors[j] = target, the vectors
+    independent, from the equations, one per ambient label; None when the
+    system has no solution."""
+    k = len(vectors)
+    pivots, rows = _rref(field, [[v.get(lab, 0) for v in vectors]
+                                 + [target.get(lab, 0)] for lab in order])
+    if k in pivots:
+        return None
+    return [row[k] for row in rows]      # pivot j is unknown j
+
+
+def _dense_kernel_and_span(field, order, vectors):
+    """The kernel vectors kernel_basis gives, over positions: each vector
+    that depends on the earlier ones gives e_i minus its combination of the
+    earlier independent vectors.  Also the positions of those."""
+    kernel, independent = [], []
+    for i, v in enumerate(vectors):
+        x = _dense_solve(field, order, [vectors[j] for j in independent], v)
+        if x is None:
+            independent.append(i)
+            continue
+        vec = {i: field.one()}
+        for j, c in zip(independent, x):
+            if not field.is_zero(c):
+                vec[j] = field.neg(c)
+        kernel.append(vec)
+    return kernel, independent
+
+
+def _scalars(field):
+    if field.p is None:
+        return st.one_of(
+            st.integers(-4, 4).filter(bool),
+            st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                      st.integers(2, 3)))
+    p = field.p
+    return st.sampled_from([-1, 1, p + 1, 1 - p, *range(2, p)])
+
+
+@st.composite
+def _elimination_cases(draw):
+    field = draw(st.sampled_from([QQ, Field(2), Field(3), Field(5)]))
+    order = draw(st.permutations(TGT_POOL[:draw(st.integers(1, 6))]))
+    scalar = _scalars(field)
+    vector = st.dictionaries(st.sampled_from(order), scalar)
+    vectors = draw(st.lists(vector, max_size=7))
+    if vectors and draw(st.booleans()):
+        # a combination of the vectors, often dependent on them
+        picked = draw(st.lists(st.tuples(st.sampled_from(vectors), scalar),
+                               max_size=3))
+        target = {}
+        for v, c in picked:
+            target = vaddmul(field, target, c, v)
+        target = {k: c for k, c in target.items()
+                  if not field.is_zero(field.of(c))}
+    else:
+        target = draw(vector)
+    return field, order, vectors, target
+
+
+def _reduced(field, v):
+    return None if v is None else {k: field.of(c) for k, c in v.items()}
+
+
+@given(_elimination_cases())
+def test_elimination_matches_dense_gaussian_elimination(case):
+    field, order, vectors, target = case
+    pivots, rows = _rref(field, [[v.get(lab, 0) for lab in order]
+                                 for v in vectors])
+    rs = RowSpace(field, order)
+    for v in vectors:
+        rs.add(v)
+    assert rs.rank == rank(field, vectors, order) == len(pivots)
+    assert rs.pivots() == {order[j] for j in pivots}
+    _check_echelon(field, rs.order, rs.rows)
+    for u in (*vectors, target):
+        want = _dense_residue(field, order, pivots, rows, u)
+        assert _reduced(field, rs.reduce(u)) == want
+        assert rs.contains(u) == (not want)
+
+    src = list(range(len(vectors)))
+    kernel, independent = _dense_kernel_and_span(field, order, vectors)
+    got = kernel_basis(field, dict(zip(src, vectors)), src, order)
+    assert [_reduced(field, v) for v in got] == kernel
+
+    x = _dense_solve(field, order, [vectors[j] for j in independent], target)
+    want = (None if x is None else
+            {j: c for j, c in zip(independent, x) if not field.is_zero(c)})
+    assert _reduced(field, solve_membership(field, target, vectors,
+                                            order)) == want
 
 
 # -- the Q branch of vaddmul_into --------------------------------------------
