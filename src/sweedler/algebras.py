@@ -281,32 +281,33 @@ class WordSpace(GradedSpace):
 
     The number of words of each (degree, length) is counted when the space
     is built (`_word_counts`), and a window that needs more than WORD_LIMIT
-    words raises EnumerationTooLarge then.  Degrees, dimensions, inexact
-    marks, membership and a word's degree and weight come from the counts
-    and the letters: ("w", syms) is a member when it has at most weight_cap
-    letters, each a generator, and its degree lies in the window.  A
-    word's weight is its length.
+    words raises EnumerationTooLarge then.  It supplies the three
+    primitives of `GradedSpace`: the dims from those counts, a degree's
+    words from the listing, and a label's degree from the letters: ("w",
+    syms) is a member when it has at most weight_cap letters, each a
+    generator, and its degree lies in the window.  A word's weight is its
+    length.
 
-    The words are listed on the first call of `basis`, `labels`,
-    `basis_within` or `_degree_lookup`: by length, and within a length in
-    the lexicographic order of the generator list.  The words of length L
-    and their degrees come from the listed words of length L-1; a prefix is
-    listed only when some completion within the cap lands in the window.
-    Listing fills only the degree lists.  The word -> degree map is built
-    from them on the first `_degree_lookup` (tensor spaces and
+    The words are listed on the first request for a degree's words (`basis`,
+    `labels`, `basis_within`, `_degree_lookup`): by length, and within a
+    length in the lexicographic order of the generator list.  The words of
+    length L and their degrees come from the listed words of length L-1; a
+    prefix is listed only when some completion within the cap lands in the
+    window.  Listing fills only the degree lists.  The word -> degree map
+    is built from them on the first `_degree_lookup` (tensor spaces and
     `GradedMap.set` call it) or the first question about a word once the
-    space is listed; from then on membership, degree and weight read it,
-    and before, the letters, with the same answers.  The splice of
-    `splice_map` reads the letter table and asks no question.  A
-    generator name given twice spells words twice, so such a space is
-    listed when it is built, and raises there at the first window word
-    spelled twice.
+    space is listed; from then on `_degree` reads it, and before, the
+    letters, with the same answers.  The splice of `splice_map` reads the
+    letter table and asks no question.  A generator name given twice
+    spells words twice, so such a space is listed when it is built, and
+    raises there at the first window word spelled twice.
     """
 
     def __init__(self, field: Field, generators: list[tuple],
                  trunc: Truncation):
-        # GradedSpace.__init__ is skipped on purpose: a word's weight is its
-        # length, so there is no weight dict to fill
+        # GradedSpace.__init__ is skipped on purpose: the eager space's
+        # bound _degree would shadow this class's own, and a word's weight
+        # is its length, so there is no weight dict to fill
         self.field = field
         self.window = trunc
         self._inexact: set[int] = set()
@@ -327,6 +328,7 @@ class WordSpace(GradedSpace):
         # degree -> number of its words of length at most L, for L = 0..cap
         self._upto = {n: list(accumulate(by_length[n]))
                       for n in sorted(by_length)}
+        self._dims = {n: upto[-1] for n, upto in self._upto.items()}
         # degree -> its words, once listed; word -> degree, once asked for
         self._by_degree: dict[int, list] | None = None
         self._degree_of: dict | None = None
@@ -398,20 +400,8 @@ class WordSpace(GradedSpace):
     def add(self, label, degree: int, weight: int | None = None) -> bool:
         raise GradedError("a word space is read-only")
 
-    def degrees(self) -> list[int]:
-        return list(self._upto)
-
-    def basis(self, degree: int) -> list:
-        return list(self._list().get(degree, []))
-
-    def labels(self) -> list:
-        out = []
-        for words in self._list().values():
-            out.extend(words)
-        return out
-
-    def __contains__(self, label) -> bool:
-        return self._degree(label) is not None
+    def _listed(self, degree: int):
+        return (self._by_degree or self._list()).get(degree, ())
 
     def _degree_lookup(self):
         # tensor spaces and GradedMap.set call it per term: the map's own
@@ -420,12 +410,6 @@ class WordSpace(GradedSpace):
             self._degree_of = {w: n for n, words in self._list().items()
                                for w in words}
         return self._degree_of.get
-
-    def degree_of(self, label) -> int:
-        n = self._degree(label)
-        if n is None:
-            raise GradedError(f"unknown basis label {label_str(label)}")
-        return n
 
     def weight_of(self, label, default=None):
         return len(label[1]) if self._degree(label) is not None else default
@@ -436,16 +420,6 @@ class WordSpace(GradedSpace):
         if upto is None or weight_cap < 0:
             return []
         return self._list()[degree][:upto[min(weight_cap, len(upto) - 1)]]
-
-    def dim(self, degree: int) -> int:
-        upto = self._upto.get(degree)
-        return upto[-1] if upto else 0
-
-    def dims(self) -> dict[int, int]:
-        return {n: upto[-1] for n, upto in self._upto.items()}
-
-    def total_dim(self) -> int:
-        return sum(upto[-1] for upto in self._upto.values())
 
 
 def free_word_space(field: Field, generators: list[tuple],

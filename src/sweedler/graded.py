@@ -89,13 +89,28 @@ def label_str(label) -> str:
 
 
 class GradedSpace:
-    """Finite named basis per integer degree, inside a truncation window."""
+    """Finite named basis per integer degree, inside a truncation window.
+
+    Every accessor reads three primitives, which each kind of space
+    supplies in its own way:
+
+        _degree(label)  the label's degree, None for a non-member
+        _listed(n)      the labels of degree n in basis order (not a copy)
+        _dims           degree -> dim, for the degrees with a basis
+
+    This eager space fills its dicts through `add`; `WordSpace` and
+    `TensorSpace` answer from their letters or factors and list a degree
+    on request.
+    """
 
     def __init__(self, field: Field, window: Truncation):
         self.field = field
         self.window = window
         self._by_degree: dict[int, list] = {}
         self._degree_of: dict = {}
+        # the dict's own get, so that lookups cost no Python call
+        self._degree = self._degree_of.get
+        self._dims: dict[int, int] = {}
         self._weight_of: dict = {}
         self._inexact: set[int] = set()
 
@@ -106,7 +121,9 @@ class GradedSpace:
             raise GradedError(f"duplicate basis label {label_str(label)}")
         if not self.window.contains(degree):
             return False
-        self._by_degree.setdefault(degree, []).append(label)
+        basis = self._by_degree.setdefault(degree, [])
+        basis.append(label)
+        self._dims[degree] = len(basis)
         self._degree_of[label] = degree
         if weight is not None:
             self._weight_of[label] = weight
@@ -122,30 +139,33 @@ class GradedSpace:
         return set(self._inexact)
 
     # -- queries ---------------------------------------------------------------
+    def _listed(self, degree: int):
+        return self._by_degree.get(degree, ())
+
     def degrees(self) -> list[int]:
-        return sorted(self._by_degree)
+        return sorted(self._dims)
 
     def basis(self, degree: int) -> list:
-        return list(self._by_degree.get(degree, []))
+        return list(self._listed(degree))
 
     def labels(self) -> list:
         out = []
         for n in self.degrees():
-            out.extend(self._by_degree[n])
+            out.extend(self._listed(n))
         return out
 
     def __contains__(self, label) -> bool:
-        return label in self._degree_of
+        return self._degree(label) is not None
 
     def _degree_lookup(self):
         """A callable: label -> degree, None for a non-member."""
-        return self._degree_of.get
+        return self._degree
 
     def degree_of(self, label) -> int:
-        try:
-            return self._degree_of[label]
-        except KeyError:
-            raise GradedError(f"unknown basis label {label_str(label)}") from None
+        n = self._degree(label)
+        if n is None:
+            raise GradedError(f"unknown basis label {label_str(label)}")
+        return n
 
     def weight_of(self, label, default=None):
         return self._weight_of.get(label, default)
@@ -154,17 +174,17 @@ class GradedSpace:
         """The basis labels of this degree whose weight is unknown or at
         most weight_cap, in basis order."""
         weight = self.weight_of
-        return [label for label in self.basis(degree)
+        return [label for label in self._listed(degree)
                 if (w := weight(label)) is None or w <= weight_cap]
 
     def dim(self, degree: int) -> int:
-        return len(self._by_degree.get(degree, []))
+        return self._dims.get(degree, 0)
 
     def dims(self) -> dict[int, int]:
-        return {n: len(b) for n, b in sorted(self._by_degree.items())}
+        return dict(sorted(self._dims.items()))
 
     def total_dim(self) -> int:
-        return len(self._degree_of)
+        return sum(self._dims.values())
 
     # -- vectors ---------------------------------------------------------------
     def project(self, formal: dict) -> dict:
@@ -335,16 +355,19 @@ def tensor_label(x, y) -> tuple:
 class TensorSpace(GradedSpace):
     """X⊗Y, answered from its two factors; read-only.
 
-    (X⊗Y)_n = ⊕_{i+j=n} X_i⊗Y_j inside X's window.  Membership, degree and
-    weight of a label ("t", x, y) come from the factors.  A degree's basis is
-    listed on first request, in the order: X-degree ascending, then X's
-    basis, then Y's basis.  Dimensions and inexact degrees are fixed when
-    the space is built, so later marks on a factor do not reach it.
+    (X⊗Y)_n = ⊕_{i+j=n} X_i⊗Y_j inside X's window.  It supplies the three
+    primitives of `GradedSpace` from its factors: the degree of a label
+    ("t", x, y) is |x| + |y| when both are members and the sum lies in the
+    window, and a degree's basis is listed on first request, in the order:
+    X-degree ascending, then X's basis, then Y's basis.  A label's weight
+    is the sum of its factors' weights.  Dimensions and inexact degrees are
+    fixed when the space is built, so later marks on a factor do not reach
+    it.
     """
 
     def __init__(self, X: GradedSpace, Y: GradedSpace):
-        # GradedSpace.__init__ is skipped on purpose: without the label
-        # dicts of an eager space, no inherited method can read them empty
+        # GradedSpace.__init__ is skipped on purpose: the eager space's
+        # bound _degree would shadow this class's own
         require_same_field(X.field, Y.field)
         self.field = X.field
         self.window = X.window
@@ -361,7 +384,6 @@ class TensorSpace(GradedSpace):
                 if self.window.contains(i + j):
                     dims[i + j] = dims.get(i + j, 0) + dx * dy
         self._dims = dict(sorted(dims.items()))
-        self._total = sum(dims.values())
         self._bases: dict[int, list] = {}
         # a degree fed by an inexact input degree is itself inexact
         self._inexact = {i + j for i in X.inexact_degrees() for j in ydims
@@ -373,7 +395,6 @@ class TensorSpace(GradedSpace):
         raise GradedError("a tensor space is read-only")
 
     def _degree(self, label) -> int | None:
-        """Degree of a member label; None for anything else."""
         if type(label) is not tuple or len(label) != 3 or label[0] != "t":
             return None
         dx = self._left_degree(label[1])
@@ -383,42 +404,18 @@ class TensorSpace(GradedSpace):
         n = dx + dy
         return n if self._dmin <= n <= self._dmax else None
 
-    def _degree_lookup(self):
-        return self._degree
-
     def _listed(self, degree: int) -> list:
         out = self._bases.get(degree)
         if out is None:
             out = []
             if degree in self._dims:
                 for i in self.left.degrees():
-                    ys = self.right.basis(degree - i)
+                    ys = self.right._listed(degree - i)
                     if ys:
-                        for x in self.left.basis(i):
+                        for x in self.left._listed(i):
                             out.extend(tensor_label(x, y) for y in ys)
             self._bases[degree] = out
         return out
-
-    def degrees(self) -> list[int]:
-        return list(self._dims)
-
-    def basis(self, degree: int) -> list:
-        return list(self._listed(degree))
-
-    def labels(self) -> list:
-        out = []
-        for n in self._dims:
-            out.extend(self._listed(n))
-        return out
-
-    def __contains__(self, label) -> bool:
-        return self._degree(label) is not None
-
-    def degree_of(self, label) -> int:
-        n = self._degree(label)
-        if n is None:
-            raise GradedError(f"unknown basis label {label_str(label)}")
-        return n
 
     def weight_of(self, label, default=None):
         if self._degree(label) is None:
@@ -426,15 +423,6 @@ class TensorSpace(GradedSpace):
         wx = self.left.weight_of(label[1])
         wy = self.right.weight_of(label[2])
         return default if wx is None or wy is None else wx + wy
-
-    def dim(self, degree: int) -> int:
-        return self._dims.get(degree, 0)
-
-    def dims(self) -> dict[int, int]:
-        return dict(self._dims)
-
-    def total_dim(self) -> int:
-        return self._total
 
 
 def tensor_space(X: GradedSpace, Y: GradedSpace) -> TensorSpace:

@@ -10,7 +10,8 @@ reproducible across runs.
 ids: a label's id is its position in the ambient order, so it is also its
 pivot priority (lower wins), and a row's pivot is the least id it holds.
 Labels become ids once, when a vector enters `reduce`, `add` or
-`contains`, and ids become labels once, when a result leaves; hashing an
+`contains` (over F_p its entries are reduced mod p there, and those that
+vanish dropped), and ids become labels once, when a result leaves; hashing an
 int is several times cheaper than hashing a nested label tuple.  `add`
 hands back only the new row's pivot label (or None), so a vector that
 enters the span costs no label-keyed copy of its row; a caller whose
@@ -125,8 +126,13 @@ class RowSpace:
         return {labels[p] for p in self._rows}
 
     def _ids_of(self, v: dict) -> dict:
-        ids = self.order
-        return {ids[k]: c for k, c in v.items()}
+        """v over ids.  Over F_p each entry is reduced mod p and one that
+        vanishes is dropped, so an entry comes back reduced whether or not
+        a row touches it."""
+        ids, p = self.order, self.field.p
+        if p is None:
+            return {ids[k]: c for k, c in v.items()}
+        return {ids[k]: r for k, c in v.items() if (r := c % p)}
 
     def _labels_of(self, v: dict) -> dict:
         labels = self._labels
@@ -153,7 +159,7 @@ class RowSpace:
             if c is None:           # cancelled by an earlier subtraction
                 continue
             c = -c if p is None else -c % p
-            if not c:               # an F_p entry that is 0 mod p
+            if not c:               # a zero entry of a Q input
                 del out[q]
                 continue
             for k, a in rows[q].items():
@@ -178,9 +184,9 @@ class RowSpace:
         field = self.field
         piv = min(red)
         c = red[piv]
-        # over Q a row led by 1 is kept as it is; over F_p scaling also
-        # reduces mod p, so it is never skipped there
-        if field.p is not None or c != 1:
+        # a row led by 1 is kept as it is: its entries are already reduced
+        # mod p over F_p, by `_ids_of` and `_reduce`
+        if c != 1:
             inv, mul = field.inv(c), field.mul
             for k, a in red.items():
                 red[k] = mul(inv, a)

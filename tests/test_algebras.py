@@ -863,11 +863,13 @@ def test_the_closure_stays_where_the_window_cuts_a_multiplier():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 3: a relation whose degree lies outside the window is "
-    "dropped, so words that contain it stay normal forms"))
+    "ROADMAP item 2: the closure drops a relation whose degree lies outside "
+    "the window, so words that contain it stay normal forms"))
 def test_a_relation_outside_the_window_still_kills_its_multiples():
     A = normal_forms(_narrow_window_presentation())
-    for syms in (("y", "x", "x"), ("x", "y", "x"), ("x", "x", "y")):
+    # x⊗y⊗x holds no x⊗x and no y⊗y, so it is a basis word of the quotient
+    assert word_label(("x", "y", "x")) in A.space
+    for syms in (("y", "x", "x"), ("x", "x", "y")):
         assert word_label(syms) not in A.space
 
 

@@ -865,12 +865,14 @@ def test_pruned_word_space_repeated_names_raise_as_before():
 
 @pytest.fixture
 def listings(monkeypatch):
-    """The word spaces whose words get listed, one entry per request."""
+    """The word spaces whose words get listed, one entry per listing: a
+    request that finds the words listed already is not counted."""
     seen = []
     listed = WordSpace._list
 
     def spy(self):
-        seen.append(self)
+        if self._by_degree is None:
+            seen.append(self)
         return listed(self)
 
     monkeypatch.setattr(WordSpace, "_list", spy)
@@ -919,18 +921,20 @@ def test_word_space_answers_from_its_counts_before_listing(listings):
         before = counted_view(space, candidates)
         assert listings == []
         assert space.labels() == ref.labels()
-        assert len(listings) == 1
+        # a space with no window word has no degree to list
+        nonempty = bool(ref.labels())
+        assert len(listings) == nonempty
         # listing fills the degree lists only; the word -> degree map is
         # built from them at the first question after listing
         assert space._degree_of is None
         listed = counted_view(space, candidates)
-        assert space._degree_of is not None
+        assert (space._degree_of is not None) == nonempty
         lookup = space._degree_lookup()
         assert [lookup(w) for w in candidates] == \
             [ref.degree_of(w) if w in ref else None for w in candidates]
         assert counted_view(space, candidates) == listed == before == \
             counted_view(ref, candidates)
-        seen["listed"] += bool(ref.labels())
+        seen["listed"] += nonempty
         seen["outside"] += any(w not in ref for w in wide.labels())
     assert min(seen.values()) >= 20, seen
 

@@ -316,8 +316,8 @@ def test_add_returns_a_falsy_pivot_label():
     assert rs.rows[2] == {1: 4, 2: 1}
     assert not rs.contains({1: 1})
 
-    # over F_p a row led by 1 is scaled all the same, which reduces the
-    # entries of an input not reduced mod p
+    # over F_p the entries of an input not reduced mod p are reduced, in a
+    # row led by 1 too
     rs = RowSpace(Field(5), ["a", "b", "c"])
     assert rs.add({"a": 1, "b": -1, "c": 6}) == "a"
     assert list(rs.rows["a"].items()) == [("a", 1), ("b", 4), ("c", 1)]
@@ -326,12 +326,35 @@ def test_add_returns_a_falsy_pivot_label():
     assert rs.reduce({"a": 5, "c": 2}) == {"c": 2}
 
 
+def test_fp_inputs_are_reduced_mod_p_where_no_row_touches_them():
+    # over F_p an input entry that no row touches comes back reduced mod
+    # p, and one that vanishes mod p is dropped, as a touched one is
+    F5 = Field(5)
+    order = ["a", "b", "c"]
+    rs = RowSpace(F5, order)
+    assert rs.add({"a": 1, "b": 1}) == "a"
+    assert rs.reduce({"b": 7}) == {"b": 2}
+    assert rs.reduce({"b": -1}) == {"b": 4}
+    assert rs.reduce({"a": 1, "b": -1}) == {"b": 3}
+    assert rs.reduce({"b": 5}) == {}
+    assert rs.contains({"b": 5}) and rs.contains({"a": 6, "b": 1, "c": -5})
+    assert rs.add({"c": 10}) is None and rs.rank == 1
+    assert rs.add({"b": 6, "c": 5}) == "b"
+    assert rs.rows["b"] == {"b": 1}
+    # a column that is 0 mod p lies in the kernel; a target that is 0 mod
+    # p is the empty combination
+    assert kernel_basis(F5, {0: {"a": 5}, 1: {"b": 1}}, [0, 1], order) \
+        == [{0: 1}]
+    assert solve_membership(F5, {"c": 5}, [], order) == {}
+    assert rank(F5, [{"a": 5}, {"b": -4}], order) == 1
+
+
 # -- dense Gaussian elimination ---------------------------------------------------
 #
 # Independent of RowSpace: dense lists, Gauss-Jordan to the reduced row
 # echelon form, and a linear system solved on its equations.  Over F_p the
 # inputs hold entries not reduced mod p (-1, p + 1), so every row RowSpace
-# stores must have been scaled even when it is led by 1.
+# stores must have been reduced mod p even when it is led by 1.
 
 
 def _rref(field, matrix):
