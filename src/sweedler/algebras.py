@@ -401,7 +401,7 @@ class WordSpace(GradedSpace):
         raise GradedError("a word space is read-only")
 
     def _listed(self, degree: int):
-        return (self._by_degree or self._list()).get(degree, ())
+        return self._list().get(degree, ())
 
     def _degree_lookup(self):
         # tensor spaces and GradedMap.set call it per term: the map's own
