@@ -40,8 +40,8 @@ from .graded import (GradedSpace, GradedMap, GradedError, Truncation,
                      EnumerationTooLarge, tensor_space, tensor_label,
                      label_str, not_homogeneous)
 from .complexes import DgSpace, check_square_zero, dg_tensor
-from .linalg import (RowSpace, vaddmul, vaddmul_into, vscale, kernel_basis,
-                     solve_membership)
+from .linalg import (RowSpace, vaddmul, vaddmul_into, vdot, vscale,
+                     kernel_basis, solve_membership)
 
 
 class AlgebraError(Exception):
@@ -98,12 +98,7 @@ class DgAlgebra:
     def augmentation(self, vec: dict):
         if self.aug is None:
             raise AlgebraError(f"algebra {self.name or '?'} not augmented")
-        field = self.field
-        total = field.zero()
-        for k, c in vec.items():
-            a = self.aug.get(k, field.zero())
-            total = field.add(total, field.mul(c, a))
-        return total
+        return vdot(self.field, self.aug, vec)
 
     def reduced_basis(self) -> list:
         """Basis of A_- = ker(aug): requires aug to kill all non-unit labels."""
@@ -349,32 +344,24 @@ class WordSpace(GradedSpace):
         level = [((), 0)]
         for length in range(1, cap + 1):
             live = counts[length]
-            if repeated:
-                self._raise_duplicate(level, letters, live)
             words = ((syms + (g,), n + dg) for syms, n in level
                      for g, dg in letters if n + dg in live)
-            if length < cap:    # words of length cap are not extended
-                words = list(words)
+            if length < cap or repeated:    # walked again: extended, or
+                words = list(words)         # checked for repeats
             for syms, n in words:
                 if dmin <= n <= dmax:
                     lists[n].append(("w", syms))
+            if repeated:    # a name given twice spells these words twice
+                seen = set()
+                for syms, n in words:
+                    if dmin <= n <= dmax:
+                        if syms in seen:
+                            raise GradedError("duplicate basis label "
+                                              + label_str(word_label(syms)))
+                        seen.add(syms)
             level = words
         self._by_degree = lists
         return lists
-
-    def _raise_duplicate(self, level, letters, live):
-        """Raise at the first window word of the next length spelled twice:
-        a generator name given twice spells the same words twice."""
-        seen = set()
-        window = self.window
-        for syms, n in level:
-            for g, dg in letters:
-                word = syms + (g,)
-                if n + dg in live and window.contains(n + dg):
-                    if word in seen:
-                        raise GradedError(
-                            f"duplicate basis label {label_str(word_label(word))}")
-                    seen.add(word)
 
     def _degree(self, label) -> int | None:
         """Degree of a member label, None for anything else; from the
@@ -1229,7 +1216,6 @@ class OmegaBimodule:
         space.mark_inexact(*(n for n in A.space.inexact_degrees()
                              if space.window.contains(n)))
         self.space = space
-        self._member_cache: dict[int, list] = {}
 
     @property
     def field(self):
@@ -1261,32 +1247,29 @@ class OmegaBimodule:
             d.set(x, self.express(self.T.project(tvec)))
         return d
 
+    def _act(self, om: dict, times) -> dict:
+        """Σ c·times(x, y) over the terms c·x⊗y of om in A⊗A, kept where
+        A⊗A holds them, expressed back in the Ω basis; times(x, y) is a
+        vector over A⊗A labels."""
+        field, T = self.field, self.T
+        out: dict = {}
+        for lab, c in om.items():
+            for (_, x, y), ct in self.embed[lab].items():
+                vaddmul_into(field, out, field.mul(c, ct),
+                             T.project(times(x, y)))
+        return self.express(out)
+
     def act_left(self, a_label, om: dict) -> dict:
         """a·(x⊗y) = (ax)⊗y, expressed back in the Ω basis."""
-        field = self.field
-        out: dict = {}
-        for lab, c in om.items():
-            for t, ct in self.embed[lab].items():
-                _, x, y = t
-                for x2, cx in self.A._pair(a_label, x).items():
-                    t2 = tensor_label(x2, y)
-                    if t2 in self.T:
-                        vaddmul_into(field, out, field.mul(c, field.mul(ct, cx)),
-                                     {t2: field.one()})
-        return self.express(self.T.project(out))
+        pair = self.A._pair
+        return self._act(om, lambda x, y: {
+            tensor_label(z, y): c for z, c in pair(a_label, x).items()})
 
     def act_right(self, om: dict, a_label) -> dict:
-        field = self.field
-        out: dict = {}
-        for lab, c in om.items():
-            for t, ct in self.embed[lab].items():
-                _, x, y = t
-                for y2, cy in self.A._pair(y, a_label).items():
-                    t2 = tensor_label(x, y2)
-                    if t2 in self.T:
-                        vaddmul_into(field, out, field.mul(c, field.mul(ct, cy)),
-                                     {t2: field.one()})
-        return self.express(self.T.project(out))
+        """(x⊗y)·a = x⊗(ya), expressed back in the Ω basis."""
+        pair = self.A._pair
+        return self._act(om, lambda x, y: {
+            tensor_label(x, z): c for z, c in pair(y, a_label).items()})
 
     def factor_derivation(self, D: GradedMap) -> GradedMap:
         """The bimodule map f: Ω → A with f∘d = D, f(Σx⊗y) = Σ ±x·D(y).

@@ -37,7 +37,7 @@ from .coalgebras import (DgCoalgebra, TensorCoalgebra, tensor_coalgebra,
                          coshuffle_comult, coextend_coderivation, coextend_map,
                          ReducedCoalgebra, shuffle_product)
 from .sweedler_ops import convolve
-from .linalg import vaddmul, vaddmul_into, vscale
+from .linalg import vaddmul, vaddmul_into, vdot, vscale
 
 
 class ConventionMismatch(Exception):
@@ -166,10 +166,8 @@ def bialgebra_compat_issues(alg: DgAlgebra, comult: GradedMap,
         if counital and TT.project(comult(alg._pair(x, y))) != TT.project(
                 AA.product(comult.apply_label(x), comult.apply_label(y))):
             return [f"Δ not multiplicative at ({label_str(x)},{label_str(y)})"]
-        exy = zero
-        for m, cm in alg._pair(x, y).items():
-            exy = field.add(exy, field.mul(cm, counit.get(m, zero)))
-        if exy != field.mul(counit.get(x, zero), counit.get(y, zero)):
+        if vdot(field, counit, alg._pair(x, y)) != field.mul(
+                counit.get(x, zero), counit.get(y, zero)):
             return [f"ε not multiplicative at ({label_str(x)},{label_str(y)})"]
     return []
 

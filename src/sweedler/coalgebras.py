@@ -20,6 +20,7 @@ where it leaves the window; the builder of the coalgebra marks them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +30,7 @@ from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
                      label_str, graded_dual, dual_label,
                      not_homogeneous, TensorSpace)
 from .complexes import DgSpace, check_square_zero, dg_tensor
-from .linalg import RowSpace, vaddmul_into, kernel_basis
+from .linalg import RowSpace, vaddmul_into, vdot, kernel_basis
 from .algebras import (DgAlgebra, word_label, word_syms, UNIT_WORD,
                        free_word_space, extend_derivation, splice_map)
 
@@ -84,14 +85,9 @@ class DgCoalgebra:
         return self.comult.target
 
     def counit_of(self, vec: dict):
-        field = self.field
         if self.counit is None:
             raise CoalgebraError("coalgebra has no counit")
-        total = field.zero()
-        for k, c in vec.items():
-            e = self.counit.get(k, field.zero())
-            total = field.add(total, field.mul(c, e))
-        return total
+        return vdot(self.field, self.counit, vec)
 
     # -- verification ----------------------------------------------------------
     def verify(self, check_d_squared: bool = True) -> list[str]:
@@ -483,19 +479,12 @@ def tensor_coalgebra(field: Field, generators: list[tuple], trunc: Truncation,
 
 
 def odd_binomial(n: int, k: int) -> int:
-    """⟨n choose k⟩: Pascal's rule, zero when n is even and k is odd."""
+    """⟨n choose k⟩, the Gaussian binomial at q = -1: Pascal's rule, zero
+    when n is even and k is odd, has the closed form C(⌊n/2⌋, ⌊k/2⌋) off
+    those zeros."""
     if k < 0 or k > n or n < 0:
         raise CoalgebraError(f"odd binomial out of range: ({n},{k})")
-    row = [1]
-    for m in range(1, n + 1):
-        prev = row
-        row = [1]
-        for j in range(1, m):
-            row.append(prev[j] + prev[j - 1])
-        row.append(1)
-        if m % 2 == 0:
-            row = [0 if j % 2 else v for j, v in enumerate(row)]
-    return row[k]
+    return 0 if n % 2 == 0 and k % 2 else math.comb(n // 2, k // 2)
 
 
 def coshuffle_comult(space: GradedSpace,

@@ -473,18 +473,9 @@ def lambda2(f: GradedMap, X: GradedSpace, Y: GradedSpace) -> GradedMap:
 
 
 def lambda1(f: GradedMap, X: GradedSpace, Y: GradedSpace) -> GradedMap:
-    """λ¹(f): Y → [X,Z] with λ¹(f)(y)(x) = (-1)^{|x||y|} f(x⊗y)."""
-    Z = f.target
-    H = hom_space(X, Z)
-    field = f.field
-    g = GradedMap(Y, H, f.degree)
-    for y in Y.labels():
-        n = Y.degree_of(y)
-        img = {hom_label(x, z): field.mul(field.sign(X.degree_of(x) * n), c)
-               for x in X.labels()
-               for z, c in f.apply_label(tensor_label(x, y)).items()}
-        g.set(y, H.project(img))
-    return g
+    """λ¹(f): Y → [X,Z] with λ¹(f)(y)(x) = (-1)^{|x||y|} f(x⊗y): λ² of
+    f∘σ, σ: Y⊗X → X⊗Y the symmetry."""
+    return lambda2(f.compose(koszul_swap(Y, X)), Y, X)
 
 
 def uncurry2(g: GradedMap, X: GradedSpace, Y: GradedSpace,

@@ -10,9 +10,9 @@ reproducible across runs.
 ids: a label's id is its position in the ambient order, so it is also its
 pivot priority (lower wins), and a row's pivot is the least id it holds.
 Labels become ids once, when a vector enters `reduce`, `add` or
-`contains` (over F_p its entries are reduced mod p there, and those that
-vanish dropped), and ids become labels once, when a result leaves; hashing an
-int is several times cheaper than hashing a nested label tuple.  `add`
+`contains` (its zero entries are dropped there, over F_p after reducing
+mod p), and ids become labels once, when a result leaves; hashing an int
+is several times cheaper than hashing a nested label tuple.  `add`
 hands back only the new row's pivot label (or None), so a vector that
 enters the span costs no label-keyed copy of its row; a caller whose
 labels are nested tuples can number them first and build the RowSpace
@@ -86,6 +86,14 @@ def vscale(field: Field, coeff, v: dict) -> dict:
     return {k: field.mul(coeff, c) for k, c in v.items()}
 
 
+def vdot(field: Field, functional: dict, vec: dict):
+    """The functional (label -> value, absent labels 0) evaluated at vec."""
+    total = zero = field.zero()
+    for k, c in vec.items():
+        total = field.add(total, field.mul(c, functional.get(k, zero)))
+    return total
+
+
 class RowSpace:
     """Incrementally built row echelon span of sparse vectors.
 
@@ -126,12 +134,12 @@ class RowSpace:
         return {labels[p] for p in self._rows}
 
     def _ids_of(self, v: dict) -> dict:
-        """v over ids.  Over F_p each entry is reduced mod p and one that
-        vanishes is dropped, so an entry comes back reduced whether or not
+        """v over ids, its zero entries dropped.  Over F_p each entry is
+        reduced mod p first, so an entry comes back reduced whether or not
         a row touches it."""
         ids, p = self.order, self.field.p
         if p is None:
-            return {ids[k]: c for k, c in v.items()}
+            return {ids[k]: c for k, c in v.items() if c}
         return {ids[k]: r for k, c in v.items() if (r := c % p)}
 
     def _labels_of(self, v: dict) -> dict:
@@ -159,9 +167,6 @@ class RowSpace:
             if c is None:           # cancelled by an earlier subtraction
                 continue
             c = -c if p is None else -c % p
-            if not c:               # a zero entry of a Q input
-                del out[q]
-                continue
             for k, a in rows[q].items():
                 s = get(k)
                 if s is None:

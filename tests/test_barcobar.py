@@ -11,8 +11,8 @@ from sweedler.complexes import check_square_zero, homology, DgSpace
 from sweedler.algebras import (DgAlgebra, tensor_algebra, normal_forms,
                                PresentedAlgebra, word_label, word_syms,
                                UNIT_WORD)
-from sweedler.coalgebras import (DgCoalgebra, tensor_coalgebra,
-                                 odd_binomial)
+from sweedler.coalgebras import (DgCoalgebra, CoalgebraError,
+                                 tensor_coalgebra, odd_binomial)
 from sweedler.barcobar import (mc_algebra, verify_mc, mc_verify, mc_enumerate,
                                verify_twisting_cochain, bar, cobar,
                                universal_bar_cochain, universal_cobar_cochain,
@@ -86,6 +86,21 @@ def test_mc_coproduct_uses_odd_binomials():
             _, left, right = t
             k = len(word_syms(left))
             assert coeff == QQ.of(odd_binomial(n, k))
+
+
+def test_odd_binomials_follow_pascals_rule_with_parity_zeroing():
+    # row n comes from row n-1 by Pascal's rule, and an even row has zeros
+    # at its odd places; the closed form must give every row to n = 40
+    row = [1]
+    for n in range(41):
+        if n:
+            row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
+            if n % 2 == 0:
+                row = [0 if k % 2 else v for k, v in enumerate(row)]
+        assert [odd_binomial(n, k) for k in range(n + 1)] == row
+    for n, k in [(-1, 0), (3, -1), (3, 4)]:
+        with pytest.raises(CoalgebraError):
+            odd_binomial(n, k)
 
 
 def test_mc_elements_of_mc():

@@ -35,8 +35,11 @@ DATA = TESTS / "data"
 # plus-convention adjunction, homology over 𝔽3, a dual over 𝔽5, a
 # Sweedler product whose presented algebra has many u·r·v elements, a
 # coalgebra that fails co-Leibniz, an algebra whose d² ≠ 0 has a
-# non-integral coefficient and an integral one reached through 1/2·2, and
-# the axioms of a free algebra on generators of mixed sign
+# non-integral coefficient and an integral one reached through 1/2·2, the
+# axioms of a free algebra on generators of mixed sign, the cobar of a
+# coalgebra whose non-atoms split (its external d) and the bar of T(x),
+# whose d_ext splices chunks of several letters (no homology: its top
+# degree H₅ reads "trusted" wrongly)
 COMMANDS = [
     ("mc-homology", "mc --homology"),
     ("bar-dual-numbers", "bar --preset dual-numbers --trunc -1:6:6 --homology"),
@@ -67,6 +70,8 @@ COMMANDS = [
     ("verify-not-coleibniz", "verify --file not_coleibniz.swp"),
     ("homology-d2-half", "homology --file d2_half.swp"),
     ("verify-free-mixed", "verify --preset free-algebra:x=1,y=-2"),
+    ("cobar-diagonal", "cobar --preset diagonal-coalgebra:2 --trunc -3:3:4"),
+    ("bar-free-x1", "bar --preset free-algebra:x=1 --trunc -1:5:4"),
 ]
 
 

@@ -349,6 +349,29 @@ def test_fp_inputs_are_reduced_mod_p_where_no_row_touches_them():
     assert rank(F5, [{"a": 5}, {"b": -4}], order) == 1
 
 
+def test_q_inputs_drop_their_zero_entries():
+    # over Q an explicit zero entry is no coordinate: it is dropped as it
+    # enters, as one that vanishes mod p is over F_p
+    order = ["a", "b", "c"]
+    rs = RowSpace(QQ, order)
+    assert rs.add({"a": 0, "b": 1}) == "b"
+    assert rs.rows == {"b": {"b": 1}}
+    assert rs.add({"a": 0}) is None and rs.add({}) is None and rs.rank == 1
+    assert rs.reduce({"a": 0, "c": 2}) == {"c": 2}
+    assert rs.reduce({"b": 0}) == {} and rs.reduce({"c": Fraction(0)}) == {}
+    assert rs.contains({"a": 0}) and rs.contains({"a": 0, "b": 3, "c": 0})
+    assert not rs.contains({"a": 0, "c": 1})
+    assert rank(QQ, [{"a": 0}], ["a"]) == 0
+    assert rank(QQ, [{"a": 0, "b": 2}, {"b": 1, "c": 0}], order) == 1
+    # a column with only zero entries lies in the kernel; a zero target is
+    # the empty combination, and a zero entry of a vector is no obstacle
+    assert kernel_basis(QQ, {0: {"a": 0}, 1: {"b": 1, "c": 0}}, [0, 1],
+                        order) == [{0: 1}]
+    assert solve_membership(QQ, {"c": 0}, [], order) == {}
+    assert solve_membership(QQ, {"b": 2, "c": 0}, [{"a": 0, "b": 1}],
+                            order) == {0: 2}
+
+
 # -- dense Gaussian elimination ---------------------------------------------------
 #
 # Independent of RowSpace: dense lists, Gauss-Jordan to the reduced row
