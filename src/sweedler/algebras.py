@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, GradedError, Truncation,
-                     EnumerationTooLarge, tensor_space, tensor_label,
+                     EnumerationTooLarge, tensor_space, tensor_vec,
                      label_str, not_homogeneous)
 from .complexes import DgSpace, check_square_zero, dg_tensor
 from .linalg import (RowSpace, vaddmul, vaddmul_into, vdot, vscale,
@@ -1135,17 +1135,7 @@ def tensor_pair(A: DgAlgebra, B: DgAlgebra, T: GradedSpace):
         _, a, b = x
         _, a2, b2 = y
         sign = field.sign(B.space.degree_of(b) * A.space.degree_of(a2))
-        out: dict = {}
-        pa = A._pair(a, a2)
-        pb = B._pair(b, b2)
-        for ra, ca in pa.items():
-            for rb, cb in pb.items():
-                lab = tensor_label(ra, rb)
-                if lab in T:
-                    vaddmul_into(field, out,
-                                 field.mul(sign, field.mul(ca, cb)),
-                                 {lab: field.one()})
-        return out
+        return tensor_vec(A._pair(a, a2), B._pair(b, b2), T, sign)
 
     return pair
 
@@ -1154,23 +1144,13 @@ def algebra_tensor(A: DgAlgebra, B: DgAlgebra) -> DgAlgebra:
     """(a⊗b)(a'⊗b') = (-1)^{|b||a'|} (aa')⊗(bb'), with the tensor d."""
     dg = dg_tensor(A.dg, B.dg)
     T = dg.space
-    field = T.field
     pair = tensor_pair(A, B, T)
     unit = None
     if A.unit is not None and B.unit is not None:
-        unit = {}
-        for a, ca in A.unit.items():
-            for b, cb in B.unit.items():
-                unit[tensor_label(a, b)] = field.mul(ca, cb)
+        unit = tensor_vec(A.unit, B.unit, T)
     aug = None
     if A.aug is not None and B.aug is not None:
-        aug = {}
-        for x in T.labels():
-            _, a, b = x
-            v = field.mul(A.aug.get(a, field.zero()),
-                          B.aug.get(b, field.zero()))
-            if not field.is_zero(v):
-                aug[x] = v
+        aug = tensor_vec(A.aug, B.aug, T)
     return DgAlgebra(dg, pair, unit, aug, name=f"{A.name}⊗{B.name}")
 
 
@@ -1235,41 +1215,36 @@ class OmegaBimodule:
 
     def universal_derivation(self) -> GradedMap:
         """d: A → Ω, x ↦ 1⊗x - x⊗1."""
-        A, field = self.A, self.field
+        A, field, T = self.A, self.field, self.T
         d = GradedMap(A.space, self.space, 0)
         one = field.one()
         for x in A.space.labels():
-            tvec: dict = {}
-            for u, cu in A.unit.items():
-                vaddmul_into(field, tvec, cu, {tensor_label(u, x): one})
-                vaddmul_into(field, tvec, field.neg(cu),
-                             {tensor_label(x, u): one})
-            d.set(x, self.express(self.T.project(tvec)))
+            tvec = vaddmul_into(field, tensor_vec(A.unit, {x: one}, T),
+                                field.of(-1), tensor_vec({x: one}, A.unit, T))
+            d.set(x, self.express(tvec))
         return d
 
     def _act(self, om: dict, times) -> dict:
-        """Σ c·times(x, y) over the terms c·x⊗y of om in A⊗A, kept where
-        A⊗A holds them, expressed back in the Ω basis; times(x, y) is a
-        vector over A⊗A labels."""
-        field, T = self.field, self.T
+        """Σ c·times(x, y) over the terms c·x⊗y of om in A⊗A, expressed
+        back in the Ω basis; times(x, y) is a vector over A⊗A."""
+        field = self.field
         out: dict = {}
         for lab, c in om.items():
             for (_, x, y), ct in self.embed[lab].items():
-                vaddmul_into(field, out, field.mul(c, ct),
-                             T.project(times(x, y)))
+                vaddmul_into(field, out, field.mul(c, ct), times(x, y))
         return self.express(out)
 
     def act_left(self, a_label, om: dict) -> dict:
         """a·(x⊗y) = (ax)⊗y, expressed back in the Ω basis."""
-        pair = self.A._pair
-        return self._act(om, lambda x, y: {
-            tensor_label(z, y): c for z, c in pair(a_label, x).items()})
+        pair, one, T = self.A._pair, self.field.one(), self.T
+        return self._act(om, lambda x, y: tensor_vec(pair(a_label, x),
+                                                     {y: one}, T))
 
     def act_right(self, om: dict, a_label) -> dict:
         """(x⊗y)·a = x⊗(ya), expressed back in the Ω basis."""
-        pair = self.A._pair
-        return self._act(om, lambda x, y: {
-            tensor_label(x, z): c for z, c in pair(y, a_label).items()})
+        pair, one, T = self.A._pair, self.field.one(), self.T
+        return self._act(om, lambda x, y: tensor_vec({x: one},
+                                                     pair(y, a_label), T))
 
     def factor_derivation(self, D: GradedMap) -> GradedMap:
         """The bimodule map f: Ω → A with f∘d = D, f(Σx⊗y) = Σ ±x·D(y).

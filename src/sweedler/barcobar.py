@@ -27,8 +27,8 @@ from functools import cached_property
 
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, EnumerationTooLarge,
-                     tensor_label, tensor_space, tensor_sum_apply, susp_label,
-                     label_str, identity_map)
+                     tensor_label, tensor_vec, tensor_space, tensor_sum_apply,
+                     susp_label, label_str, identity_map)
 from .complexes import DgSpace
 from .algebras import (DgAlgebra, tensor_algebra, extend_derivation,
                        tensor_pair, word_label, word_syms, UNIT_WORD,
@@ -568,15 +568,9 @@ def coalgebra_map_issues(f: GradedMap, source: DgCoalgebra,
     for x in source.space.labels():
         lhs = target.comult(f.apply_label(x))
         rhs: dict = {}
-        for t, coeff in source.comult.apply_label(x).items():
-            _, x1, x2 = t
-            for y1, c1 in f.apply_label(x1).items():
-                for y2, c2 in f.apply_label(x2).items():
-                    lab = tensor_label(y1, y2)
-                    if lab in TT:
-                        vaddmul_into(field, rhs,
-                                     field.mul(coeff, field.mul(c1, c2)),
-                                     {lab: field.one()})
+        for (_, x1, x2), coeff in source.comult.apply_label(x).items():
+            vaddmul_into(field, rhs, coeff, tensor_vec(
+                f.columns.get(x1, {}), f.columns.get(x2, {}), TT))
         if lhs != rhs:
             issues.append(f"f not comultiplicative at {label_str(x)}")
             return issues

@@ -26,8 +26,8 @@ from functools import cached_property
 
 from .scalars import Field
 from .graded import (GradedSpace, GradedMap, Truncation, tensor_space,
-                     tensor_label, tensor_sum_apply, target_index,
-                     label_str, graded_dual, dual_label,
+                     tensor_label, tensor_vec, tensor_sum_apply,
+                     target_index, label_str, graded_dual, dual_label,
                      not_homogeneous, TensorSpace)
 from .complexes import DgSpace, check_square_zero, dg_tensor
 from .linalg import RowSpace, vaddmul_into, vdot, kernel_basis
@@ -232,14 +232,12 @@ class ReducedCoalgebra:
         self.project = proj_vec
         # reduced coproduct: (π⊗π)Δ on included vectors
         comult = GradedMap(space, self.RR, 0)
+        one = field.one()
         for lab in space.labels():
             img: dict = {}
-            for t, c in C.comult(incl_vec({lab: field.one()})).items():
-                _, a, b = t
-                if a != e and b != e:
-                    rl = tensor_label(red_label(a), red_label(b))
-                    if rl in self.RR:
-                        vaddmul_into(field, img, c, {rl: field.one()})
+            for (_, a, b), c in C.comult(incl_vec({lab: one})).items():
+                img.update(tensor_vec(proj_vec({a: one}), proj_vec({b: one}),
+                                      self.RR, c))
             comult.set(lab, img)
         self.comult = comult
         d = GradedMap(space, space, -1)
@@ -283,11 +281,7 @@ def radical(C: DgCoalgebra) -> RadicalResult:
             span = []
             for f in current:
                 for c in space.labels():
-                    vec: dict = {}
-                    for lf, cf in f.items():
-                        lab = tensor_label(lf, c)
-                        if lab in RR:
-                            vaddmul_into(field, vec, cf, {lab: field.one()})
+                    vec = tensor_vec(f, {c: field.one()}, RR)
                     if vec:
                         span.append(vec)
             for n in RR.degrees():
@@ -679,13 +673,7 @@ def tensor_product_coalgebra(C: DgCoalgebra, D: DgCoalgebra,
         comult.set(lab, img)
     counit = None
     if C.counit is not None and D.counit is not None:
-        counit = {}
-        for lab in T.labels():
-            _, c, d = lab
-            v = field.mul(C.counit.get(c, field.zero()),
-                          D.counit.get(d, field.zero()))
-            if not field.is_zero(v):
-                counit[lab] = v
+        counit = tensor_vec(C.counit, D.counit, T)
     atom = None
     if C.atom is not None and D.atom is not None:
         atom = tensor_label(C.atom, D.atom)

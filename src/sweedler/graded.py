@@ -430,6 +430,21 @@ def tensor_space(X: GradedSpace, Y: GradedSpace) -> TensorSpace:
     return TensorSpace(X, Y)
 
 
+def tensor_vec(u: dict, v: dict, T: GradedSpace, coeff=1) -> dict:
+    """coeff·u⊗v = {x⊗y: coeff·cx·cy} over the terms of u, then of v,
+    keeping only the x⊗y that T holds.  Each x⊗y is a different label, so
+    nothing is summed."""
+    mul, degree = T.field.mul, T._degree_lookup()
+    out: dict = {}
+    for x, cx in u.items():
+        c = mul(coeff, cx)
+        for y, cy in v.items():
+            lab = tensor_label(x, y)
+            if degree(lab) is not None:
+                out[lab] = mul(c, cy)
+    return out
+
+
 def koszul_swap(X: GradedSpace, Y: GradedSpace) -> GradedMap:
     """σ(x⊗y) = (-1)^{|x||y|} y⊗x."""
     XY = tensor_space(X, Y)
@@ -520,13 +535,8 @@ def strength_tensor(f: GradedMap, g: GradedMap) -> GradedMap:
     for label in XY.labels():
         _, x, y = label
         sign = field.sign(g.degree * X.degree_of(x))
-        img: dict = {}
-        fx = f.apply_label(x)
-        gy = g.apply_label(y)
-        for xt, cf in fx.items():
-            for yt, cg in gy.items():
-                img[tensor_label(xt, yt)] = field.mul(sign, field.mul(cf, cg))
-        out.set(label, TT.project(img))
+        out.set(label, tensor_vec(f.columns.get(x, {}), g.columns.get(y, {}),
+                                  TT, sign))
     return out
 
 
@@ -534,13 +544,13 @@ def tensor_sum_apply(f: GradedMap, g: GradedMap, vec: dict,
                      TT: GradedSpace) -> dict:
     """(f⊗1 + 1⊗g)(vec) from f(x) and g(y), projected into TT:
     x⊗y ↦ f(x)⊗y + (-1)^{|g||x|} x⊗g(y)."""
-    field, out = f.field, {}
+    field, out, one = f.field, {}, f.field.one()
     for (_, x, y), c in vec.items():
-        vaddmul_into(field, out, c, TT.project(
-            {tensor_label(a, y): v for a, v in f.columns.get(x, {}).items()}))
+        vaddmul_into(field, out, c,
+                     tensor_vec(f.columns.get(x, {}), {y: one}, TT))
         sign = field.sign(g.degree * f.source.degree_of(x))
-        vaddmul_into(field, out, field.mul(sign, c), TT.project(
-            {tensor_label(x, b): v for b, v in g.columns.get(y, {}).items()}))
+        vaddmul_into(field, out, field.mul(sign, c),
+                     tensor_vec({x: one}, g.columns.get(y, {}), TT))
     return out
 
 

@@ -85,6 +85,12 @@ class PresentationFile:
               trunc: Truncation | None = None):
         field = field or self.field
         trunc = trunc or self.trunc
+        noun = "generator" if self.kind == "algebra" else "basis element"
+        for directive, table in (("aug", self.aug), ("delta", self.comult),
+                                 ("counit", self.counit)):
+            for name in table:
+                if name not in self.names():
+                    raise UnknownName(f"{directive} of unknown {noun} {name!r}")
         if self.kind == "algebra":
             return self._build_algebra(field, trunc)
         if self.kind == "coalgebra":
@@ -130,8 +136,10 @@ class PresentationFile:
             return text
 
         def pair(text):
-            x, y = text.split(",")
-            lab = tensor_label(element(x), element(y))
+            xy = text.split(",")
+            if len(xy) != 2:
+                raise ParseError(f"bad pair {text!r}, want x,y")
+            lab = tensor_label(*map(element, xy))
             return lab if lab in TT else None
 
         comult = GradedMap(space, TT, 0)

@@ -179,6 +179,18 @@ def test_exit_code_on_parse_error(tmp_path):
     assert code == 2
 
 
+def test_pointed_product_of_a_coalgebra_without_counit_exits_2(tmp_path,
+                                                               capsys):
+    coalg = tmp_path / "c.swp"
+    coalg.write_text("sweedler-presentation v1\nfield Q\nkind coalgebra\n"
+                     "trunc -2:2:2\nbasis e 0\ndelta e 1/1 e,e\natom e\n")
+    code, _ = run_cli(["sweedler-product", "--coalgebra", str(coalg),
+                       "--algebra", "preset:dual-numbers", "--pointed"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: pointed Sweedler product needs pointed data\n"
+
+
 def test_exit_code_on_missing_args():
     code, _ = run_cli(["verify"])
     assert code == 2

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 
 import pytest
@@ -8,6 +10,7 @@ from sweedler.presentation import (parse_text, parse_file, UnknownName,
                                    DegreeMismatch, HEADER)
 from sweedler.presets import load_preset
 from sweedler.algebras import word_label
+from sweedler.cli import main
 
 
 MC_TEXT = """sweedler-presentation v1
@@ -145,6 +148,34 @@ def test_term_reader_messages(text, old, new, message):
     pf = parse_text(text.replace(old, new.replace("1/1 ", "1/5 ")))
     with pytest.raises(DivisionByZero):
         pf.build(Field(5))
+
+
+@pytest.mark.parametrize("text, old, new, error, message", [
+    (COALG_TEXT, "1/1 e,delta", "1/1 x", ParseError, "bad pair 'x', want x,y"),
+    (COALG_TEXT, "1/1 e,delta", "1/1 x,e,e", ParseError,
+     "bad pair 'x,e,e', want x,y"),
+    (COALG_TEXT, "atom e", "atom e\ndelta zz 1/1 e,e", UnknownName,
+     "delta of unknown basis element 'zz'"),
+    (COALG_TEXT, "counit e 1/1", "counit ee 1/1", UnknownName,
+     "counit of unknown basis element 'ee'"),
+    (MC_TEXT, "aug u 0/1", "aug u 0/1\naug y 1/1", UnknownName,
+     "aug of unknown generator 'y'"),
+], ids=["one-name-pair", "three-name-pair", "delta-undeclared",
+        "counit-undeclared", "aug-undeclared"])
+def test_lines_on_unknown_names_fail_at_build(tmp_path, text, old, new, error,
+                                             message):
+    """A line on a name that was never declared, or a Δ term that is not
+    one x,y pair, is a parse error at build and exit 2 from the CLI."""
+    bad = text.replace(old, new)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse_text(bad).build()
+    path = tmp_path / "bad.swp"
+    path.write_text(bad)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        assert main(["verify", "--file", str(path)]) == 2
+    assert err.getvalue() == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("entry", ["w", "u.u.u.u.u.u.u"])

@@ -5,32 +5,39 @@ The references below are the earlier implementations, kept as they were:
 `sign_convention_report` and `algebra_map_issues` (now
 `DgSpace.d_checkable`), `convolution_square` and the antipode loop of
 `verify_mc` (now `sweedler_ops.convolve`), `_reduce_word` (now
-`DgAlgebra.product`) and the hand-built Fδ₊ (now the `primitive-coalgebra`
-preset).  Inputs are random over ℚ, 𝔽2 and 𝔽5.
+`DgAlgebra.product`), the hand-built Fδ₊ (now the `primitive-coalgebra`
+preset) and the u⊗v double loops of `strength_tensor`, `tensor_pair`,
+`coalgebra_map_issues` and `verify_measuring` (now `graded.tensor_vec`).
+Inputs are random over ℚ, 𝔽2 and 𝔽5.
 """
 
+import itertools
 import random
 
 import pytest
 
 from sweedler.scalars import QQ, Field
 from sweedler.graded import (Truncation, GradedSpace, GradedMap, GradedError,
-                             tensor_space, tensor_label, hom_label,
-                             identity_map, label_str)
+                             tensor_space, tensor_label, tensor_vec,
+                             hom_label, identity_map, label_str,
+                             strength_tensor)
 from sweedler.complexes import DgSpace, dg_tensor, homology
-from sweedler.algebras import (DgAlgebra, tensor_algebra, word_label,
+from sweedler.algebras import (DgAlgebra, PresentedAlgebra, normal_forms,
+                               tensor_algebra, tensor_pair, word_label,
                                word_syms, UNIT_WORD)
 from sweedler.coalgebras import DgCoalgebra, tensor_coalgebra
 from sweedler.sweedler_ops import (convolve, convolution_algebra,
-                                   sweedler_product, primitive_coalgebra)
+                                   sweedler_product, primitive_coalgebra,
+                                   verify_measuring)
 from sweedler.barcobar import (MaurerCartanAlgebra, mc_algebra, verify_mc,
                                bialgebra_compat_issues, TwistingCochainReport,
                                verify_twisting_cochain, bar, cobar,
                                universal_bar_cochain, cochain_to_algebra_map,
                                algebra_map_issues, sign_convention_report,
-                               length_sign_automorphism)
+                               length_sign_automorphism,
+                               cochain_to_coalgebra_map, coalgebra_map_issues)
 from sweedler.presets import load_preset
-from sweedler.linalg import vaddmul, vscale
+from sweedler.linalg import vaddmul, vaddmul_into, vscale
 
 FIELDS = (QQ, Field(2), Field(5))
 TR = Truncation(-3, 3, 3)
@@ -478,3 +485,239 @@ def test_primitive_coalgebra_out_of_window_names_the_window():
         ref_primitive_coalgebra(QQ, tr, degree=3)
     with pytest.raises(GradedError, match=r"delta of degree 3 .*-2:2:2"):
         primitive_coalgebra(QQ, tr, degree=3)
+
+
+# -- the tensor of two vectors ----------------------------------------------------------
+
+
+def ref_strength_tensor(f, g):
+    X, Y = f.source, g.source
+    XY = tensor_space(X, Y)
+    TT = tensor_space(f.target, g.target)
+    field = f.field
+    out = GradedMap(XY, TT, f.degree + g.degree)
+    for label in XY.labels():
+        _, x, y = label
+        sign = field.sign(g.degree * X.degree_of(x))
+        img: dict = {}
+        fx = f.apply_label(x)
+        gy = g.apply_label(y)
+        for xt, cf in fx.items():
+            for yt, cg in gy.items():
+                img[tensor_label(xt, yt)] = field.mul(sign, field.mul(cf, cg))
+        out.set(label, TT.project(img))
+    return out
+
+
+def ref_tensor_pair(A, B, T):
+    field = T.field
+
+    def pair(x, y):
+        _, a, b = x
+        _, a2, b2 = y
+        sign = field.sign(B.space.degree_of(b) * A.space.degree_of(a2))
+        out: dict = {}
+        pa = A._pair(a, a2)
+        pb = B._pair(b, b2)
+        for ra, ca in pa.items():
+            for rb, cb in pb.items():
+                lab = tensor_label(ra, rb)
+                if lab in T:
+                    vaddmul_into(field, out,
+                                 field.mul(sign, field.mul(ca, cb)),
+                                 {lab: field.one()})
+        return out
+
+    return pair
+
+
+def ref_ff_delta(f, source, TT, x):
+    """(f⊗f)Δ(x), the loop of `coalgebra_map_issues`."""
+    field = f.field
+    rhs: dict = {}
+    for t, coeff in source.comult.apply_label(x).items():
+        _, x1, x2 = t
+        for y1, c1 in f.apply_label(x1).items():
+            for y2, c2 in f.apply_label(x2).items():
+                lab = tensor_label(y1, y2)
+                if lab in TT:
+                    vaddmul_into(field, rhs,
+                                 field.mul(coeff, field.mul(c1, c2)),
+                                 {lab: field.one()})
+    return rhs
+
+
+def ref_coalgebra_map_issues(f, source, target):
+    field = f.field
+    issues = []
+    TT = target.comult.target
+    for x in source.space.labels():
+        lhs = target.comult(f.apply_label(x))
+        if lhs != ref_ff_delta(f, source, TT, x):
+            issues.append(f"f not comultiplicative at {label_str(x)}")
+            return issues
+        ex = source.counit.get(x, field.zero()) if source.counit else None
+        if ex is not None:
+            fx = target.counit_of(f.apply_label(x))
+            if fx != ex:
+                issues.append(f"f does not preserve counit at {label_str(x)}")
+                return issues
+        if f(source.d.apply_label(x)) != target.d(f.apply_label(x)):
+            issues.append(f"f not a chain map at {label_str(x)}")
+            return issues
+    return issues
+
+
+def ref_measuring_value(f, cvec, avec):
+    """F(cvec, avec) = Σ cc·ca·f(c⊗a), the helper of `verify_measuring`."""
+    field, T = f.field, f.source
+    out: dict = {}
+    for c, cc in cvec.items():
+        for a, ca in avec.items():
+            lab = tensor_label(c, a)
+            if lab in T:
+                vaddmul_into(field, out, field.mul(cc, ca),
+                             f.apply_label(lab))
+    return out
+
+
+def double_one_column(rng, f):
+    """f with one nonzero column doubled (over 𝔽2: zeroed)."""
+    g = GradedMap(f.source, f.target, f.degree, dict(f.columns))
+    x = rng.choice(sorted(f.columns, key=repr))
+    g.set(x, vscale(f.field, f.field.of(2), f.apply_label(x)))
+    return g
+
+
+def test_tensor_vec_keeps_only_what_the_tensor_space_holds():
+    for field in FIELDS:
+        X = GradedSpace(field, Truncation(-1, 1, 2))
+        X.add("a", 0)
+        X.add("b", 1)
+        XX = tensor_space(X, X)
+        u = {"a": field.one(), "b": field.of(3)}
+        v = {"a": field.of(7), "b": field.of(3)}
+        # b⊗b has degree 2, outside the window; "z" is no basis label
+        assert list(tensor_vec(u, v, XX, field.of(-1)).items()) == [
+            (tensor_label("a", "a"), field.of(-7)),
+            (tensor_label("a", "b"), field.of(-3)),
+            (tensor_label("b", "a"), field.of(-21))]
+        assert tensor_vec({"z": field.one()}, v, XX) == {}
+        assert tensor_vec({}, v, XX) == tensor_vec(u, {}, XX) == {}
+
+
+def random_linear_map(rng, field, X, Y, degree):
+    """A random graded map X → Y of this degree, up to 3 terms a column."""
+    f = GradedMap(X, Y, degree)
+    for x in X.labels():
+        targets = Y.basis(X.degree_of(x) + degree)
+        f.set(x, {y: field.of(rng.randint(-2, 2))
+                  for y in rng.sample(targets, min(len(targets), 3))})
+    return f
+
+
+def test_strength_tensor_matches_reference_loop():
+    rng = random.Random(30)
+    dropped = longest = 0
+    for field in FIELDS:
+        spaces = [X.space for X in coalgebras(field) + algebras(field)]
+        for _ in range(60):
+            X, Y, Z, W = (rng.choice(spaces) for _ in range(4))
+            f = random_linear_map(rng, field, X, Y, rng.randint(-2, 1))
+            g = random_linear_map(rng, field, Z, W, rng.randint(-2, 1))
+            new = strength_tensor(f, g)
+            assert columns(new) == columns(ref_strength_tensor(f, g))
+            longest = max([longest, *map(len, new.columns.values())])
+            dropped += sum(len(f.apply_label(x)) * len(g.apply_label(y))
+                           - len(new.apply_label(lab))
+                           for lab in new.source.labels()
+                           for _, x, y in [lab])
+    # images left the window, and columns held several terms
+    assert dropped > 20 and longest >= 4
+
+
+def commutator_algebra(field):
+    """ba = ab + a in degree 0, so a product can have two terms."""
+    one = field.one()
+    rel = {word_label(("b", "a")): one, word_label(("a", "b")): -one,
+           word_label(("a",)): -one}
+    return normal_forms(PresentedAlgebra(field, [("a", 0), ("b", 0)], [rel],
+                                         {}, Truncation(-1, 1, 3)))
+
+
+def test_tensor_pair_matches_reference_loop():
+    compared = signed = longest = 0
+    for field in FIELDS:
+        As = [*algebras(field), commutator_algebra(field)]
+        for A, B in ((As[0], As[1]), (As[1], As[0]), (As[0], As[2]),
+                     (As[1], As[1]), (As[3], As[3]), (As[2], As[3])):
+            T = tensor_space(A.space, B.space)
+            new, ref = tensor_pair(A, B, T), ref_tensor_pair(A, B, T)
+            for x in T.labels():
+                for y in T.labels():
+                    got = new(x, y)
+                    assert list(got.items()) == list(ref(x, y).items())
+                    compared += bool(got)
+                    signed += any(c == field.of(-1) for c in got.values())
+                    longest = max(longest, len(got))
+    assert compared > 200 and signed > 20 and longest >= 2
+
+
+def test_coalgebra_map_issues_matches_reference_loop():
+    rng = random.Random(31)
+    tr = Truncation(-3, 3, 3)
+    seen = {}
+    for field in FIELDS:
+        for C in coalgebras(field):
+            for A in algebras(field):
+                b = bar(A, tr)
+                BA = b.coalgebra
+                TT = BA.comult.target
+                for _ in range(2):
+                    alpha = random_map(rng, field, C, A, -1)
+                    f = cochain_to_coalgebra_map(alpha, C, b)
+                    for g in (f, double_one_column(rng, f)):
+                        for x in C.space.labels():
+                            new: dict = {}
+                            for (_, x1, x2), coeff in \
+                                    C.comult.apply_label(x).items():
+                                vaddmul_into(field, new, coeff, tensor_vec(
+                                    g.columns.get(x1, {}),
+                                    g.columns.get(x2, {}), TT))
+                            assert list(new.items()) == list(
+                                ref_ff_delta(g, C, TT, x).items())
+                        issues = coalgebra_map_issues(g, C, BA)
+                        assert issues == ref_coalgebra_map_issues(g, C, BA)
+                        key = issues[0].split(" at ")[0] if issues else "pass"
+                        seen[key] = seen.get(key, 0) + 1
+    assert seen.get("pass", 0) > 5
+    assert seen.get("f not comultiplicative", 0) > 5
+    assert seen.get("f not a chain map", 0) > 5
+
+
+def test_measuring_values_match_reference_loop():
+    """`verify_measuring` reads f(c⊗a) as f(tensor_vec(c, a, T)); the
+    values and key order are those of its earlier helper."""
+    longest = 0
+    for field in FIELDS:
+        mc = mc_algebra(field, Truncation(-2, 0, 4))
+        tr = Truncation(-2, 2, 4)
+        cases = [(presets(field, ["primitive-coalgebra:1"], tr)[0],
+                  mc.algebra, True),
+                 (presets(field, ["diagonal-coalgebra:2"], tr)[0],
+                  presets(field, ["dual-numbers"], tr)[0], False)]
+        for C, A, pointed in cases:
+            sp = sweedler_product(C, A, tr, pointed=pointed)
+            f, T = sp.measuring, sp.measuring.source
+            cs, as_ = C.space.labels(), A.space.labels()
+            for c, c2 in zip(cs, cs[::-1]):
+                for a, b in itertools.product(as_, as_):
+                    for cvec, avec in (({c: field.one()}, A._pair(a, b)),
+                                       ({c: field.of(3), c2: field.one()},
+                                        {a: field.one(), b: field.of(2)})):
+                        new = f(tensor_vec(cvec, avec, T))
+                        assert list(new.items()) == list(
+                            ref_measuring_value(f, cvec, avec).items())
+                        longest = max(longest, len(new))
+            assert verify_measuring(f, C, A, sp.algebra, pointed=pointed).passed
+    assert longest >= 2

@@ -10,6 +10,7 @@ from sweedler.algebras import (tensor_algebra, word_label, word_syms,
                                UNIT_WORD, omega_bimodule, normal_forms,
                                PresentedAlgebra)
 from sweedler.coalgebras import (tensor_coalgebra, coshuffle_coalgebra,
+                                 DgCoalgebra, CoalgebraError,
                                  RegimeViolation)
 from sweedler.sweedler_ops import (convolution_algebra, verify_measuring,
                                    sweedler_product, example_construction,
@@ -145,6 +146,23 @@ def test_reversed_evaluation_is_a_measuring_and_mutation_fails():
     rep2 = verify_measuring(bad, C, conv, A)
     assert not rep2.passed
     assert rep2.failures
+
+
+def test_pointed_checks_need_a_counit():
+    """An atom without a counit is no pointed coalgebra: both pointed
+    entry points raise CoalgebraError, which the CLI reports with exit 2."""
+    tr = Truncation(-2, 2, 2)
+    C = primitive_coalgebra(QQ, tr, degree=0)
+    A = dual_numbers(tr=tr)
+    bare = DgCoalgebra(C.dg, C.comult, None, atom=C.atom)
+    message = "pointed .* needs pointed"
+    with pytest.raises(CoalgebraError, match=message):
+        sweedler_product(bare, A, tr, pointed=True)
+    sp = sweedler_product(C, A, tr, pointed=True)
+    assert verify_measuring(sp.measuring, C, A, sp.algebra,
+                            pointed=True).passed
+    with pytest.raises(CoalgebraError, match=message):
+        verify_measuring(sp.measuring, bare, A, sp.algebra, pointed=True)
 
 
 # -- Sweedler products -----------------------------------------------------------
